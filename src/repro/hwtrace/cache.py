@@ -105,8 +105,7 @@ class DecodeCache:
 
     Keys are ``(binary fingerprint, body bytes)``; values are
     :class:`ChunkEntry` objects.  The cache is safe to share across
-    decoders, threads (``decode_many``'s thread fan-out), tasks, and
-    campaigns — sharing is the point: one process-wide instance (see
+    decoders, threads, tasks, and campaigns — sharing is the point: one process-wide instance (see
     :func:`process_decode_cache`) amortizes decode work across every
     reconcile in the process.
     """
@@ -245,9 +244,8 @@ class ChunkPlan:
 
     ``starts``/``ends`` delimit each chunk; ``canonical_headers`` marks
     chunks opening with the exact ``PSB TSC PIP`` header, whose timestamp
-    and CR3 are pre-extracted into ``times``/``cr3s`` (body validation is
-    content-based and happens lazily, on cache misses only — a body that
-    ever validated stays valid wherever its bytes reappear).
+    and CR3 are pre-extracted into ``times``/``cr3s`` (event-record
+    validation is the decoder's job).
     """
 
     __slots__ = (

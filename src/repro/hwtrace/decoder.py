@@ -10,26 +10,20 @@ Two halves:
   :class:`DecodedTrace` (timestamped block executions attributed to a
   process via PIP/CR3).
 
-The round trip is genuine: the decoder sees only bytes and binaries, and
-every reconstruction consumed by the analysis layer flows through it.
-
-Throughput architecture: both directions are columnar.  The encoder
-assembles each segment's event body from preallocated numpy byte arrays
-(:func:`repro.hwtrace.codec.encode_event_records`) and the decoder scans
-packet framing with numpy (:mod:`repro.hwtrace.codec`), forward-fills
-TSC/PIP context over the packet columns, and resolves TIP addresses to
-blocks with a sorted-array ``searchsorted`` — no per-packet or per-record
-Python objects exist on the hot path.  The result is a
-structure-of-arrays :class:`DecodedTrace` whose ``records`` property
-remains available as an object-level compatibility view, and
-:meth:`SoftwareDecoder.decode_objects` keeps the original per-packet
-reference implementation for golden comparisons.
+The round trip is genuine: the decoder sees only bytes and binaries.
+:meth:`SoftwareDecoder.decode` is one pipeline.  A fully canonical upload
+(everything :func:`encode_trace` emits) needs no packet scan: each PSB
+chunk's timestamp and CR3 sit in its header, so its 8-byte event records
+resolve in bulk — all at once, or chunk by chunk through a
+:class:`~repro.hwtrace.cache.DecodeCache`.  Anything else takes the
+columnar packet scan (:mod:`repro.hwtrace.codec`) and a TSC/PIP
+forward-fill.  Every route resolves TIP addresses with one group-by-CR3
+binary search; :meth:`SoftwareDecoder.decode_objects` keeps the
+per-packet reference the equality tests compare against.
 """
 
 from __future__ import annotations
 
-import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,10 +32,10 @@ from repro.hwtrace.cache import (
     CHUNK_HEADER_BYTES,
     UNKNOWN_BINARY_FP,
     ChunkEntry,
+    ChunkPlan,
     DecodeCache,
     binary_fingerprint,
     plan_chunks,
-    process_decode_cache,
 )
 from repro.hwtrace.codec import (
     KIND_OVF,
@@ -51,7 +45,6 @@ from repro.hwtrace.codec import (
     KIND_TNT,
     KIND_TSC,
     ScannedStream,
-    _le6,
     encode_event_records,
     scan_stream,
     scan_stream_resilient,
@@ -78,27 +71,43 @@ _EMPTY_I64 = np.empty(0, dtype=np.int64)
 #: TIP header byte of an 8-byte event record (codec framing)
 _TIP_HEADER_BYTE = 0x0D
 
+#: the 48-bit TIP address occupies a record word's high 6 bytes
+_ADDRESS_SHIFT = np.uint64(16)
+
 #: shared entry for canonical chunks with no event records
-_EMPTY_ENTRY = ChunkEntry(
-    block_ids=_EMPTY_I64, function_ids=_EMPTY_I64, unresolved=0, n_records=0
-)
+_EMPTY_ENTRY = ChunkEntry(_EMPTY_I64, _EMPTY_I64, unresolved=0, n_records=0)
 
 
-def _valid_record_words(words: np.ndarray) -> bool:
-    """True when every uint64 record word has canonical TNT/TIP framing.
+def _canonical_split(data: bytes) -> Optional[Tuple[ChunkPlan, List[bytes], np.ndarray]]:
+    """``(plan, chunk bodies, uint64 record words)`` of a canonical upload.
 
-    Word layout (little-endian): byte0 = TNT (even, >= 4), byte1 = TIP
-    header, bytes 2..7 = 48-bit address in the word's high bits.
+    ``None`` under the same conditions as :func:`split_canonical_stream`;
+    the packet scan, whose error semantics are definitive, then owns it.
     """
-    if words.size == 0:
-        return True
-    return bool(
-        (
-            ((words & 0x01) == 0)
-            & ((words & 0xFF) >= 4)
-            & ((words & 0xFF00) == _TIP_HEADER_BYTE << 8)
-        ).all()
+    if not data:
+        return None
+    plan = plan_chunks(data, np.frombuffer(data, dtype=np.uint8), PSB_BYTES)
+    if plan is None or not plan.all_canonical:
+        return None
+    bodies = [
+        data[start + CHUNK_HEADER_BYTES : end - (2 if tail else 0)]
+        for start, end, tail in zip(
+            plan.starts.tolist(), plan.ends.tolist(), plan.tail_ovf.tolist()
+        )
+    ]
+    joined = b"".join(bodies)
+    if len(joined) % 8:
+        return None
+    words = np.frombuffer(joined, dtype="<u8")
+    # little-endian word: byte0 = TNT (even, >= 4), byte1 = TIP header
+    framed = (
+        ((words & 0x01) == 0)
+        & ((words & 0xFF) >= 4)
+        & ((words & 0xFF00) == _TIP_HEADER_BYTE << 8)
     )
+    if not framed.all():
+        return None
+    return plan, bodies, words
 
 
 def split_canonical_stream(data: bytes) -> Optional[List[Tuple[int, bytes]]]:
@@ -112,25 +121,38 @@ def split_canonical_stream(data: bytes) -> Optional[List[Tuple[int, bytes]]]:
     malformed.  ``None`` signals that the bytes need the full resilient
     scan (or a dead-letter quarantine) instead of incremental decode.
     """
-    if not data:
+    split = _canonical_split(data)
+    if split is None:
         return None
-    buf = np.frombuffer(data, dtype=np.uint8)
-    plan = plan_chunks(data, buf, PSB_BYTES)
-    if plan is None or not plan.all_canonical:
-        return None
-    starts = plan.starts.tolist()
-    ends = plan.ends.tolist()
-    tails = plan.tail_ovf.tolist()
-    bodies = [
-        data[start + CHUNK_HEADER_BYTES : end - (2 if tail else 0)]
-        for start, end, tail in zip(starts, ends, tails)
-    ]
-    records = np.frombuffer(b"".join(bodies), dtype=np.uint8)
-    if records.size % 8:
-        return None
-    if not _valid_record_words(records.reshape(-1, 8).view("<u8").ravel()):
-        return None
+    plan, bodies, _words = split
     return list(zip(plan.cr3s.tolist(), bodies))
+
+
+def _address_table(binary: Binary) -> Tuple[np.ndarray, np.ndarray]:
+    """``(sorted block addresses, block id per sorted slot)`` of a binary.
+
+    Memoized on the instance (like :func:`binary_fingerprint`), so every
+    decoder mapping the binary shares one table and building a decoder
+    costs nothing per block.
+    """
+    table = getattr(binary, "_decode_table", None)
+    if table is None:
+        addresses = binary.block_addresses
+        order = np.argsort(addresses)
+        table = (addresses[order], order.astype(np.int64))
+        binary._decode_table = table
+    return table
+
+
+def _chunk_entry(block_ids: np.ndarray, function_ids: np.ndarray) -> ChunkEntry:
+    """Context-free entry of one chunk's resolved records (-1 = unresolved)."""
+    keep = block_ids >= 0
+    return ChunkEntry(
+        block_ids=block_ids[keep],
+        function_ids=function_ids[keep],
+        unresolved=int(block_ids.size - np.count_nonzero(keep)),
+        n_records=int(block_ids.size),
+    )
 
 
 def encode_trace(segments: Sequence[TraceSegment]) -> bytes:
@@ -297,64 +319,19 @@ class DecodedTrace:
     def __len__(self) -> int:
         return int(self.block_ids.size)
 
-    # -- pool transport (zero-copy handoff of the SoA columns) -------------
-
-    def to_shipped(self):
-        """Package the trace for a pool-worker -> parent handoff.
-
-        The four SoA columns travel through shared memory (see
-        :mod:`repro.parallel.transport`); the scalar counters and the
-        (small) ptwrite list ride in the metadata.
-        """
-        from repro.parallel.transport import ShippedArrays
-
-        return ShippedArrays(
-            {
-                "timestamps": self.timestamps,
-                "cr3s": self.cr3s,
-                "block_ids": self.block_ids,
-                "function_ids": self.function_ids,
-            },
-            meta={
-                "overflows": self.overflows,
-                "unresolved": self.unresolved,
-                "resyncs": self.resyncs,
-                "bytes_skipped": self.bytes_skipped,
-                "ptwrites": list(self.ptwrites),
-            },
-        )
-
-    @classmethod
-    def from_shipped(cls, shipped) -> "DecodedTrace":
-        """Rebuild a trace from a :class:`ShippedArrays` handoff."""
-        arrays = shipped.unpack()
-        meta = shipped.meta
-        return cls(
-            timestamps=arrays["timestamps"],
-            cr3s=arrays["cr3s"],
-            block_ids=arrays["block_ids"],
-            function_ids=arrays["function_ids"],
-            overflows=int(meta["overflows"]),
-            unresolved=int(meta["unresolved"]),
-            resyncs=int(meta["resyncs"]),
-            ptwrites=[tuple(p) for p in meta["ptwrites"]],
-            bytes_skipped=int(meta["bytes_skipped"]),
-        )
-
 
 class SoftwareDecoder:
     """Reconstructs execution flow from packet bytes and binaries.
 
     ``binaries`` maps CR3 values to program binaries, mirroring how the
     production decoder fetches binaries from the binary repository keyed
-    by the traced process (§4).
+    by the traced process (§4).  A whole upload should be decoded against
+    exactly its own process's mapping: every registered CR3 is one a
+    corrupted PIP byte could land on.
 
-    ``cache`` (optional) enables the repetition-aware decode cache: the
-    stream is split on PSB boundaries and chunks whose bodies were seen
-    before — from *any* decoder sharing the cache — skip reconstruction
-    entirely (see :mod:`repro.hwtrace.cache`).  Results are byte-identical
-    to the uncached path; non-canonical or corrupt streams transparently
-    fall back to it.
+    ``cache`` (optional) enables the repetition-aware decode cache
+    (:mod:`repro.hwtrace.cache`): canonical chunk bodies seen before, by
+    *any* decoder sharing it, skip resolution.  Results are identical.
     """
 
     def __init__(
@@ -363,10 +340,6 @@ class SoftwareDecoder:
         cache: Optional[DecodeCache] = None,
     ):
         self._binaries: Dict[int, Binary] = {}
-        self._address_maps: Dict[int, Dict[int, int]] = {}
-        # sorted-address tables for vectorized TIP resolution:
-        # cr3 -> (sorted addresses, block id per sorted slot, function ids)
-        self._tables: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         # cr3 -> content fingerprint of its binary (decode-cache keying)
         self._fingerprints: Dict[int, bytes] = {}
         self.cache = cache
@@ -376,36 +349,13 @@ class SoftwareDecoder:
     def add_binary(self, cr3: int, binary: Binary) -> None:
         """Register (or replace) the binary mapped at ``cr3``.
 
-        Lets one decoder be reused across tasks as new pods appear:
-        extending the mapping costs one address-table build, while the
-        tables for already-known processes stay warm.  Replacing a binary
-        also replaces the CR3's cache fingerprint, so decode-cache entries
-        produced under the old binary can never resolve against the new
-        one.
+        Address tables and fingerprints are memoized on the binary, so
+        this costs O(1).  Replacing a binary also replaces the CR3's
+        cache fingerprint, so decode-cache entries produced under the old
+        binary can never resolve against the new one.
         """
-        if self._binaries.get(cr3) is binary:
-            return
         self._binaries[cr3] = binary
-        self._address_maps[cr3] = {
-            block.address: block.block_id for block in binary.blocks
-        }
-        addresses = binary.block_addresses
-        order = np.argsort(addresses)
-        self._tables[cr3] = (
-            addresses[order],
-            order.astype(np.int64),
-            binary.block_function_ids,
-        )
         self._fingerprints[cr3] = binary_fingerprint(binary)
-
-    @property
-    def table_fingerprint(self) -> bytes:
-        """Fingerprint of the whole CR3 -> binary mapping (pool keying)."""
-        digest = hashlib.blake2b(digest_size=16)
-        for cr3 in sorted(self._fingerprints):
-            digest.update(int(cr3).to_bytes(8, "little", signed=False))
-            digest.update(self._fingerprints[cr3])
-        return digest.digest()
 
     @classmethod
     def for_processes(cls, processes: Iterable[object]) -> "SoftwareDecoder":
@@ -417,35 +367,49 @@ class SoftwareDecoder:
                 mapping[process.cr3] = binary
         return cls(mapping)
 
-    # -- vectorized path (production) --------------------------------------
+    # -- the decode pipeline -------------------------------------------------
 
     def decode(self, data: bytes, resilient: bool = False) -> DecodedTrace:
         """Parse and reconstruct one core's packet stream.
 
         ``resilient`` enables PSB resynchronization on corrupt input (the
         production decoder's behaviour); strict mode raises on bad
-        framing, which is what tests and integrity checks want.  With a
-        :class:`DecodeCache` attached, repeated chunk bodies are served
-        from the cache (byte-identical results).
+        framing, which is what tests and integrity checks want.  A
+        canonical upload decodes straight from its chunk headers and
+        record words — with a :class:`DecodeCache` attached, chunk by
+        chunk through the cache — and anything else takes the packet
+        scan.  Every route returns the same bytes.
         """
-        if self.cache is not None:
-            return self._decode_cached(data, resilient)
-        return self._decode_uncached(data, resilient)
-
-    def _decode_uncached(
-        self, data: bytes, resilient: bool, try_canonical: bool = True
-    ) -> DecodedTrace:
-        if try_canonical:
-            fast = self._decode_canonical(data)
-            if fast is not None:
-                return fast
-        if resilient:
-            scanned = scan_stream_resilient(data)
+        if not data:
+            return DecodedTrace()
+        split = _canonical_split(data)
+        if split is None:
+            if self.cache is not None:
+                self.cache.note_fallback()
+            if resilient:
+                return self._reconstruct(scan_stream_resilient(data))
+            return self._reconstruct(scan_stream(data))
+        plan, bodies, words = split
+        if self.cache is None:
+            block_ids, function_ids, kept, unresolved = self._resolve_records(plan, words)
         else:
-            scanned = scan_stream(data)
-        return self._reconstruct(scanned)
-
-    # -- canonical whole-stream fast path -----------------------------------
+            entries = self._cached_entries(plan.cr3s.tolist(), bodies)
+            kept = np.fromiter(
+                (entry.block_ids.size for entry in entries), np.int64, len(entries)
+            )
+            block_ids = np.concatenate([entry.block_ids for entry in entries])
+            function_ids = np.concatenate([entry.function_ids for entry in entries])
+            unresolved = sum(entry.unresolved for entry in entries)
+        # canonical chunks carry no mid-chunk context: every kept record
+        # takes its chunk header's timestamp and CR3
+        return DecodedTrace(
+            timestamps=np.repeat(plan.times, kept),
+            cr3s=np.repeat(plan.cr3s, kept),
+            block_ids=block_ids,
+            function_ids=function_ids,
+            overflows=int(np.count_nonzero(plan.tail_ovf)),
+            unresolved=unresolved,
+        )
 
     def decode_chunk(self, cr3: int, body: bytes) -> ChunkEntry:
         """Decode one canonical chunk *body* against ``cr3``'s binary.
@@ -454,10 +418,8 @@ class SoftwareDecoder:
         chunk's 32-byte ``PSB TSC PIP`` header (trailing OVF stripped),
         exactly as produced by :func:`split_canonical_stream`.  Returns
         the context-free :class:`ChunkEntry` (resolved block/function ids
-        plus the unresolved count) — identical to what the whole-stream
-        canonical path computes for the same bytes, and served from the
-        attached :class:`DecodeCache` when one is present.  The caller is
-        responsible for having validated the body's record framing.
+        plus the unresolved count), served from the attached cache when
+        there is one.  The caller must have validated the record framing.
         """
         if not body:
             return _EMPTY_ENTRY
@@ -467,290 +429,113 @@ class SoftwareDecoder:
             cached = cache.get(key)
             if cached is not None:
                 return cached
-        records = np.frombuffer(body, dtype=np.uint8).reshape(-1, 8)
-        addresses = _le6(records[:, 2:8]).astype(np.int64)
-        blocks, functions = self._resolve_addresses(cr3, addresses)
-        keep = blocks >= 0
-        entry = ChunkEntry(
-            block_ids=blocks[keep].copy(),
-            function_ids=functions[keep].copy(),
-            unresolved=int(blocks.size - np.count_nonzero(keep)),
-            n_records=int(blocks.size),
+        words = np.frombuffer(body, dtype="<u8")
+        entry = _chunk_entry(
+            *self._resolve((words >> _ADDRESS_SHIFT).astype(np.int64), None, (cr3,))
         )
         if cache is not None:
             cache.put(key, entry)
         return entry
 
-    def _canonical_records(
-        self, data: bytes, plan
-    ) -> Optional[Tuple[List[bytes], np.ndarray, np.ndarray]]:
-        """Chunk bodies, record matrix, and uint64 record words of a
-        canonical plan.
+    def _resolve_records(
+        self, plan: ChunkPlan, words: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """Resolve every record of a canonical upload in one pass.
 
-        Joins every chunk's event body (header and trailing OVF stripped)
-        and validates all 8-byte records in one vectorized pass — over the
-        little-endian *uint64 view* of the record matrix, so the three
-        framing checks run on contiguous words instead of strided byte
-        columns.  Returns ``None`` when any record is malformed — the
-        caller then falls back to the ordinary packet scan, whose error
-        semantics are definitive.
+        Returns the kept block and function ids, the kept-record count
+        per chunk, and the unresolved count.
         """
-        starts = plan.starts.tolist()
-        ends = plan.ends.tolist()
-        tails = plan.tail_ovf.tolist()
-        bodies = [
-            data[start + CHUNK_HEADER_BYTES : end - (2 if tail else 0)]
-            for start, end, tail in zip(starts, ends, tails)
-        ]
-        records = np.frombuffer(b"".join(bodies), dtype=np.uint8)
-        if records.size % 8:
-            return None
-        records = records.reshape(-1, 8)
-        words = records.view("<u8").ravel()
-        if not _valid_record_words(words):
-            return None
-        return bodies, records, words
-
-    def _decode_canonical(self, data: bytes) -> Optional[DecodedTrace]:
-        """Direct bulk decode of a fully canonical stream, skipping the
-        per-packet scan *and* the per-packet column reconstruction.
-
-        Canonical streams (everything :func:`encode_trace` emits) need no
-        forward-fill: every chunk's timestamp and CR3 sit in its header,
-        so the whole stream decodes as one record matrix — bulk address
-        extraction, one ``searchsorted`` per distinct CR3, and
-        ``np.repeat`` of the header context over each chunk's records.
-        Returns ``None`` on any deviation (the scan path then owns the
-        stream); results are byte-identical to the scan path by
-        construction, since a canonical stream has no resyncs, skipped
-        bytes, PTWRITEs, or mid-chunk context switches.
-        """
-        if not data:
-            return None
-        buf = np.frombuffer(data, dtype=np.uint8)
-        plan = plan_chunks(data, buf, PSB_BYTES)
-        if plan is None or not plan.all_canonical:
-            return None
-        prepared = self._canonical_records(data, plan)
-        if prepared is None:
-            return None
-        bodies, _records, words = prepared
-        record_counts = np.fromiter(
-            (len(body) >> 3 for body in bodies), np.int64, len(bodies)
+        counts = (plan.ends - plan.starts - CHUNK_HEADER_BYTES - 2 * plan.tail_ovf) >> 3
+        candidates = set(plan.cr3s.tolist())
+        record_cr3s = np.repeat(plan.cr3s, counts) if len(candidates) > 1 else None
+        block_ids, function_ids = self._resolve(
+            (words >> _ADDRESS_SHIFT).astype(np.int64), record_cr3s, candidates
         )
-        # the 48-bit TIP address occupies the word's high 6 bytes
-        addresses = (words >> np.uint64(16)).astype(np.int64)
-        record_cr3s = np.repeat(plan.cr3s, record_counts)
-        record_times = np.repeat(plan.times, record_counts)
-        distinct = sorted(set(plan.cr3s.tolist()))
-        if len(distinct) == 1:
-            # dominant shape (one traced process per core stream): resolve
-            # the whole column without building a selection mask
-            block_ids, function_ids = self._resolve_addresses(
-                distinct[0], addresses
-            )
-        else:
-            block_ids = np.full(addresses.size, -1, dtype=np.int64)
-            function_ids = np.full(addresses.size, -1, dtype=np.int64)
-            for cr3 in distinct:
-                selected = record_cr3s == cr3
-                if not selected.any():
-                    continue
-                blocks, functions = self._resolve_addresses(
-                    cr3, addresses[selected]
-                )
-                block_ids[selected] = blocks
-                function_ids[selected] = functions
-        unresolved = int(np.count_nonzero(block_ids < 0))
+        keep = block_ids >= 0
+        unresolved = int(block_ids.size - np.count_nonzero(keep))
         if unresolved:
-            keep = block_ids >= 0
-            record_times = record_times[keep]
-            record_cr3s = record_cr3s[keep]
+            chunk_of = np.repeat(np.arange(len(plan)), counts)
+            counts = np.bincount(chunk_of[keep], minlength=len(plan))
             block_ids = block_ids[keep]
             function_ids = function_ids[keep]
-        return DecodedTrace(
-            timestamps=record_times,
-            cr3s=record_cr3s,
-            block_ids=block_ids,
-            function_ids=function_ids,
-            overflows=int(np.count_nonzero(plan.tail_ovf)),
-            unresolved=unresolved,
-        )
+        return block_ids, function_ids, counts, unresolved
 
-    def _resolve_addresses(
-        self, cr3: int, addresses: np.ndarray
+    def _cached_entries(self, cr3s: List[int], bodies: List[bytes]) -> List[ChunkEntry]:
+        """Per-chunk entries through the cache; misses resolve in one batch."""
+        cache = self.cache
+        assert cache is not None
+        keys = [
+            (self._fingerprints.get(cr3, UNKNOWN_BINARY_FP), body)
+            for cr3, body in zip(cr3s, bodies)
+        ]
+        entries: List[Optional[ChunkEntry]] = [
+            cache.get(key) if key[1] else _EMPTY_ENTRY for key in keys
+        ]
+        misses = [index for index, entry in enumerate(entries) if entry is None]
+        if misses:
+            words = np.frombuffer(b"".join(bodies[index] for index in misses), dtype="<u8")
+            counts = [len(bodies[index]) >> 3 for index in misses]
+            miss_cr3s = [cr3s[index] for index in misses]
+            block_ids, function_ids = self._resolve(
+                (words >> _ADDRESS_SHIFT).astype(np.int64),
+                np.repeat(np.asarray(miss_cr3s, dtype=np.int64), counts),
+                miss_cr3s,
+            )
+            boundaries = np.cumsum(counts)[:-1]
+            for index, blocks, functions in zip(
+                misses,
+                np.split(block_ids, boundaries),
+                np.split(function_ids, boundaries),
+            ):
+                entry = _chunk_entry(blocks, functions)
+                entries[index] = entry
+                cache.put(keys[index], entry)
+        return entries  # type: ignore[return-value]
+
+    def _resolve(
+        self,
+        addresses: np.ndarray,
+        record_cr3s: Optional[np.ndarray],
+        candidates: Iterable[int],
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """(block_ids, function_ids) for TIP addresses under one CR3.
+        """``(block_ids, function_ids)`` of TIP addresses, -1 = unresolved.
 
-        Unresolvable addresses (unknown process, empty binary, or no
-        block at the address) come back as -1 in both columns.  When
-        every address hits — the overwhelmingly common case — the masked
-        ``np.where`` blends are skipped entirely.
+        ``record_cr3s`` gives each address's CR3 out of ``candidates``
+        (``None`` when there is one candidate).  Each CR3 group resolves
+        with one binary search over its binary's sorted address table.
         """
-        table = self._tables.get(cr3)
-        if table is None or table[0].size == 0:
+        groups = sorted(set(candidates))
+        if len(groups) == 1:
+            return self._lookup(groups[0], addresses)
+        block_ids = np.full(addresses.size, -1, dtype=np.int64)
+        function_ids = np.full(addresses.size, -1, dtype=np.int64)
+        for cr3 in groups:
+            if cr3 not in self._binaries:
+                continue
+            selected = record_cr3s == cr3
+            if selected.any():
+                blocks, functions = self._lookup(cr3, addresses[selected])
+                block_ids[selected] = blocks
+                function_ids[selected] = functions
+        return block_ids, function_ids
+
+    def _lookup(self, cr3: int, addresses: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """One CR3's share of :meth:`_resolve`."""
+        binary = self._binaries.get(cr3)
+        if binary is None or not binary.blocks:
             misses = np.full(addresses.size, -1, dtype=np.int64)
             return misses, misses
-        sorted_addresses, slot_block_ids, binary_function_ids = table
+        sorted_addresses, slot_block_ids = _address_table(binary)
         slots = np.searchsorted(sorted_addresses, addresses)
         np.minimum(slots, sorted_addresses.size - 1, out=slots)
         hits = sorted_addresses[slots] == addresses
         if hits.all():
+            # the overwhelmingly common case: skip the masked blends
             block_ids = slot_block_ids[slots]
-            return block_ids, binary_function_ids[block_ids]
+            return block_ids, binary.block_function_ids[block_ids]
         block_ids = np.where(hits, slot_block_ids[slots], -1)
-        function_ids = np.where(
-            hits, binary_function_ids[np.maximum(block_ids, 0)], -1
-        )
+        function_ids = np.where(hits, binary.block_function_ids[np.maximum(block_ids, 0)], -1)
         return block_ids, function_ids
-
-    # -- repetition-aware cached path --------------------------------------
-
-    def _decode_cached(self, data: bytes, resilient: bool) -> DecodedTrace:
-        """Chunk-level cached decode; falls back on anything non-canonical.
-
-        Only engages when the stream is a pure sequence of canonical
-        ``PSB TSC PIP (TNT TIP)* [OVF]`` chunks (everything
-        :func:`encode_trace` produces).  Each chunk's result then depends
-        only on (its CR3's binary, its body bytes) — the cache key — plus
-        the timestamp/CR3 re-based from its own header.  Any deviation
-        means context could leak across chunks, so the whole stream is
-        decoded by the ordinary scan instead: correctness never rests on
-        the cache.
-        """
-        cache = self.cache
-        assert cache is not None
-        if not data:
-            return DecodedTrace()
-        buf = np.frombuffer(data, dtype=np.uint8)
-        plan = plan_chunks(data, buf, PSB_BYTES)
-        if plan is None or not plan.all_canonical:
-            cache.note_fallback()
-            return self._decode_uncached(data, resilient, try_canonical=False)
-
-        # content-based validation of every event record in one pass; a
-        # cache hit implies its body already validated (same bytes), so
-        # this also guards first-time bodies before any entry is built
-        prepared = self._canonical_records(data, plan)
-        if prepared is None:
-            cache.note_fallback()
-            return self._decode_uncached(data, resilient, try_canonical=False)
-        bodies, records, _words = prepared
-
-        cr3s = plan.cr3s.tolist()
-        fingerprints = self._fingerprints
-        entries: List[Optional[ChunkEntry]] = []
-        miss_indices: List[int] = []
-        for index, body in enumerate(bodies):
-            if not body:
-                entries.append(_EMPTY_ENTRY)
-                continue
-            key = (
-                fingerprints.get(cr3s[index], UNKNOWN_BINARY_FP),
-                body,
-            )
-            entry = cache.get(key)
-            entries.append(entry)
-            if entry is None:
-                miss_indices.append(index)
-
-        if miss_indices:
-            self._decode_misses(
-                records, bodies, cr3s, entries, miss_indices, cache
-            )
-
-        lengths = np.fromiter(
-            (entry.block_ids.size for entry in entries),
-            np.int64,
-            len(entries),
-        )
-        if int(lengths.sum()) == 0:
-            block_ids = _EMPTY_I64
-            function_ids = _EMPTY_I64
-        else:
-            block_ids = np.concatenate([e.block_ids for e in entries])
-            function_ids = np.concatenate([e.function_ids for e in entries])
-        return DecodedTrace(
-            timestamps=np.repeat(plan.times, lengths),
-            cr3s=np.repeat(plan.cr3s, lengths),
-            block_ids=block_ids,
-            function_ids=function_ids,
-            overflows=int(np.count_nonzero(plan.tail_ovf)),
-            unresolved=sum(entry.unresolved for entry in entries),
-        )
-
-    def _decode_misses(
-        self,
-        records: np.ndarray,
-        bodies: List[bytes],
-        cr3s: List[int],
-        entries: List[Optional[ChunkEntry]],
-        miss_indices: List[int],
-        cache: DecodeCache,
-    ) -> None:
-        """Batch-decode the missed chunk bodies and insert cache entries.
-
-        All missed bodies resolve in one vectorized pass per distinct
-        CR3 (the same ``searchsorted`` the uncached reconstruction uses),
-        then split back per chunk.
-        """
-        record_counts = np.fromiter(
-            (len(body) >> 3 for body in bodies), np.int64, len(bodies)
-        )
-        record_offsets = np.concatenate(([0], np.cumsum(record_counts)))
-        miss_rows = np.concatenate(
-            [
-                np.arange(record_offsets[i], record_offsets[i + 1])
-                for i in miss_indices
-            ]
-        )
-        miss_records = records[miss_rows]
-        addresses = _le6(miss_records[:, 2:8]).astype(np.int64)
-        miss_counts = record_counts[miss_indices]
-        record_cr3s = np.repeat(
-            np.fromiter((cr3s[i] for i in miss_indices), np.int64, len(miss_indices)),
-            miss_counts,
-        )
-
-        resolved_blocks = np.full(addresses.size, -1, dtype=np.int64)
-        resolved_functions = np.full(addresses.size, -1, dtype=np.int64)
-        for cr3 in sorted(set(record_cr3s.tolist())):
-            table = self._tables.get(cr3)
-            if table is None:
-                continue
-            sorted_addresses, slot_block_ids, binary_function_ids = table
-            if sorted_addresses.size == 0:
-                continue
-            selected = record_cr3s == cr3
-            wanted = addresses[selected]
-            slots = np.searchsorted(sorted_addresses, wanted)
-            slots_clipped = np.minimum(slots, sorted_addresses.size - 1)
-            hits = sorted_addresses[slots_clipped] == wanted
-            blocks = np.where(hits, slot_block_ids[slots_clipped], -1)
-            resolved_blocks[selected] = blocks
-            resolved_functions[selected] = np.where(
-                hits, binary_function_ids[np.maximum(blocks, 0)], -1
-            )
-
-        fingerprints = self._fingerprints
-        boundaries = np.cumsum(miss_counts)[:-1]
-        for index, blocks, functions in zip(
-            miss_indices,
-            np.split(resolved_blocks, boundaries),
-            np.split(resolved_functions, boundaries),
-        ):
-            keep = blocks >= 0
-            entry = ChunkEntry(
-                block_ids=blocks[keep].copy(),
-                function_ids=functions[keep].copy(),
-                unresolved=int(blocks.size - np.count_nonzero(keep)),
-                n_records=int(blocks.size),
-            )
-            entries[index] = entry
-            cache.put(
-                (fingerprints.get(cr3s[index], UNKNOWN_BINARY_FP), bodies[index]),
-                entry,
-            )
 
     def _reconstruct(self, scanned: ScannedStream) -> DecodedTrace:
         """Turn scanned packet columns into a decoded SoA trace."""
@@ -785,36 +570,17 @@ class SoftwareDecoder:
             )
         ]
 
-        addresses = values[tip_mask].astype(np.int64)
         tip_times = times[tip_mask]
         tip_cr3s = cr3s[tip_mask]
-        block_ids = np.full(addresses.size, -1, dtype=np.int64)
-        function_ids = np.full(addresses.size, -1, dtype=np.int64)
         # candidate contexts come from the (few) PIP packets, not from a
         # sort over the per-record cr3 column; 0 is the pre-PIP default
         candidates = set(np.unique(values[pip_mask]).tolist())
         candidates.add(0)
-        for cr3 in sorted(candidates):
-            table = self._tables.get(cr3)
-            if table is None:
-                continue  # unknown process: every TIP stays unresolved
-            selected = tip_cr3s == cr3
-            if not selected.any():
-                continue
-            sorted_addresses, slot_block_ids, binary_function_ids = table
-            if sorted_addresses.size == 0:
-                continue
-            wanted = addresses[selected]
-            slots = np.searchsorted(sorted_addresses, wanted)
-            slots_clipped = np.minimum(slots, sorted_addresses.size - 1)
-            hits = sorted_addresses[slots_clipped] == wanted
-            resolved = np.where(hits, slot_block_ids[slots_clipped], -1)
-            block_ids[selected] = resolved
-            function_ids[selected] = np.where(
-                hits, binary_function_ids[np.maximum(resolved, 0)], -1
-            )
+        block_ids, function_ids = self._resolve(
+            values[tip_mask].astype(np.int64), tip_cr3s, candidates
+        )
         keep = block_ids >= 0
-        unresolved = int(addresses.size - np.count_nonzero(keep))
+        unresolved = int(block_ids.size - np.count_nonzero(keep))
         return DecodedTrace(
             timestamps=tip_times[keep],
             cr3s=tip_cr3s[keep],
@@ -826,69 +592,6 @@ class SoftwareDecoder:
             ptwrites=ptwrites,
             bytes_skipped=scanned.bytes_skipped,
         )
-
-    def decode_many(
-        self,
-        streams: Iterable[bytes],
-        resilient: bool = False,
-        max_workers: Optional[int] = None,
-        pool=None,
-    ) -> DecodedTrace:
-        """Decode several per-core streams and merge by timestamp.
-
-        Streams decode concurrently (chunked one-per-stream across a
-        thread pool — the columnar scan spends its time in numpy, which
-        releases the GIL) and the merge is a single stable ``argsort``
-        over the concatenated timestamp column.  All fields merge:
-        records, overflows, unresolved, resyncs, and ptwrites (also
-        timestamp-ordered); ``resilient`` applies to every stream.
-
-        ``pool`` (a :class:`repro.parallel.RunPool`) fans the per-stream
-        decode out across *processes* instead: workers rebuild this
-        decoder from the pickled binary mapping (memoized per mapping
-        fingerprint), decode against their process-wide decode cache when
-        this decoder carries one, and hand the SoA columns back through
-        shared memory (:mod:`repro.parallel.transport`) rather than the
-        result pipe.  The merged result is identical either way.
-        """
-        streams = list(streams)
-        if pool is not None and pool.parallel and len(streams) > 1:
-            payloads = [
-                (self._binaries, stream, resilient, self.cache is not None)
-                for stream in streams
-            ]
-            decoded = [
-                DecodedTrace.from_shipped(shipped)
-                for shipped in pool.map(_pool_decode_stream, payloads)
-            ]
-        elif len(streams) <= 1:
-            decoded = [self.decode(s, resilient=resilient) for s in streams]
-        else:
-            workers = max_workers or min(len(streams), 8)
-            with ThreadPoolExecutor(max_workers=workers) as thread_pool:
-                decoded = list(
-                    thread_pool.map(
-                        lambda s: self.decode(s, resilient=resilient), streams
-                    )
-                )
-        if not decoded:
-            return DecodedTrace()
-        timestamps = np.concatenate([d.timestamps for d in decoded])
-        order = np.argsort(timestamps, kind="stable")
-        merged = DecodedTrace(
-            timestamps=timestamps[order],
-            cr3s=np.concatenate([d.cr3s for d in decoded])[order],
-            block_ids=np.concatenate([d.block_ids for d in decoded])[order],
-            function_ids=np.concatenate([d.function_ids for d in decoded])[order],
-            overflows=sum(d.overflows for d in decoded),
-            unresolved=sum(d.unresolved for d in decoded),
-            resyncs=sum(d.resyncs for d in decoded),
-            bytes_skipped=sum(d.bytes_skipped for d in decoded),
-            ptwrites=sorted(
-                (p for d in decoded for p in d.ptwrites), key=lambda p: p[0]
-            ),
-        )
-        return merged
 
     # -- object-level reference path ---------------------------------------
 
@@ -905,6 +608,8 @@ class SoftwareDecoder:
         unresolved = 0
         current_time = 0
         current_cr3 = 0
+        # cr3 -> {block address: block id}, built on first use
+        address_maps: Dict[int, Dict[int, int]] = {}
         address_map: Optional[Dict[int, int]] = None
         binary: Optional[Binary] = None
         if resilient:
@@ -918,7 +623,11 @@ class SoftwareDecoder:
             elif isinstance(packet, PipPacket):
                 current_cr3 = packet.cr3
                 binary = self._binaries.get(current_cr3)
-                address_map = self._address_maps.get(current_cr3)
+                if binary is not None and current_cr3 not in address_maps:
+                    address_maps[current_cr3] = {
+                        block.address: block.block_id for block in binary.blocks
+                    }
+                address_map = address_maps.get(current_cr3)
             elif isinstance(packet, TipPacket):
                 if address_map is None or binary is None:
                     unresolved += 1
@@ -969,30 +678,6 @@ def encode_trace_objects(segments: Sequence[TraceSegment]) -> bytes:
         if segment.truncated:
             packets.append(OvfPacket())
     return encode_packets(packets)  # type: ignore[arg-type]
-
-
-#: worker-side decoder memo for decode_many's process fan-out, keyed by
-#: the binary-mapping fingerprint (rebuilt tables survive across items)
-_POOL_DECODERS: Dict[bytes, "SoftwareDecoder"] = {}
-
-
-def _pool_decode_stream(payload) -> object:
-    """Decode one stream in a pool worker; returns shipped SoA columns.
-
-    ``payload`` is ``(binaries, stream, resilient, use_cache)``.  The
-    decoder for a given binary mapping is built once per worker;
-    ``use_cache`` attaches the worker's process-wide decode cache so
-    repeated chunk bodies amortize across items and calls.
-    """
-    binaries, stream, resilient, use_cache = payload
-    probe = SoftwareDecoder(binaries)
-    key = probe.table_fingerprint
-    decoder = _POOL_DECODERS.get(key)
-    if decoder is None:
-        decoder = probe
-        _POOL_DECODERS[key] = decoder
-    decoder.cache = process_decode_cache() if use_cache else None
-    return decoder.decode(stream, resilient=resilient).to_shipped()
 
 
 def _forward_fill(mask: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -10,12 +10,6 @@ over one, merging results in cell order regardless of completion order.
 
 from repro.parallel.matrix import CellResult, MatrixCell, grid, run_cell, run_matrix
 from repro.parallel.pool import RunPool
-from repro.parallel.transport import (
-    ShippedArrays,
-    configure_transport,
-    resolve_shipped,
-    transport_mode,
-)
 from repro.parallel.workers import (
     WorkerPool,
     process_pool,
@@ -34,8 +28,4 @@ __all__ = [
     "grid",
     "run_cell",
     "run_matrix",
-    "ShippedArrays",
-    "configure_transport",
-    "resolve_shipped",
-    "transport_mode",
 ]

@@ -107,21 +107,13 @@ class RunPool:
         function of (fn, items), independent of worker count and
         completion order.
 
-        Results may carry :class:`~repro.parallel.transport.ShippedArrays`
-        containers (workers hand numpy columns back through shared memory
-        instead of the result pipe); ``map`` materializes them before
-        returning so every shared-memory segment is reclaimed here, and
-        in-process runs pass the original arrays through untouched.
-
         A task exception stops further dispatch, drains in-flight tasks,
         and re-raises in the caller — with every shared worker still
         alive for the next map.
         """
-        from repro.parallel.transport import resolve_shipped
-
         items = list(items)
         if self._pool is None or self._pool.closed:
-            return [resolve_shipped(fn(item)) for item in items]
+            return [fn(item) for item in items]
         return self._pool.map(
             fn, items, chunksize=self.chunksize, width=self.max_workers
         )

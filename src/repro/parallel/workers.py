@@ -13,9 +13,9 @@ process**, shared by every pool consumer:
   deque*, so one decode-heavy cell cannot straggle the whole wave while
   siblings idle;
 * **warm state reuse** — workers fork once and survive across ``map``
-  calls, so memoized decoder tables (``_POOL_DECODERS``), the process
-  decode cache, and generated binary/path caches stay warm from one wave
-  to the next instead of being rebuilt per call;
+  calls, so the process decode cache and the generated binaries (with
+  their memoized decoder address tables) and path models stay warm from
+  one wave to the next instead of being rebuilt per call;
 * **determinism** — results are merged by task index (a pure function of
   ``(fn, items)``), and the worker reseeds the global ``random`` /
   ``numpy`` generators from ``derive_seed(base_seed, "task", index)``
@@ -40,7 +40,6 @@ from __future__ import annotations
 import atexit
 import itertools
 import multiprocessing
-import os
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -107,34 +106,13 @@ def _reseed_globals(seed: int) -> None:
     np.random.seed(seed % (2**32 - 1))
 
 
-def _apply_worker_config(config: dict) -> None:
-    """Apply parent-side process configuration inside a worker.
-
-    Persistent workers fork *once*, so configuration the parent changes
-    afterwards (today: the transport mode override) must be re-synced;
-    the pool broadcasts this before each ``map``.
-    """
-    from repro.parallel import transport
-
-    mode = config.get("transport_mode")
-    if mode is not None and transport._MODE != mode:
-        transport.configure_transport(mode)
-
-
-def _worker_config() -> dict:
-    """Parent-side snapshot of the config workers must mirror."""
-    from repro.parallel import transport
-
-    return {"transport_mode": transport._MODE}
-
-
 def _worker_main(conn: Connection, worker_id: int, base_seed: int) -> None:
     """Persistent worker loop: recv message, run, reply, repeat.
 
     Messages:
 
     * ``None`` — shut down;
-    * ``("call", fn, args)`` — broadcast call (config sync, warmups);
+    * ``("call", fn, args)`` — broadcast call (warmups);
       replies ``("call", ok, payload)``;
     * ``("tasks", fn, [(index, item), ...])`` — run a chunk of tasks;
       replies ``("tasks", [(index, ok, payload), ...])``.
@@ -191,8 +169,6 @@ class _Worker:
         )
         self.process.start()
         child_conn.close()
-        #: config snapshot last synced into this worker
-        self.synced_config: Optional[dict] = None
 
     @property
     def alive(self) -> bool:
@@ -268,8 +244,6 @@ class WorkerPool:
         ``--jobs 2`` consumer of an 8-wide shared pool uses 2); steals
         move work between the participating workers only.
         """
-        from repro.parallel.transport import resolve_shipped
-
         items = list(items)
         if self._closed:
             raise RuntimeError("pool is closed")
@@ -278,7 +252,6 @@ class WorkerPool:
         with self._lock:
             self.stats.maps += 1
             workers = self._workers[: width or len(self._workers)]
-            self._sync_config(workers)
             chunksize = max(1, int(chunksize))
             n_workers = len(workers)
 
@@ -357,9 +330,7 @@ class WorkerPool:
                     for index, ok, value in payload:
                         self.stats.tasks += 1
                         if ok:
-                            # materialize shm handoffs promptly, so every
-                            # segment is reclaimed inside map()
-                            results[index] = resolve_shipped(value)
+                            results[index] = value
                         else:
                             self.stats.task_failures += 1
                             if failure is None:
@@ -374,7 +345,7 @@ class WorkerPool:
     def broadcast(
         self, fn: Callable, args: tuple = (), width: Optional[int] = None
     ) -> List:
-        """Run ``fn(*args)`` once in every worker (warmups, config).
+        """Run ``fn(*args)`` once in every worker (warmups).
 
         ``width`` restricts the broadcast to the first ``width`` workers —
         the same subset a ``map`` of that width dispatches over, so a
@@ -382,31 +353,15 @@ class WorkerPool:
         """
         with self._lock:
             workers = self._workers if width is None else self._workers[:width]
-            return self._broadcast_locked(workers, fn, args)
-
-    def _broadcast_locked(
-        self, workers: List[_Worker], fn: Callable, args: tuple
-    ) -> List:
-        for worker in workers:
-            worker.conn.send(("call", fn, args))
-        replies = []
-        for worker in workers:
-            _kind, ok, payload = worker.conn.recv()
-            if not ok:
-                raise payload.rebuild()
-            replies.append(payload)
-        return replies
-
-    def _sync_config(self, workers: List[_Worker]) -> None:
-        """Mirror parent-side config into stale workers (cheap no-op when
-        nothing changed since the last map that used them)."""
-        config = _worker_config()
-        stale = [w for w in workers if w.synced_config != config]
-        if not stale:
-            return
-        self._broadcast_locked(stale, _apply_worker_config, (config,))
-        for worker in stale:
-            worker.synced_config = dict(config)
+            for worker in workers:
+                worker.conn.send(("call", fn, args))
+            replies = []
+            for worker in workers:
+                _kind, ok, payload = worker.conn.recv()
+                if not ok:
+                    raise payload.rebuild()
+                replies.append(payload)
+            return replies
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -1269,9 +1269,9 @@ def _worker_unsafe_effects(graph, info) -> List[Tuple[ast.AST, str, str]]:
 @project_rule("EX008", "worker-side mutation of state that never ships back")
 def check_fork_shared_state(graph, root: str) -> List[Violation]:
     """Task callables run in forked pool workers whose memory is discarded
-    after the task: only the return value ships back (``ShippedArrays``
-    or pickle).  A function reachable from a submitted callable that
-    mutates a module global, a closure cell, or a mutable default
+    after the task: only the pickled return value ships back.  A
+    function reachable from a submitted callable that mutates a module
+    global, a closure cell, or a mutable default
     argument therefore diverges silently — the parent never sees the
     write, and the worker drags it into unrelated later tasks (the
     parent/worker divergence class PR 6 hit).  Registered state
@@ -1320,7 +1320,7 @@ def check_fork_shared_state(graph, root: str) -> List[Violation]:
                     f"{info.qualname}() mutates {what} while reachable from "
                     f"worker task callable '{task_roots[0]}' (submitted at "
                     f"{submitted_at}); worker-side writes never ship back to "
-                    f"the parent — return the data (ShippedArrays/pickle) or "
+                    f"the parent — return the data instead, or "
                     f"register the state with repro.util.identity",
                     name,
                 )

@@ -20,9 +20,9 @@ Determinism contract — the property everything here is built around:
   decode chunk-by-chunk (the per-chunk results aggregate commutatively:
   record counts sum, distinct function ids union), and a canonical
   stream has zero resyncs and skipped bytes by construction; dead-letter
-  replays run the *identical* resilient decode call.  Coverage,
-  degradation reports, and decode-loss accounting downstream are
-  therefore byte-identical.
+  replays run the *identical* resilient decode call
+  (:func:`upload_stats`).  Coverage, degradation reports, and
+  decode-loss accounting downstream are therefore byte-identical.
 * **Width independence.**  Queue lag, backpressure engagements, and
   occupancy come from the virtual-time simulation (fixed
   ``virtual_consumers``, integer ns), never from wall clocks or the
@@ -46,19 +46,23 @@ from repro.streaming.queue import VirtualDecodeQueue
 from repro.util.stats import percentile
 
 
-#: worker-local decoder memo for the streaming consumers (one per app;
-#: binaries regenerate from the fork-inherited workload cache)
-_STREAM_DECODERS: Dict[str, SoftwareDecoder] = {}
+def upload_stats(cr3: int, raw: bytes, binary, cache) -> Tuple[int, int, int, int]:
+    """``(records, functions, resyncs, bytes_skipped)`` of one whole upload.
 
-
-def _stream_decoder(app: str, use_cache: bool) -> SoftwareDecoder:
-    """This worker's per-app streaming decoder, cache per the task flag."""
-    decoder = _STREAM_DECODERS.get(app)
-    if decoder is None:
-        decoder = SoftwareDecoder({})
-        _STREAM_DECODERS[app] = decoder
-    decoder.cache = process_decode_cache() if use_cache else None
-    return decoder
+    The resilient decode every reconcile path runs on a slot's raw bytes.
+    The decoder maps exactly the upload's own CR3 — the binary is fetched
+    keyed by the traced process (§4) — so a corrupted PIP byte can never
+    land on another pod's mapping, and the result depends on the bytes
+    alone: not on which uploads the process decoded before, nor on the
+    worker a pooled decode ran in.
+    """
+    decoded = SoftwareDecoder({cr3: binary}, cache=cache).decode(raw, resilient=True)
+    return (
+        len(decoded),
+        len(decoded.function_histogram()),
+        decoded.resyncs,
+        decoded.bytes_skipped,
+    )
 
 
 def _consume_chunk_batch(payload) -> List[Tuple[object, int, Tuple[int, ...], int]]:
@@ -73,16 +77,15 @@ def _consume_chunk_batch(payload) -> List[Tuple[object, int, Tuple[int, ...], in
     never pays a per-chunk ``np.unique``.
     """
     app, use_cache, items = payload
-    decoder = _stream_decoder(app, use_cache)
     binary = get_workload(app).binary()
-    known_cr3s = set()
+    decoder = SoftwareDecoder(
+        {cr3: binary for _key, cr3, _body in items},
+        cache=process_decode_cache() if use_cache else None,
+    )
     records: Dict[object, int] = {}
     functions: Dict[object, List[np.ndarray]] = {}
     unresolved: Dict[object, int] = {}
     for key, cr3, body in items:
-        if cr3 not in known_cr3s:
-            decoder.add_binary(cr3, binary)
-            known_cr3s.add(cr3)
         entry = decoder.decode_chunk(cr3, body)
         if key in records:
             records[key] += entry.block_ids.size
@@ -109,20 +112,12 @@ def _consume_chunk_batch(payload) -> List[Tuple[object, int, Tuple[int, ...], in
 def _replay_upload(payload) -> Tuple[int, int, int, int]:
     """Resilient whole-stream decode of one dead-lettered upload.
 
-    ``payload`` is ``(app, use_cache, cr3, raw)``; returns the batch
-    path's session-stat tuple ``(records, functions, resyncs,
-    bytes_skipped)`` for the same bytes.
+    ``payload`` is ``(app, use_cache, cr3, raw)``; returns
+    :func:`upload_stats` for the same bytes.
     """
     app, use_cache, cr3, raw = payload
-    decoder = _stream_decoder(app, use_cache)
-    decoder.add_binary(cr3, get_workload(app).binary())
-    decoded = decoder.decode(raw, resilient=True)
-    return (
-        len(decoded),
-        len(decoded.function_histogram()),
-        decoded.resyncs,
-        decoded.bytes_skipped,
-    )
+    cache = process_decode_cache() if use_cache else None
+    return upload_stats(cr3, raw, get_workload(app).binary(), cache)
 
 
 @dataclass(frozen=True)
@@ -404,15 +399,12 @@ class StreamingIngestor:
             ):
                 results_by_key[entry.key] = tuple(result)
         else:
-            decoder = self._decoder
             for entry in entries:
-                decoder.add_binary(self._outcomes[entry.key].cr3, self._binary)
-                decoded = decoder.decode(entry.payload, resilient=True)
-                results_by_key[entry.key] = (
-                    len(decoded),
-                    len(decoded.function_histogram()),
-                    decoded.resyncs,
-                    decoded.bytes_skipped,
+                results_by_key[entry.key] = upload_stats(
+                    self._outcomes[entry.key].cr3,
+                    entry.payload,
+                    self._binary,
+                    self._decoder.cache,
                 )
         for entry, result in self.dead_letters.replay(
             lambda e: results_by_key.get(e.key)

@@ -38,16 +38,11 @@ import itertools
 PROCESS_LIFETIME_STATE = frozenset({
     # pure memoization: cache hits never change decoded bytes, only speed
     ("repro.hwtrace.cache", "_PROCESS_CACHE"),
-    ("repro.hwtrace.decoder", "_POOL_DECODERS"),
-    ("repro.cluster.master", "_WORKER_DECODERS"),
-    ("repro.streaming.pipeline", "_STREAM_DECODERS"),
     ("repro.program.generator", "_BINARY_CACHE"),
     ("repro.program.path", "_PATH_CACHE"),
     # process-role marker: set once by the pool worker initializer so
     # nested RunPools degrade to in-process execution
     ("repro.parallel.pool", "_IN_WORKER"),
-    # explicit configuration API (configure_transport), not ambient state
-    ("repro.parallel.transport", "_MODE"),
     # the persistent process-wide worker pool (process_pool() /
     # shutdown_process_pool()): execution machinery, output-invisible —
     # results are merged by task index, never by worker or pool identity
@@ -61,7 +56,7 @@ PROCESS_LIFETIME_STATE = frozenset({
 #: inside a forked pool worker.  Everything (transitively) reachable
 #: from a task callable passed to one of these executes in a child
 #: process whose memory is thrown away after the task — only the
-#: returned value ships back (through ``ShippedArrays`` or pickle).  The
+#: returned value ships back, pickled through the result pipe.  The
 #: EX008 rule of :mod:`repro.staticcheck` walks the call graph from
 #: these roots and fails the build when a reachable function mutates
 #: module-global state that is neither rewound by

@@ -206,6 +206,45 @@ class TestShardedReconcileParity:
         assert clone.shards == 3
 
 
+class TestChaosDecodeParity:
+    """Each upload decodes against its own CR3 only, so decoded counts
+    cannot depend on the jobs width or on earlier reconciles in the same
+    process (a chaos-flipped PIP byte must not find a sibling's binary)."""
+
+    def _run(self, pool, streaming):
+        reset_identity_counters()
+        master = ClusterMaster(seed=11)
+        master.add_nodes(8)
+        master.deploy("Search1", replicas=8)
+        task = master.submit(TraceTaskSpec(
+            app="Search1", reason=TraceReason.ANOMALY, period_ns=100 * MSEC
+        ))
+        master.reconcile(
+            task,
+            pool=pool,
+            faults=FaultPlan.parse("chaos", seed=0),
+            streaming=streaming,
+        )
+        rows = [
+            (row["pod"], row["records"], row["functions"])
+            for row in master.sessions_for(task)
+        ]
+        return rows, task.status.degradation.records_recovered
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("streaming", [False, True], ids=["batch", "streaming"])
+    def test_decoded_counts_independent_of_jobs_and_history(self, streaming):
+        shutdown_process_pool()
+        serial = self._run(None, streaming)
+        with RunPool(max_workers=2) as pool:
+            first = self._run(pool, streaming)
+            second = self._run(pool, streaming)
+        shutdown_process_pool()
+        assert first == serial
+        assert second == serial
+        assert self._run(None, streaming) == serial
+
+
 class TestRetryPolicyEdges:
     def test_zero_max_waves_degrades_without_crash(self):
         master = ClusterMaster(decode_cache=False)

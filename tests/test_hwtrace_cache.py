@@ -1,4 +1,9 @@
-"""Tests for the repetition-aware decode cache (byte-identity contract)."""
+"""Tests for the repetition-aware decode cache (byte-identity contract).
+
+Cached decodes are checked against the per-packet reference decoder
+(:meth:`SoftwareDecoder.decode_objects`), which shares no code with the
+columnar pipeline they exercise.
+"""
 
 import numpy as np
 import pytest
@@ -18,7 +23,8 @@ from repro.hwtrace.packets import (
 from repro.hwtrace.tracer import TraceSegment
 
 COLUMNS = ("timestamps", "cr3s", "block_ids", "function_ids")
-COUNTERS = ("overflows", "unresolved", "resyncs", "bytes_skipped", "ptwrites")
+# the reference decoder does not count skipped bytes
+COUNTERS = ("overflows", "unresolved", "resyncs", "ptwrites")
 
 
 def make_segment(path, *, cr3=0x1000, e0=0, e1=50, t0=100, truncate=None):
@@ -39,6 +45,14 @@ def assert_identical(left: DecodedTrace, right: DecodedTrace) -> None:
         assert getattr(left, attr) == getattr(right, attr), attr
 
 
+def assert_matches_reference(decoder, data: bytes, resilient: bool = False) -> None:
+    """``decoder.decode`` of ``data`` equals the per-packet reference."""
+    assert_identical(
+        decoder.decode(data, resilient=resilient),
+        decoder.decode_objects(data, resilient=resilient),
+    )
+
+
 def golden_streams(path):
     """Representative canonical streams (the encode_trace output family)."""
     return [
@@ -56,13 +70,12 @@ def golden_streams(path):
 
 
 class TestByteIdentity:
-    def test_cached_equals_uncached_on_golden_streams(self, tiny_path, tiny_binary):
-        plain = SoftwareDecoder({0x1000: tiny_binary})
+    def test_cached_matches_reference_on_golden_streams(self, tiny_path, tiny_binary):
         cached = SoftwareDecoder({0x1000: tiny_binary}, cache=DecodeCache())
         for stream in golden_streams(tiny_path):
-            assert_identical(plain.decode(stream), cached.decode(stream))
+            assert_matches_reference(cached, stream)
             # second decode serves from cache; must stay identical
-            assert_identical(plain.decode(stream), cached.decode(stream))
+            assert_matches_reference(cached, stream)
 
     def test_repetitions_hit_the_cache(self, tiny_path, tiny_binary):
         cache = DecodeCache()
@@ -87,24 +100,21 @@ class TestByteIdentity:
         raw[40] ^= 0xFF
         raw = bytes(raw)
         cache = DecodeCache()
-        plain = SoftwareDecoder({0x1000: tiny_binary})
         cached = SoftwareDecoder({0x1000: tiny_binary}, cache=cache)
-        assert_identical(
-            plain.decode(raw, resilient=True), cached.decode(raw, resilient=True)
-        )
+        assert_matches_reference(cached, raw, resilient=True)
         assert cache.fallbacks >= 1
 
     def test_corrupt_stream_strict_raises_same_error(self, tiny_path, tiny_binary):
         raw = bytearray(encode_trace([make_segment(tiny_path)]))
         raw[40] ^= 0xFF
         raw = bytes(raw)
-        plain = SoftwareDecoder({0x1000: tiny_binary})
         cached = SoftwareDecoder({0x1000: tiny_binary}, cache=DecodeCache())
-        with pytest.raises(PacketError) as plain_error:
-            plain.decode(raw)
+        with pytest.raises(PacketError) as reference_error:
+            cached.decode_objects(raw)
         with pytest.raises(PacketError) as cached_error:
             cached.decode(raw)
-        assert str(plain_error.value) == str(cached_error.value)
+        assert str(reference_error.value) == str(cached_error.value)
+        assert reference_error.value.offset == cached_error.value.offset
 
     def test_ptwrite_stream_falls_back_identically(self, tiny_binary):
         block = tiny_binary.blocks[0]
@@ -114,49 +124,17 @@ class TestByteIdentity:
             PtwPacket(0xDEAD),
         ])
         cache = DecodeCache()
-        plain = SoftwareDecoder({0x1000: tiny_binary})
         cached = SoftwareDecoder({0x1000: tiny_binary}, cache=cache)
-        assert_identical(plain.decode(raw), cached.decode(raw))
+        assert_matches_reference(cached, raw)
         assert cache.fallbacks == 1
         assert len(cache) == 0
 
     def test_garbage_prefix_falls_back(self, tiny_path, tiny_binary):
         raw = b"\x00\x00" + encode_trace([make_segment(tiny_path)])
         cache = DecodeCache()
-        plain = SoftwareDecoder({0x1000: tiny_binary})
         cached = SoftwareDecoder({0x1000: tiny_binary}, cache=cache)
-        assert_identical(
-            plain.decode(raw, resilient=True), cached.decode(raw, resilient=True)
-        )
+        assert_matches_reference(cached, raw, resilient=True)
         assert cache.fallbacks == 1
-
-
-class TestDecodeMany:
-    def test_pool_fanout_matches_sequential(self, tiny_path, tiny_binary):
-        from repro.parallel import RunPool
-
-        streams = [
-            encode_trace([make_segment(tiny_path, e1=30, t0=100 + 10 * i)])
-            for i in range(5)
-        ]
-        sequential = SoftwareDecoder({0x1000: tiny_binary}).decode_many(streams)
-        cached = SoftwareDecoder({0x1000: tiny_binary}, cache=DecodeCache())
-        with RunPool(max_workers=2) as pool:
-            pooled = cached.decode_many(streams, pool=pool)
-        assert_identical(sequential, pooled)
-
-    def test_inprocess_pool_matches_sequential(self, tiny_path, tiny_binary):
-        from repro.parallel import RunPool
-
-        streams = [
-            encode_trace([make_segment(tiny_path, e1=20, t0=50 * i)])
-            for i in range(3)
-        ]
-        decoder = SoftwareDecoder({0x1000: tiny_binary}, cache=DecodeCache())
-        with RunPool(max_workers=1) as pool:
-            pooled = decoder.decode_many(streams, pool=pool)
-        sequential = SoftwareDecoder({0x1000: tiny_binary}).decode_many(streams)
-        assert_identical(sequential, pooled)
 
 
 class TestEviction:
@@ -171,19 +149,13 @@ class TestEviction:
         assert cache.current_bytes <= cache.max_bytes
         # decode results stay correct under heavy eviction
         stream = encode_trace([make_segment(tiny_path, e0=0, e1=40)])
-        assert_identical(
-            SoftwareDecoder({0x1000: tiny_binary}).decode(stream),
-            decoder.decode(stream),
-        )
+        assert_matches_reference(decoder, stream)
 
     def test_oversized_entry_is_skipped(self, tiny_path, tiny_binary):
         cache = DecodeCache(max_bytes=64)
         decoder = SoftwareDecoder({0x1000: tiny_binary}, cache=cache)
         stream = encode_trace([make_segment(tiny_path, e1=100)])
-        assert_identical(
-            SoftwareDecoder({0x1000: tiny_binary}).decode(stream),
-            decoder.decode(stream),
-        )
+        assert_matches_reference(decoder, stream)
         assert len(cache) == 0
         assert cache.evictions == 0
 
@@ -239,7 +211,7 @@ class TestInvalidation:
         # the fingerprint changed, so nothing could have been served from
         # the old binary's entries
         assert cache.hits == hits_before
-        assert_identical(SoftwareDecoder({0x1000: other}).decode(stream), result)
+        assert_identical(result, decoder.decode_objects(stream))
 
 
 class TestClusterSmoke:

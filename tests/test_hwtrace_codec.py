@@ -195,40 +195,6 @@ class TestPacketErrorOffset:
         assert excinfo.value.offset == 8
 
 
-class TestDecodeMany:
-    def test_merges_all_fields(self, tiny_path, tiny_binary):
-        stream_a = encode_trace([make_segment(tiny_path, t0=100, e1=5)])
-        stream_b = encode_trace([make_segment(tiny_path, t0=50, e1=5, truncate=3)])
-        stream_c = encode_packets([
-            PsbPacket(), TscPacket(75), PipPacket(0x1000), PtwPacket(42),
-        ])
-        decoder = SoftwareDecoder({0x1000: tiny_binary})
-        merged = decoder.decode_many([stream_a, stream_b, stream_c])
-        assert len(merged) == 8
-        assert merged.overflows == 1
-        assert merged.ptwrites == [(75, 0x1000, 42)]
-        times = merged.timestamps.tolist()
-        assert times == sorted(times)
-
-    def test_resilient_flag_plumbed(self, tiny_path, tiny_binary):
-        clean = encode_trace([make_segment(tiny_path, t0=10, e1=20)])
-        corrupt = bytearray(
-            encode_trace([make_segment(tiny_path, t0=20, e1=20)])
-        )
-        corrupt[40] = 0x01
-        decoder = SoftwareDecoder({0x1000: tiny_binary})
-        with pytest.raises(PacketError):
-            decoder.decode_many([clean, bytes(corrupt)])
-        merged = decoder.decode_many([clean, bytes(corrupt)], resilient=True)
-        assert merged.resyncs >= 1
-        assert len(merged) >= 20
-
-    def test_empty_input(self, tiny_binary):
-        merged = SoftwareDecoder({0x1000: tiny_binary}).decode_many([])
-        assert len(merged) == 0
-        assert merged.time_span() is None
-
-
 class TestSoaView:
     def test_columns_are_parallel_int64(self, segments, tiny_binary):
         decoder = SoftwareDecoder({0x1000: tiny_binary, 0x2000: tiny_binary})

@@ -84,15 +84,6 @@ class TestDecode:
         counts = decoded.visit_counts(tiny_binary.n_blocks)
         assert counts.sum() == 100
 
-    def test_decode_many_merges_sorted(self, tiny_path, tiny_binary):
-        early = encode_trace([make_segment(tiny_path, t0=100, e1=5)])
-        late = encode_trace([make_segment(tiny_path, t0=50, e1=5)])
-        decoder = SoftwareDecoder({0x1000: tiny_binary})
-        merged = decoder.decode_many([early, late])
-        times = [r.timestamp for r in merged.records]
-        assert times == sorted(times)
-        assert len(merged) == 10
-
 
 class TestForProcesses:
     def test_builds_from_kernel_processes(self, tiny_path, tiny_binary):

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.parallel import RunPool, configure_transport, transport_mode
+from repro.parallel import RunPool
 from repro.parallel.pool import _fork_available
 from repro.parallel.workers import (
     WorkerCrashError,
@@ -59,10 +59,6 @@ def _die(x):
 def _uneven_sleep(x):
     time.sleep(0.03 if x == 0 else 0.001)
     return x
-
-
-def _report_transport(_):
-    return transport_mode()
 
 
 class TestWorkerPool:
@@ -122,15 +118,6 @@ class TestWorkerPool:
     def test_empty_map(self, fresh_pool):
         assert fresh_pool.map(_square, []) == []
 
-    def test_transport_config_syncs_to_live_workers(self, fresh_pool):
-        previous = configure_transport("pickle")
-        try:
-            assert fresh_pool.map(_report_transport, [0]) == ["pickle"]
-        finally:
-            configure_transport(previous)
-        # restoring the parent config re-syncs the live workers too
-        assert fresh_pool.map(_report_transport, [0]) == [transport_mode()]
-
 
 class TestProcessPoolSingleton:
     def test_runpools_share_one_worker_set(self):
@@ -178,26 +165,3 @@ class TestRunPoolFacade:
             assert pool.map(_square, [2]) == [4]
         shutdown_process_pool()
         assert not multiprocessing.active_children()
-
-    def test_decode_many_identical_with_and_without_pool(
-        self, tiny_path, tiny_binary
-    ):
-        import numpy as np
-
-        from repro.hwtrace.decoder import SoftwareDecoder, encode_trace
-        from tests.test_hwtrace_decoder import make_segment
-
-        streams = [
-            encode_trace([make_segment(tiny_path, t0=t, t1=t + 50)])
-            for t in (100, 50, 200)
-        ]
-        decoder = SoftwareDecoder({0x1000: tiny_binary})
-        serial = decoder.decode_many(streams)
-        with RunPool(max_workers=2) as pool:
-            parallel = decoder.decode_many(streams, pool=pool)
-        for column in ("timestamps", "cr3s", "block_ids", "function_ids"):
-            assert np.array_equal(
-                getattr(serial, column), getattr(parallel, column)
-            )
-        assert serial.unresolved == parallel.unresolved
-        assert serial.overflows == parallel.overflows

@@ -1,9 +1,12 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.rco import augment_traces, interval_intersection, interval_length, merge_intervals
+from repro.hwtrace.cache import DecodeCache
+from repro.hwtrace.decoder import SoftwareDecoder, encode_trace, split_canonical_stream
 from repro.hwtrace.packets import (
     PipPacket,
     PsbPacket,
@@ -14,6 +17,7 @@ from repro.hwtrace.packets import (
     parse_stream,
 )
 from repro.hwtrace.topa import OutputMode, ToPAOutput
+from repro.hwtrace.tracer import TraceSegment
 from repro.kernel.events import Simulator
 from repro.util.stats import OnlineStats, normalized_l1_distance, percentile
 
@@ -107,6 +111,74 @@ def test_packet_stream_roundtrip(packets):
 def test_stream_length_is_sum_of_packets(packets):
     total = sum(len(p.encode()) for p in packets)
     assert len(encode_packets(packets)) == total
+
+
+# ---------------------------------------------------------------------------
+# canonical chunk framing
+# ---------------------------------------------------------------------------
+
+KNOWN_CR3 = 0x1000
+UNKNOWN_CR3 = 0x9999000
+
+#: (cr3, first event, event count, captured events or None, start time)
+segment_specs = st.lists(
+    st.tuples(
+        st.sampled_from([KNOWN_CR3, UNKNOWN_CR3]),
+        st.integers(0, 4000),
+        st.integers(0, 40),
+        st.one_of(st.none(), st.integers(0, 40)),
+        st.integers(0, 1 << 40),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _segments(path, specs):
+    segments = []
+    for cr3, start, count, captured, t_start in specs:
+        end = start + count
+        segments.append(TraceSegment(
+            core_id=0, pid=1, tid=2, cr3=cr3,
+            t_start=t_start, t_end=t_start + 100,
+            event_start=start, event_end=end,
+            captured_event_end=end if captured is None else start + min(captured, count),
+            bytes_offered=1000.0, bytes_accepted=1000.0,
+            path_model=path,
+        ))
+    return segments
+
+
+def _assert_same_trace(left, right):
+    for column in ("timestamps", "cr3s", "block_ids", "function_ids"):
+        assert np.array_equal(getattr(left, column), getattr(right, column)), column
+    for counter in ("overflows", "unresolved", "resyncs", "ptwrites"):
+        assert getattr(left, counter) == getattr(right, counter), counter
+
+
+@given(segment_specs)
+def test_chunk_framing_roundtrip(tiny_path, specs):
+    segments = _segments(tiny_path, specs)
+    data = encode_trace(segments)
+    decoder = SoftwareDecoder({KNOWN_CR3: tiny_path.binary})
+    units = split_canonical_stream(data)
+    assert units is not None
+    assert [cr3 for cr3, _body in units] == [segment.cr3 for segment in segments]
+
+    decoded = decoder.decode(data)
+    entries = [decoder.decode_chunk(cr3, body) for cr3, body in units]
+    assert np.concatenate([e.block_ids for e in entries]).tolist() == decoded.block_ids.tolist()
+    assert (
+        np.concatenate([e.function_ids for e in entries]).tolist()
+        == decoded.function_ids.tolist()
+    )
+    assert sum(e.unresolved for e in entries) == decoded.unresolved
+
+    reference = decoder.decode_objects(data)
+    _assert_same_trace(decoded, reference)
+    cached = SoftwareDecoder({KNOWN_CR3: tiny_path.binary}, cache=DecodeCache())
+    _assert_same_trace(cached.decode(data), reference)  # cold cache
+    _assert_same_trace(cached.decode(data), reference)  # warm cache
 
 
 # ---------------------------------------------------------------------------
