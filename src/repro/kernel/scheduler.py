@@ -40,6 +40,11 @@ from repro.kernel.tracepoints import (
 from repro.util.rng import RngFactory
 from repro.util.units import MSEC, USEC
 
+#: low bits of the packed hook-cache key ``(tid << HOOK_KEY_CORE_BITS) |
+#: core_id`` that hold the core id; :class:`Scheduler` rejects topologies
+#: with core ids that do not fit
+HOOK_KEY_CORE_BITS = 10
+
 
 class SchedulerHooks(Protocol):
     """Integration surface for tracing facilities (duck-typed)."""
@@ -126,6 +131,12 @@ class Scheduler:
         rng: RngFactory,
         config: Optional[SchedulerConfig] = None,
     ):
+        for core in topology.cores:
+            if not 0 <= core.core_id < (1 << HOOK_KEY_CORE_BITS):
+                raise ValueError(
+                    f"core id {core.core_id} does not fit the "
+                    f"{HOOK_KEY_CORE_BITS}-bit core slot of the hook-cache key"
+                )
         self.sim = sim
         self.topology = topology
         self.tracepoints = tracepoints
@@ -136,7 +147,7 @@ class Scheduler:
             core.core_id: _RunQueue() for core in topology.cores
         }
         self._hooks: List[SchedulerHooks] = []
-        #: packed (tid << 10 | core_id) -> (epoch, tax, record_path)
+        #: packed (tid << HOOK_KEY_CORE_BITS | core_id) -> (epoch, tax, record_path)
         #: decision table; entries are valid while their epoch matches
         #: :attr:`_hook_epoch` — see invalidate_hook_cache()
         self._hook_cache: Dict[int, Tuple[int, float, bool]] = {}
@@ -294,7 +305,7 @@ class Scheduler:
         else:
             # packed int key: tuple construction and tuple hashing are
             # measurably slower than a single int on this per-switch path
-            key = (thread.tid << 10) | core.core_id
+            key = (thread.tid << HOOK_KEY_CORE_BITS) | core.core_id
             epoch = self._hook_epoch
             cached = self._hook_cache.get(key)
             if cached is not None and cached[0] == epoch:

@@ -15,17 +15,13 @@ Layout:
 
 * :mod:`repro.staticcheck.rules`    — the EX rule registries: per-file
   rules EX001..EX006 plus the interprocedural rules EX007 (seed
-  provenance), EX008 (fork-shared-state races), and EX009 (packed-int
-  width safety), one per observed failure mode;
+  provenance) and EX008 (fork-shared-state races), one per observed
+  failure mode;
 * :mod:`repro.staticcheck.graph`    — project-wide symbol table and
-  import/call graph the interprocedural rules run over;
-* :mod:`repro.staticcheck.engine`   — multi-pass driver: a facts pass
-  over :mod:`repro.util.identity` / :mod:`repro.util.rng`, a parallel
-  per-file rule pass on :class:`repro.parallel.RunPool`, and a
-  per-root project-rule pass;
-* :mod:`repro.staticcheck.cache`    — content-addressed per-module
-  result cache (warm runs re-analyze only changed modules and their
-  dependents; reports stay byte-identical);
+  call graph the interprocedural rules run over;
+* :mod:`repro.staticcheck.engine`   — three-pass driver: a facts pass
+  over :mod:`repro.util.identity` / :mod:`repro.util.rng`, a per-file
+  rule pass, and one project-rule pass over the whole-program graph;
 * :mod:`repro.staticcheck.baseline` — committed suppression file with
   per-entry justifications; stale entries fail the check;
 * :mod:`repro.staticcheck.report`   — deterministic text/JSON/SARIF
@@ -45,7 +41,6 @@ or durably, with a justification, in ``staticcheck-baseline.json``.
 """
 
 from repro.staticcheck.baseline import Baseline, load_baseline
-from repro.staticcheck.cache import ResultCache
 from repro.staticcheck.engine import CheckResult, analyze_source, run_check
 from repro.staticcheck.graph import ProjectGraph, build_graph_from_sources, run_project_rules
 from repro.staticcheck.rules import PROJECT_RULES, RULES, Violation
@@ -56,7 +51,6 @@ __all__ = [
     "PROJECT_RULES",
     "ProjectGraph",
     "RULES",
-    "ResultCache",
     "Violation",
     "analyze_source",
     "build_graph_from_sources",

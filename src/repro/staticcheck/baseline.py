@@ -108,8 +108,8 @@ def apply_baseline(
 
     ``analyzed_paths`` scopes staleness to this run: an entry whose path
     was not analyzed (a ``src``-only run against a baseline that also
-    covers ``tests/``, or a ``--changed-only`` run) is simply out of
-    scope, not stale — only a full-tree run can retire entries.
+    covers ``tests/``) is simply out of scope, not stale — only a
+    full-tree run can retire entries.
     """
     new: List[Violation] = []
     suppressed: List[Violation] = []

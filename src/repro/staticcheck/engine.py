@@ -1,4 +1,4 @@
-"""Multi-pass analysis driver with an incremental, content-addressed core.
+"""Three-pass analysis driver.
 
 Pass 1 (*facts*) parses the registry modules — :mod:`repro.util.identity`
 and :mod:`repro.util.rng`, without importing either — and extracts the
@@ -6,47 +6,28 @@ string registries the rules check against: the ``module:attr`` pairs
 rewound by ``reset_identity_counters``, the deliberately
 process-lifetime entries in ``PROCESS_LIFETIME_STATE``, the fork-boundary
 entry points (EX008), and the seed sink/root/canonicalizer sets (EX007).
-Facts are plain string sets, picklable by construction, because pass 2
-fans out.
 
-Pass 2 (*local rules*) parses each target file and runs the per-file
-:data:`repro.staticcheck.rules.RULES` registry over it.  Files are
-independent once facts are in hand, so the pass maps over a
-:class:`repro.parallel.RunPool` (``jobs=1`` runs in-process through the
-identical code path).
+Pass 2 (*local rules*) parses each target file once and runs the
+per-file :data:`repro.staticcheck.rules.RULES` registry over it.
 
-Pass 3 (*project rules*) builds a :class:`repro.staticcheck.graph.
-ProjectGraph` and runs the interprocedural registry
-(:data:`repro.staticcheck.rules.PROJECT_RULES`), one *root module* at a
-time, over each root's import closure.
+Pass 3 (*project rules*) builds one :class:`repro.staticcheck.graph.
+ProjectGraph` over every full-profile module and runs the interprocedural
+registry (:data:`repro.staticcheck.rules.PROJECT_RULES`) rooted at each.
 
-All three passes sit on the :mod:`repro.staticcheck.cache` result cache:
-local results are keyed on each module's source digest, project results
-on each root's import-closure fingerprint, and everything on the
-analyzer's own fingerprint.  A warm run re-parses only edited modules
-plus the closures of invalidated roots.  The cache is invisible in the
-output: cold, warm, ``jobs=1`` and ``jobs=N`` runs produce byte-identical
-reports, sorted by (path, line, col, rule) — the analyzer holds itself
-to the invariant it enforces.
+Every run is cold and in-process, and reports are sorted by
+(path, line, col, rule) — the analyzer holds itself to the determinism
+invariant it enforces.
 """
 
 from __future__ import annotations
 
 import ast
-import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-from repro.staticcheck.cache import (
-    ModuleEntry,
-    ResultCache,
-    analyzer_fingerprint,
-    closure_fingerprint,
-    default_cache_path,
-    source_digest,
-)
-from repro.staticcheck.rules import PROJECT_RULES, RULES, ModuleContext, Violation
+from repro.staticcheck.graph import ProjectGraph, run_project_rules
+from repro.staticcheck.rules import RULES, ModuleContext, Violation
 
 #: directories never worth analyzing
 _SKIP_DIRS = {"__pycache__", ".git", ".ruff_cache", "build", "dist"}
@@ -237,20 +218,6 @@ def run_local_rules(
     return out
 
 
-def _analyze_payload(
-    payload: Tuple[str, str, str, Dict[str, Set[str]], str, Tuple[str, ...]]
-) -> List[Dict[str, object]]:
-    """Pool worker: analyze one file, returning picklable violation dicts."""
-    path_str, rel_path, module, facts, profile, rules = payload
-    source = Path(path_str).read_text()
-    return [
-        v.to_dict()
-        for v in analyze_source(
-            source, rel_path, module, facts, rules=rules, profile=profile
-        )
-    ]
-
-
 def discover_files(paths: Sequence[Path], root: Path) -> List[Path]:
     """All ``.py`` files under ``paths``, deterministically ordered."""
     found: Set[Path] = set()
@@ -270,52 +237,7 @@ def discover_files(paths: Sequence[Path], root: Path) -> List[Path]:
 
 
 # ---------------------------------------------------------------------------
-# --changed-only support
-# ---------------------------------------------------------------------------
-
-
-def changed_paths(root: Path, base: Optional[str] = None) -> Optional[Set[str]]:
-    """Repo-relative ``.py`` paths that differ from the merge base.
-
-    Diffs the working tree against ``git merge-base HEAD <base>`` (first
-    of ``base``, ``origin/main``, ``origin/master``, ``main`` that
-    resolves) and unions uncommitted/untracked files from ``git status``.
-    Returns ``None`` when git or a merge base is unavailable — callers
-    must fall back to a full run, never silently analyze nothing.
-    """
-
-    def git(*args: str) -> Optional[str]:
-        try:
-            proc = subprocess.run(
-                ["git", *args], cwd=root, capture_output=True, text=True, timeout=30
-            )
-        except (OSError, subprocess.TimeoutExpired):
-            return None
-        return proc.stdout if proc.returncode == 0 else None
-
-    merge_base = None
-    for candidate in ([base] if base else []) + ["origin/main", "origin/master", "main"]:
-        out = git("merge-base", "HEAD", candidate)
-        if out:
-            merge_base = out.strip()
-            break
-    if merge_base is None:
-        return None
-    changed: Set[str] = set()
-    diff = git("diff", "--name-only", merge_base)
-    if diff is None:
-        return None
-    changed.update(line.strip() for line in diff.splitlines() if line.strip())
-    status = git("status", "--porcelain")
-    if status:
-        for line in status.splitlines():
-            if len(line) > 3:
-                changed.add(line[3:].split(" -> ")[-1].strip())
-    return {path for path in changed if path.endswith(".py")}
-
-
-# ---------------------------------------------------------------------------
-# the incremental pipeline
+# the pipeline
 # ---------------------------------------------------------------------------
 
 
@@ -329,10 +251,6 @@ class CheckResult:
     #: repo-relative paths in this run's report scope (baseline staleness
     #: is only judged against these)
     analyzed_paths: List[str] = field(default_factory=list)
-    #: cache accounting — diagnostics only, never rendered into reports
-    files_reanalyzed: int = 0
-    project_roots_reanalyzed: int = 0
-    cache_hits: int = 0
 
     def by_rule(self) -> Dict[str, int]:
         """Violation counts per rule id, sorted by rule."""
@@ -342,235 +260,60 @@ class CheckResult:
         return dict(sorted(counts.items()))
 
 
-@dataclass
-class _FileRow:
-    """Per-file bookkeeping for one run."""
-
-    path: Path
-    rel: str
-    module: str
-    profile: str
-    rules: List[str]
-    source: str
-    digest: str
-
-
-def run_check(
-    paths: Sequence[str],
-    root: Optional[Path] = None,
-    jobs: int = 1,
-    use_cache: bool = True,
-    cache_path: Optional[Path] = None,
-    changed_only: bool = False,
-    changed_base: Optional[str] = None,
-) -> CheckResult:
+def run_check(paths: Sequence[str], root: Optional[Path] = None) -> CheckResult:
     """Analyze ``paths`` (files or directories) with every registered rule.
 
-    ``jobs > 1`` fans invalidated files out over a fork
-    :class:`RunPool`; ``use_cache`` reuses (and refreshes) the on-disk
-    result cache; ``changed_only`` restricts the run to modules changed
-    since the merge base plus their reverse import-graph dependents.
-    None of the three change a single output byte for the same scope —
-    they only change how much work the run performs.
+    One cold pass: collect facts, parse each file once (a syntax error
+    becomes an ``EX000`` finding), run the per-file rules its profile
+    selects, then build one :class:`~repro.staticcheck.graph.ProjectGraph`
+    over the full-profile modules and run the project rules rooted at
+    each of them.  Findings are deduplicated and sorted by
+    (path, line, col, rule).
     """
-    from repro.staticcheck.graph import (
-        build_graph,
-        import_closure,
-        project_imports,
-        reverse_closure,
-        run_project_rules,
-    )
-
     root = (root or Path.cwd()).resolve()
     files = discover_files([Path(p) for p in paths], root)
     facts = collect_facts(root)
 
-    rows: List[_FileRow] = []
+    local_results: Dict[str, List[Violation]] = {}
+    contexts: Dict[str, ModuleContext] = {}
+    analyzed: List[str] = []
     for file in files:
         try:
             rel = file.resolve().relative_to(root).as_posix()
         except ValueError:
             rel = file.as_posix()
+        analyzed.append(rel)
+        module = module_name_for(file, root)
         profile = profile_for(rel)
-        source = file.read_text()
-        rows.append(_FileRow(
-            path=file,
-            rel=rel,
-            module=module_name_for(file, root),
-            profile=profile,
-            rules=rules_for_profile(profile),
-            source=source,
-            digest=source_digest(source),
-        ))
-    by_module = {row.module: row for row in rows}
-    known = set(by_module)
-    hashes = {row.module: row.digest for row in rows}
-
-    fingerprint = analyzer_fingerprint(facts, sorted(RULES) + sorted(PROJECT_RULES))
-    resolved_cache_path = cache_path or default_cache_path(root)
-    cache = (
-        ResultCache.load(resolved_cache_path, fingerprint)
-        if use_cache
-        else ResultCache(analyzer_fp=fingerprint)
-    )
-
-    # -- import graph: cached edges where valid, parsed edges elsewhere ----
-    contexts: Dict[str, ModuleContext] = {}
-    syntax_errors: Dict[str, Violation] = {}
-
-    def parse(module: str) -> Optional[ModuleContext]:
-        if module in contexts:
-            return contexts[module]
-        if module in syntax_errors:
-            return None
-        row = by_module[module]
         try:
             ctx = ModuleContext.build(
-                row.source, path=row.rel, module=module,
-                facts=facts, profile=row.profile,
+                file.read_text(), path=rel, module=module,
+                facts=facts, profile=profile,
             )
         except SyntaxError as exc:
-            syntax_errors[module] = _syntax_error_violation(row.rel, exc)
-            return None
-        contexts[module] = ctx
-        return ctx
-
-    imports: Dict[str, Set[str]] = {}
-    locally_valid: Set[str] = set()
-    for row in rows:
-        if cache.local_valid(row.module, row.rel, row.digest, row.profile, row.rules):
-            locally_valid.add(row.module)
-            imports[row.module] = {
-                dep for dep in cache.modules[row.module].imports if dep in known
-            }
-        else:
-            ctx = parse(row.module)
-            imports[row.module] = (
-                project_imports(ctx, known) if ctx is not None else set()
-            )
-
-    closures = {module: import_closure(imports, module) for module in known}
-    deps_fp = {
-        module: closure_fingerprint(hashes, closures[module])
-        for module in known
-    }
-
-    # -- scope restriction (--changed-only) --------------------------------
-    targets = set(known)
-    if changed_only:
-        changed = changed_paths(root, changed_base)
-        if changed is not None:
-            changed_modules = {
-                row.module for row in rows if row.rel in changed
-            }
-            targets = changed_modules | reverse_closure(imports, changed_modules)
-
-    # -- pass 2: local rules over invalidated, in-scope modules -------------
-    local_results: Dict[str, List[Dict[str, object]]] = {}
-    pending: List[_FileRow] = []
-    for row in rows:
-        if row.module not in targets:
+            local_results[module] = [_syntax_error_violation(rel, exc)]
             continue
-        if row.module in locally_valid:
-            local_results[row.module] = cache.modules[row.module].local
-        elif row.module in syntax_errors:
-            local_results[row.module] = [syntax_errors[row.module].to_dict()]
-        else:
-            pending.append(row)
+        local_results[module] = run_local_rules(ctx, rules_for_profile(profile))
+        if profile == "full":
+            contexts[module] = ctx
 
-    if jobs > 1 and len(pending) > 1:
-        from repro.parallel import RunPool
+    project_results = run_project_rules(ProjectGraph(contexts, facts=facts))
 
-        payloads = [
-            (str(row.path), row.rel, row.module, facts, row.profile,
-             tuple(row.rules))
-            for row in pending
-        ]
-        with RunPool(max_workers=jobs) as pool:
-            raw = pool.map(_analyze_payload, payloads)
-        for row, batch in zip(pending, raw):
-            local_results[row.module] = batch
-    else:
-        for row in pending:
-            ctx = contexts[row.module]  # parsed above by construction
-            local_results[row.module] = [
-                v.to_dict() for v in run_local_rules(ctx, row.rules)
-            ]
-
-    # -- pass 3: project rules over invalidated, in-scope roots -------------
-    full_roots = sorted(
-        module for module in targets if by_module[module].profile == "full"
-    )
-    project_results: Dict[str, List[Dict[str, object]]] = {}
-    invalid_roots: List[str] = []
-    for module in full_roots:
-        if cache.project_valid(module, deps_fp[module]):
-            project_results[module] = cache.modules[module].project
-        else:
-            invalid_roots.append(module)
-    if invalid_roots:
-        graph_modules: Set[str] = set()
-        for module in invalid_roots:
-            graph_modules.update(closures[module] & known)
-        graph_contexts = {
-            module: ctx
-            for module in sorted(graph_modules)
-            if (ctx := parse(module)) is not None
-        }
-        graph = build_graph(graph_contexts, facts=facts)
-        fresh = run_project_rules(
-            graph, roots=[m for m in invalid_roots if m in graph_contexts]
-        )
-        for module in invalid_roots:
-            project_results[module] = [
-                v.to_dict() for v in fresh.get(module, [])
-            ]
-
-    # -- merge, dedupe, sort ------------------------------------------------
     merged: List[Violation] = []
-    seen: Set[Tuple[object, ...]] = set()
+    seen: Set[Violation] = set()
     buckets = [local_results[m] for m in sorted(local_results)]
     buckets += [project_results[m] for m in sorted(project_results)]
     for bucket in buckets:
-        for payload in bucket:
-            violation = Violation.from_dict(payload)
-            mark = (
-                violation.rule, violation.path, violation.line, violation.col,
-                violation.scope, violation.token, violation.message,
-            )
-            if mark in seen:
-                continue
-            seen.add(mark)
-            merged.append(violation)
+        for violation in bucket:
+            if violation not in seen:
+                seen.add(violation)
+                merged.append(violation)
     merged.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
 
-    # -- refresh and persist the cache --------------------------------------
-    if use_cache:
-        for row in rows:
-            if row.module not in targets or row.module in syntax_errors:
-                continue
-            cache.modules[row.module] = ModuleEntry(
-                path=row.rel,
-                source_hash=row.digest,
-                profile=row.profile,
-                rules=list(row.rules),
-                imports=sorted(imports[row.module]),
-                deps_fp=deps_fp[row.module] if row.profile == "full" else "",
-                local=local_results.get(row.module, []),
-                project=project_results.get(row.module, []),
-            )
-        try:
-            cache.save(resolved_cache_path)
-        except OSError:
-            pass  # read-only checkout: the cache is an optimization only
-
-    analyzed = sorted(row.rel for row in rows if row.module in targets)
+    analyzed.sort()
     return CheckResult(
         root=str(root),
         files_analyzed=len(analyzed),
         violations=merged,
         analyzed_paths=analyzed,
-        files_reanalyzed=len(pending),
-        project_roots_reanalyzed=len(invalid_roots),
-        cache_hits=len(locally_valid & targets),
     )

@@ -1,33 +1,21 @@
-"""Whole-program view: project symbol table plus import/call graph.
+"""Whole-program view: project symbol table plus call graph.
 
 The per-file rules (EX001..EX006) deliberately see one module at a time;
 the bug classes PRs 6-9 fixed by hand — an uncanonicalized float seed
 label crossing a module boundary, a pool-worker callable three calls
-deep mutating a module global, a packed-int key whose width constant
-lives in another file — are invisible at that granularity.
+deep mutating a module global — are invisible at that granularity.
 :class:`ProjectGraph` is the shared substrate the interprocedural rules
-(EX007..EX009, registered in :mod:`repro.staticcheck.rules`) run over:
+(EX007 and EX008, registered in :mod:`repro.staticcheck.rules`) run over:
 
 * a **symbol table** mapping dotted qualnames to definitions — functions
   and methods (with their :class:`~repro.staticcheck.rules.ModuleContext`
-  for alias resolution), module-level integer constants (packed-width
-  declarations), and per-class attribute annotations (the float-field
-  signal EX007 keys on);
-* an **import graph** restricted to project-internal modules, with the
-  reverse edges the incremental cache and ``--changed-only`` use to find
-  dependents of an edited module;
+  for alias resolution) and per-class attribute annotations (the
+  float-field signal EX007 keys on);
 * a **call graph** whose edges are resolved through each module's import
   aliases: plain calls, ``from``-imported calls, same-class ``self.``
   method calls, and calls through imported modules all resolve to
   project qualnames; anything rooted in a dynamic receiver stays
   unresolved (heuristic analyzer, conservative by construction).
-
-Cache-soundness contract: every interprocedural rule analyzes one *root
-module* at a time and may only consult the root and modules in the
-root's import closure (information flows strictly *down* the import
-graph).  That is what makes the per-module result cache's key — source
-digest plus import-closure dependency fingerprints — sound: an edit
-outside a root's closure cannot change the root's findings.
 """
 
 from __future__ import annotations
@@ -35,73 +23,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.staticcheck.rules import (  # noqa: F401  (defaults re-exported)
-    DEFAULT_CANONICALIZERS,
-    DEFAULT_FORK_ENTRY_POINTS,
-    DEFAULT_SEED_ROOTS,
-    DEFAULT_SEED_SINKS,
-    ModuleContext,
-    Violation,
-)
-
-
-def project_imports(ctx: ModuleContext, known: Set[str]) -> Set[str]:
-    """Project-internal modules ``ctx`` imports (direct edges only).
-
-    ``from repro.util import rng`` can bind either the submodule
-    ``repro.util.rng`` or a symbol of ``repro.util``; both candidates are
-    tried against the known-module universe, so the edge set errs toward
-    *more* dependencies — which only ever makes cache invalidation more
-    eager, never stale.
-    """
-    deps: Set[str] = set()
-    candidates: List[str] = []
-    for target in ctx.import_aliases.values():
-        candidates.append(target)
-    for target in ctx.from_imports.values():
-        candidates.append(target)
-        if "." in target:
-            candidates.append(target.rsplit(".", 1)[0])
-    for candidate in candidates:
-        probe = candidate
-        while probe:
-            if probe in known and probe != ctx.module:
-                deps.add(probe)
-                break
-            probe = probe.rsplit(".", 1)[0] if "." in probe else ""
-    return deps
-
-
-def reverse_closure(
-    imports: Dict[str, Set[str]], seeds: Iterable[str]
-) -> Set[str]:
-    """Seeds plus every module that (transitively) imports one of them."""
-    reverse: Dict[str, Set[str]] = {module: set() for module in imports}
-    for module, deps in imports.items():
-        for dep in deps:
-            reverse.setdefault(dep, set()).add(module)
-    out: Set[str] = set()
-    stack = [seed for seed in seeds if seed in reverse]
-    while stack:
-        module = stack.pop()
-        if module in out:
-            continue
-        out.add(module)
-        stack.extend(reverse.get(module, ()))
-    return out
-
-
-def import_closure(imports: Dict[str, Set[str]], seed: str) -> Set[str]:
-    """Seed plus everything it (transitively) imports; cycle-safe."""
-    out: Set[str] = set()
-    stack = [seed]
-    while stack:
-        module = stack.pop()
-        if module in out:
-            continue
-        out.add(module)
-        stack.extend(imports.get(module, ()))
-    return out
+from repro.staticcheck.rules import ModuleContext, Violation
 
 
 class FunctionInfo:
@@ -132,19 +54,13 @@ class ProjectGraph:
     ):
         self.contexts = contexts
         self.facts = facts or {}
-        #: module -> project-internal modules it imports
-        self.imports: Dict[str, Set[str]] = {}
         #: "mod.fn" / "mod.Class.meth" -> FunctionInfo
         self.functions: Dict[str, FunctionInfo] = {}
-        #: "mod.NAME" -> int value for module-level integer constants
-        self.constants: Dict[str, int] = {}
         #: "mod.Class" -> {attr: annotation token ("float", "int", ...)}
         self.class_annotations: Dict[str, Dict[str, str]] = {}
         #: caller qualname -> [(callee qualname, call node)]
         self.calls: Dict[str, List[Tuple[str, ast.Call]]] = {}
-        known = set(contexts)
-        for module, ctx in contexts.items():
-            self.imports[module] = project_imports(ctx, known)
+        for ctx in contexts.values():
             self._index_module(ctx)
         for info in list(self.functions.values()):
             self.calls[info.qualname] = self._index_calls(info)
@@ -153,16 +69,6 @@ class ProjectGraph:
 
     def _index_module(self, ctx: ModuleContext) -> None:
         module = ctx.module
-        for node in ctx.tree.body:
-            if (
-                isinstance(node, ast.Assign)
-                and isinstance(node.value, ast.Constant)
-                and isinstance(node.value.value, int)
-                and not isinstance(node.value.value, bool)
-            ):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        self.constants[f"{module}.{target.id}"] = node.value.value
         for node in ast.walk(ctx.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 # scope_of(def) is the def's own dotted scope ("Class.meth")
@@ -254,48 +160,6 @@ class ProjectGraph:
                     stack.append(callee)
         return seen
 
-    # -- constant resolution ------------------------------------------------
-
-    def constant_value(self, ctx: ModuleContext, node: ast.AST) -> Optional[int]:
-        """Integer value of an expression, following cross-module names.
-
-        Resolves literals, module-level integer constants (local or
-        imported), and ``a + b`` / ``a * b`` / ``1 << k`` arithmetic over
-        such constants — enough to evaluate declared pack widths like
-        ``SEQ_BITS + TOK_BITS`` wherever the constants live.
-        """
-        if isinstance(node, ast.Constant) and isinstance(node.value, int) \
-                and not isinstance(node.value, bool):
-            return node.value
-        if isinstance(node, (ast.Name, ast.Attribute)):
-            resolved = ctx.resolve(node)
-            if resolved is None:
-                return None
-            if resolved in self.constants:
-                return self.constants[resolved]
-            if "." not in resolved:
-                return self.constants.get(f"{ctx.module}.{resolved}")
-            return None
-        if isinstance(node, ast.BinOp):
-            left = self.constant_value(ctx, node.left)
-            right = self.constant_value(ctx, node.right)
-            if left is None or right is None:
-                return None
-            try:
-                if isinstance(node.op, ast.Add):
-                    return left + right
-                if isinstance(node.op, ast.Sub):
-                    return left - right
-                if isinstance(node.op, ast.Mult):
-                    return left * right
-                if isinstance(node.op, ast.LShift):
-                    return left << right
-                if isinstance(node.op, ast.BitOr):
-                    return left | right
-            except (OverflowError, ValueError):
-                return None
-        return None
-
 
 def _annotation_token(annotation: ast.AST) -> str:
     """Terminal token of a type annotation ("float", "Dict", ...)."""
@@ -310,14 +174,6 @@ def _annotation_token(annotation: ast.AST) -> str:
         # string annotation: take the head identifier
         return node.value.split("[")[0].strip()
     return ""
-
-
-def build_graph(
-    contexts: Dict[str, ModuleContext],
-    facts: Optional[Dict[str, Set[str]]] = None,
-) -> ProjectGraph:
-    """Construct a :class:`ProjectGraph` over prepared module contexts."""
-    return ProjectGraph(contexts, facts=facts)
 
 
 def build_graph_from_sources(
@@ -351,12 +207,9 @@ def run_project_rules(
 ) -> Dict[str, List[Violation]]:
     """Run the interprocedural registry, one root module at a time.
 
-    Returns ``{root module: [violations]}`` — the per-root bucketing is
-    what the incremental cache stores, keyed on the root's import-closure
-    fingerprint (see the cache-soundness contract in the module
-    docstring).  ``roots`` defaults to every full-profile module in the
-    graph; relaxed-profile modules (tests/benchmarks) never root an
-    interprocedural analysis.
+    Returns ``{root module: [violations]}``.  ``roots`` defaults to
+    every full-profile module in the graph; relaxed-profile modules
+    (tests/benchmarks) never root an interprocedural analysis.
     """
     from repro.staticcheck.rules import PROJECT_RULES
 

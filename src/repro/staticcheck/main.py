@@ -31,10 +31,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         help="files or directories to analyze (default: src)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the per-file rule pass (RunPool)",
-    )
-    parser.add_argument(
         "--baseline", default=None,
         help=f"suppression file (default: ./{DEFAULT_BASELINE_NAME} if present)",
     )
@@ -59,24 +55,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "--format", choices=["text", "json"], default="text",
         help="stdout format (default: text)",
     )
-    parser.add_argument(
-        "--changed-only", action="store_true",
-        help="analyze only modules changed since the merge base with "
-             "origin/main, plus their reverse import-graph dependents "
-             "(falls back to a full run when git is unavailable)",
-    )
-    parser.add_argument(
-        "--changed-base", default=None, metavar="REF",
-        help="merge-base ref for --changed-only (default: origin/main)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="ignore and do not write the incremental result cache",
-    )
-    parser.add_argument(
-        "--cache", default="", metavar="PATH",
-        help="result cache location (default: ./.staticcheck-cache.json)",
-    )
 
 
 def run(args: argparse.Namespace) -> int:
@@ -87,23 +65,7 @@ def run(args: argparse.Namespace) -> int:
             print(f"error: path {path!r} does not exist", file=sys.stderr)
             return 2
 
-    result = run_check(
-        args.paths,
-        root=root,
-        jobs=args.jobs,
-        use_cache=not args.no_cache,
-        cache_path=Path(args.cache) if args.cache else None,
-        changed_only=args.changed_only,
-        changed_base=args.changed_base,
-    )
-    # cache accounting goes to stderr only: stdout and the report files
-    # must stay byte-identical across cold/warm/jobs=N runs
-    print(
-        f"existcheck: {result.files_reanalyzed} file(s) re-analyzed, "
-        f"{result.cache_hits} cache hit(s), "
-        f"{result.project_roots_reanalyzed} project root(s) re-analyzed",
-        file=sys.stderr,
-    )
+    result = run_check(args.paths, root=root)
 
     baseline_path = Path(args.baseline) if args.baseline else root / DEFAULT_BASELINE_NAME
     baseline = Baseline()

@@ -52,7 +52,7 @@ class Violation:
         return f"{self.rule}:{self.path}:{self.scope}:{self.token}"
 
     def to_dict(self) -> Dict[str, object]:
-        """Flat JSON-friendly form (pool transport and reports)."""
+        """Flat JSON-friendly form (reports)."""
         return {
             "rule": self.rule,
             "path": self.path,
@@ -63,19 +63,6 @@ class Violation:
             "token": self.token,
             "key": self.key,
         }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "Violation":
-        """Rebuild a violation from its :meth:`to_dict` form."""
-        return cls(
-            rule=str(payload["rule"]),
-            path=str(payload["path"]),
-            line=int(payload["line"]),  # type: ignore[arg-type]
-            col=int(payload["col"]),  # type: ignore[arg-type]
-            message=str(payload["message"]),
-            scope=str(payload.get("scope", "<module>")),
-            token=str(payload.get("token", "")),
-        )
 
 
 @dataclass
@@ -781,15 +768,13 @@ def check_swallowed_decode_errors(ctx: ModuleContext) -> List[Violation]:
 
 
 # ---------------------------------------------------------------------------
-# interprocedural registry (EX007..EX009) — rules over the ProjectGraph
+# interprocedural registry (EX007, EX008) — rules over the ProjectGraph
 # ---------------------------------------------------------------------------
 #
 # These rules receive a ``repro.staticcheck.graph.ProjectGraph`` plus one
-# *root module* and must only consult the root and its import closure
-# (the cache-soundness contract documented in graph.py).  They are
-# registered separately from the per-file rules because the engine
-# schedules them differently: per-file results cache on the file's own
-# digest; per-root results cache on the root's closure fingerprint.
+# *root module*.  They are registered separately from the per-file rules
+# because they need the whole program: the engine runs them once per
+# full-profile root after the per-file pass.
 
 #: fallback registries used when the analyzed tree's util/rng.py and
 #: util/identity.py do not declare their own (foreign trees, fixtures)
@@ -1326,220 +1311,4 @@ def check_fork_shared_state(graph, root: str) -> List[Violation]:
                 )
                 if violation:
                     out.append(violation)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# EX009 — packed-int width safety
-# ---------------------------------------------------------------------------
-
-
-def _guarded_tokens(fn: Optional[ast.AST]) -> Set[str]:
-    """Source tokens bound by an assert/raise width guard in ``fn``.
-
-    ``assert x < (1 << k)``, ``if x >= (1 << k): raise`` and mask
-    comparisons all register ``x`` — the guard proves the packed field
-    cannot silently overflow, which is all EX009 asks for.
-    """
-    out: Set[str] = set()
-    if fn is None:
-        return out
-    for node in ast.walk(fn):
-        test: Optional[ast.expr] = None
-        if isinstance(node, ast.Assert):
-            test = node.test
-        elif isinstance(node, ast.If) and any(
-            isinstance(stmt, ast.Raise) for stmt in node.body
-        ):
-            test = node.test
-        if test is None:
-            continue
-        for compare in ast.walk(test):
-            if isinstance(compare, ast.Compare):
-                for expr in [compare.left] + list(compare.comparators):
-                    if isinstance(expr, (ast.Name, ast.Attribute)):
-                        out.add(ast.unparse(expr))
-    return out
-
-
-def _masked_names(fn: Optional[ast.AST]) -> Set[str]:
-    """Names whose every assignment is width-bounded (& mask / % mod)."""
-    if fn is None:
-        return set()
-    bounded: Dict[str, bool] = {}
-    for node in ast.walk(fn):
-        if not isinstance(node, ast.Assign):
-            continue
-        is_bounded = isinstance(node.value, ast.BinOp) and isinstance(
-            node.value.op, (ast.BitAnd, ast.Mod)
-        )
-        for target in node.targets:
-            if isinstance(target, ast.Name):
-                previous = bounded.get(target.id, True)
-                bounded[target.id] = previous and is_bounded
-    return {name for name, ok in bounded.items() if ok}
-
-
-def _bits_upper_bound(graph, ctx: ModuleContext, node: ast.AST) -> Optional[int]:
-    """Bitmask bounding which bits an int expression can possibly set.
-
-    ``(x & 0xF) << 1`` → ``0x1E``; unknown subexpressions poison the
-    bound to ``None``.  Lets EX009 accept deliberate *disjoint* flag ORs
-    (``(bits << 1) | 0x20`` stop markers) that a pure width comparison
-    would misread as field overflow.
-    """
-    if isinstance(node, ast.Constant) and isinstance(node.value, int) \
-            and not isinstance(node.value, bool):
-        return node.value
-    if isinstance(node, ast.BinOp):
-        if isinstance(node.op, ast.BitAnd):
-            mask = graph.constant_value(ctx, node.right)
-            if mask is None:
-                mask = graph.constant_value(ctx, node.left)
-            return mask if mask is not None and mask >= 0 else None
-        if isinstance(node.op, ast.Mod):
-            bound = graph.constant_value(ctx, node.right)
-            return bound - 1 if bound is not None and bound > 0 else None
-        if isinstance(node.op, ast.LShift):
-            base = _bits_upper_bound(graph, ctx, node.left)
-            shift = graph.constant_value(ctx, node.right)
-            if base is None or shift is None or shift < 0 or shift > 63:
-                return None
-            return base << shift
-        if isinstance(node.op, ast.BitOr):
-            left = _bits_upper_bound(graph, ctx, node.left)
-            right = _bits_upper_bound(graph, ctx, node.right)
-            if left is None or right is None:
-                return None
-            return left | right
-    return None
-
-
-def _field_safe(graph, ctx: ModuleContext, operand: ast.AST, width: Optional[int],
-                guards: Set[str], masked: Set[str],
-                shifted_bits: Optional[int] = None) -> Optional[str]:
-    """None if the OR-ed field provably fits ``width`` bits, else why not."""
-    if isinstance(operand, ast.Constant) and isinstance(operand.value, int):
-        if width is not None and operand.value >= (1 << width):
-            if shifted_bits is not None and (operand.value & shifted_bits) == 0:
-                return None  # disjoint flag OR: cannot touch the field
-            return f"literal {operand.value} needs more than {width} bits"
-        return None
-    if isinstance(operand, ast.BinOp) and isinstance(operand.op, (ast.BitAnd, ast.Mod)):
-        bound = graph.constant_value(ctx, operand.right)
-        if width is not None and bound is not None:
-            limit = bound if isinstance(operand.op, ast.Mod) else bound + 1
-            if limit > (1 << width):
-                return f"mask/modulo admits values above the {width}-bit field"
-        return None  # explicitly width-bounded
-    if isinstance(operand, (ast.Name, ast.Attribute)):
-        token = ast.unparse(operand)
-        if token in guards:
-            return None
-        if isinstance(operand, ast.Name) and operand.id in masked:
-            return None
-        return f"'{token}' is neither masked nor guarded against its field width"
-    if isinstance(operand, ast.Call):
-        func = operand.func
-        if isinstance(func, ast.Name) and func.id == "int":
-            return (
-                f"int({ast.unparse(operand.args[0]) if operand.args else ''}) "
-                f"truncates silently inside a packed key"
-            )
-        return f"'{ast.unparse(operand)}' has no provable bit width"
-    if isinstance(operand, ast.BinOp) and isinstance(operand.op, ast.BitOr):
-        # nested pack: recurse into both fields
-        left = _field_safe(graph, ctx, operand.left, None, guards, masked)
-        if left is not None:
-            return left
-        return _field_safe(graph, ctx, operand.right, None, guards, masked)
-    if isinstance(operand, ast.BinOp) and isinstance(operand.op, ast.LShift):
-        return None  # the shifted-high half; its own pack site checks it
-    return f"'{ast.unparse(operand)}' has no provable bit width"
-
-
-@project_rule("EX009", "packed-int field can overflow its declared width")
-def check_packed_widths(graph, root: str) -> List[Violation]:
-    """Packed integer keys (``(t << seq_bits | seq) << tok_bits | tok``
-    event-heap entries, the scheduler's ``(tid << 10) | core_id`` hook
-    keys) silently corrupt neighbouring fields when an OR-ed value
-    outgrows its shift width.  Every ``(x << k) | y`` must make ``y``'s
-    bound *visible*: a literal that fits, an ``& mask``/``% mod`` bound,
-    or an assert/raise guard in the same function.  Shift widths resolve
-    through module-level integer constants, including imported ones; a
-    constant-width pack that exceeds the 63-bit signed budget is flagged
-    outright, as is a bare ``int()`` truncation inside a key.
-    """
-    ctx = graph.contexts.get(root)
-    if ctx is None or not _in_repro(ctx) or _self_scoped(ctx) or ctx.profile != "full":
-        return []
-    out: List[Violation] = []
-    seen: Set[Tuple[str, str]] = set()
-    for node in ast.walk(ctx.tree):
-        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr)):
-            continue
-        shift = node.left
-        if not (isinstance(shift, ast.BinOp) and isinstance(shift.op, ast.LShift)):
-            continue
-        fn = _enclosing_function(ctx, node)
-        guards = _guarded_tokens(fn)
-        masked = _masked_names(fn)
-        width = graph.constant_value(ctx, shift.right)
-        if width is not None and width >= 63:
-            violation = make_violation(
-                ctx, "EX009", node,
-                f"left shift by {width} overflows the 63-bit signed int64 "
-                f"budget heaps and numpy columns assume",
-                f"<<{width}",
-            )
-            if violation:
-                out.append(violation)
-            continue
-        # cumulative constant width of nested packs must stay under 63
-        total = width
-        inner = shift.left
-        while (
-            total is not None
-            and isinstance(inner, ast.BinOp)
-            and isinstance(inner.op, (ast.BitOr, ast.LShift))
-        ):
-            if isinstance(inner.op, ast.LShift):
-                inner_width = graph.constant_value(ctx, inner.right)
-                total = None if inner_width is None else total + inner_width
-                inner = inner.left
-            else:
-                inner = inner.left
-        if total is not None and total >= 63:
-            violation = make_violation(
-                ctx, "EX009", node,
-                f"nested pack shifts total {total} bits — the value field "
-                f"overflows the 63-bit signed budget",
-                f"<<{total}",
-            )
-            if violation:
-                out.append(violation)
-            continue
-        reason = _field_safe(
-            graph, ctx, node.right, width, guards, masked,
-            shifted_bits=_bits_upper_bound(graph, ctx, shift),
-        )
-        if reason is None:
-            continue
-        token = ast.unparse(node.right)
-        if len(token) > 40:
-            token = token[:37] + "..."
-        mark = (ctx.scope_of(node), token)
-        if mark in seen:
-            continue
-        seen.add(mark)
-        violation = make_violation(
-            ctx, "EX009", node,
-            f"packed field may overflow its "
-            f"{'dynamic' if width is None else str(width) + '-bit'} slot: "
-            f"{reason} — mask it (& ((1 << k) - 1)) or guard it "
-            f"(assert/raise) in this function",
-            token,
-        )
-        if violation:
-            out.append(violation)
     return out

@@ -147,9 +147,6 @@ class StreamConfig:
     stall_ns: int = 50_000
     #: chunk work units dispatched to the real consumers per flush
     batch_chunks: int = 64
-    #: replay dead-lettered uploads through the resilient decoder at
-    #: finish (disable only to inspect the quarantine)
-    replay_dead_letters: bool = True
 
     def service_ns(self, body_len: int) -> int:
         """Simulated decode time of one chunk body."""
@@ -427,20 +424,16 @@ class StreamingIngestor:
             return self.stats
         self._finished = True
         self._flush()
-        if self.config.replay_dead_letters:
-            self._replay_dead_letters()
+        self._replay_dead_letters()
         for key, accumulator in self._accumulators.items():
             self._final[key] = accumulator.as_stats()
         for key, outcome in self._outcomes.items():
-            final = self._final.get(key)
-            if final is None:
-                continue  # unreplayed dead letter: stats stay zero
             (
                 outcome.records,
                 outcome.functions,
                 outcome.resyncs,
                 outcome.bytes_skipped,
-            ) = final
+            ) = self._final[key]
         stats = self.stats
         stats.max_queue_depth = self.queue.max_depth
         stats.backpressure_engagements = self.controller.engagements

@@ -6,6 +6,10 @@ from typing import List, Optional, Tuple
 
 import pytest
 
+from repro.kernel.cpu import CpuTopology
+from repro.kernel.events import Simulator
+from repro.kernel.scheduler import HOOK_KEY_CORE_BITS, Scheduler
+from repro.kernel.syscalls import SyscallTable
 from repro.kernel.system import KernelSystem, SystemConfig
 from repro.kernel.task import (
     SLICE_DONE,
@@ -16,7 +20,8 @@ from repro.kernel.task import (
     Thread,
     ThreadState,
 )
-from repro.kernel.tracepoints import SCHED_SWITCH
+from repro.kernel.tracepoints import SCHED_SWITCH, TracepointRegistry
+from repro.util.rng import RngFactory
 from repro.util.units import MSEC
 
 
@@ -197,3 +202,23 @@ class TestAccounting:
         assert not system.scheduler.all_done()
         system.run_for(10 * MSEC)
         assert system.scheduler.all_done()
+
+
+def scheduler_with_cores(n_cores: int) -> Scheduler:
+    return Scheduler(
+        sim=Simulator(),
+        topology=CpuTopology(cores_per_socket=n_cores, threads_per_core=1),
+        tracepoints=TracepointRegistry(),
+        syscalls=SyscallTable(),
+        rng=RngFactory(0),
+    )
+
+
+def test_core_id_past_the_hook_key_slot_is_rejected():
+    """Core ids share one packed int with the tid in the hook-cache key,
+    so a topology with a core id of 1024 must fail at construction
+    rather than alias another core's cached decisions."""
+    slot = 1 << HOOK_KEY_CORE_BITS
+    with pytest.raises(ValueError, match="core id 1024"):
+        scheduler_with_cores(slot + 1)
+    assert len(scheduler_with_cores(slot).topology) == slot

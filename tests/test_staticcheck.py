@@ -4,9 +4,7 @@ The per-rule fixtures are the determinism contract in executable form:
 for every EX rule there is a seeded *violation* snippet the rule must
 fire on and the *corrected* form it must stay silent on.  On top of
 that, the committed repo baseline is kept in sync (a stale suppression
-or an unbaselined violation fails this suite, mirroring the CI gate),
-and the parallel file pass is checked byte-identical to the serial one
-— the analyzer obeys the invariant it enforces.
+or an unbaselined violation fails this suite, mirroring the CI gate).
 """
 
 from __future__ import annotations
@@ -292,6 +290,7 @@ class TestEX006SwallowedErrors:
 def test_every_rule_has_positive_and_negative_coverage():
     """The registry and this suite move together."""
     assert sorted(RULES) == ["EX001", "EX002", "EX003", "EX004", "EX005", "EX006"]
+    assert sorted(PROJECT_RULES) == ["EX007", "EX008"]
 
 
 def test_syntax_error_reported_not_raised():
@@ -325,15 +324,6 @@ def test_collect_facts_reads_identity_registry():
     assert "repro.hwtrace.cache:_PROCESS_CACHE" in facts["process_lifetime"]
 
 
-def test_parallel_file_pass_matches_serial():
-    serial = run_check(["src/repro/util", "src/repro/parallel"], root=REPO_ROOT, jobs=1)
-    forked = run_check(["src/repro/util", "src/repro/parallel"], root=REPO_ROOT, jobs=2)
-    assert [v.to_dict() for v in serial.violations] == [
-        v.to_dict() for v in forked.violations
-    ]
-    assert serial.files_analyzed == forked.files_analyzed
-
-
 # ---------------------------------------------------------------------------
 # baseline contract
 # ---------------------------------------------------------------------------
@@ -341,7 +331,7 @@ def test_parallel_file_pass_matches_serial():
 
 def test_repo_is_clean_against_committed_baseline():
     """The acceptance gate: the full tree has no new or stale findings."""
-    result = run_check(["src", "tests", "benchmarks"], root=REPO_ROOT, jobs=1)
+    result = run_check(["src", "tests", "benchmarks"], root=REPO_ROOT)
     baseline = load_baseline(REPO_ROOT / "staticcheck-baseline.json")
     new, suppressed, stale = apply_baseline(
         result.violations, baseline, analyzed_paths=result.analyzed_paths
@@ -382,7 +372,7 @@ def test_write_baseline_preserves_justifications(tmp_path):
 
 
 def test_reports_are_deterministic_and_structured():
-    result = run_check(["src/repro/util"], root=REPO_ROOT, jobs=1)
+    result = run_check(["src/repro/util"], root=REPO_ROOT)
     new, suppressed, stale = apply_baseline(
         result.violations, load_baseline(REPO_ROOT / "staticcheck-baseline.json")
     )

@@ -2,17 +2,14 @@
 
 Covers the v2 surface: the project graph and the interprocedural rules
 EX007 (seed provenance, including the PR 9 ``loadgen.py`` float-label
-regression shape), EX008 (fork-shared-state races, including the
-worker-task-mutates-a-global fixture), EX009 (packed-int width safety),
-the incremental result cache (cold/warm/jobs byte-identity, and the
-warm-run re-analysis scope after a one-module edit), ``--changed-only``,
-the baseline contract edge cases, and the SARIF emitter.
+regression shape) and EX008 (fork-shared-state races, including the
+worker-task-mutates-a-global fixture), the baseline contract edge cases
+(including path-scoped staleness), and the SARIF emitter.
 """
 
 from __future__ import annotations
 
 import json
-import shutil
 import subprocess
 import sys
 import textwrap
@@ -28,7 +25,7 @@ from repro.staticcheck import (
     run_project_rules,
 )
 from repro.staticcheck.baseline import apply_baseline
-from repro.staticcheck.report import render_json, render_sarif
+from repro.staticcheck.report import render_sarif
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -281,120 +278,17 @@ class TestEX008ForkSharedState:
 
 
 # ---------------------------------------------------------------------------
-# EX009 — packed-int width safety
-# ---------------------------------------------------------------------------
-
-
-class TestEX009PackedWidths:
-    def test_fires_on_unguarded_field(self):
-        violations = project_check({
-            "src/repro/keys.py": """
-                def hook_key(tid, core_id):
-                    return (tid << 10) | core_id
-            """,
-        })
-        assert rule_ids(violations) == ["EX009"]
-        assert "core_id" in violations[0].token
-
-    def test_silent_on_masked_field(self):
-        violations = project_check({
-            "src/repro/keys.py": """
-                def hook_key(tid, core_id):
-                    return (tid << 10) | (core_id & 0x3FF)
-            """,
-        })
-        assert violations == []
-
-    def test_silent_on_guarded_field(self):
-        violations = project_check({
-            "src/repro/keys.py": """
-                def hook_key(tid, core_id):
-                    if core_id >= (1 << 10):
-                        raise OverflowError("core_id too wide")
-                    return (tid << 10) | core_id
-            """,
-        })
-        assert violations == []
-
-    def test_width_constant_resolves_across_modules(self):
-        violations = project_check({
-            "src/repro/widths.py": """
-                CORE_BITS = 10
-            """,
-            "src/repro/keys.py": """
-                from repro.widths import CORE_BITS
-
-                def hook_key(tid, core_id):
-                    return (tid << CORE_BITS) | core_id
-            """,
-        })
-        assert rule_ids(violations) == ["EX009"]
-        assert "10-bit" in violations[0].message
-
-    def test_fires_on_literal_overflowing_its_slot(self):
-        violations = project_check({
-            "src/repro/keys.py": """
-                def key(x):
-                    return (x << 2) | 9
-            """,
-        })
-        assert rule_ids(violations) == ["EX009"]
-
-    def test_silent_on_disjoint_flag_or(self):
-        """The codec's TNT stop marker: the literal sits entirely above
-        the shifted field, so it cannot corrupt it."""
-        violations = project_check({
-            "src/repro/keys.py": """
-                def tnt_byte(bits):
-                    return ((bits & 0xF) << 1) | 0x20
-            """,
-        })
-        assert violations == []
-
-    def test_fires_on_int_truncation_inside_pack(self):
-        violations = project_check({
-            "src/repro/keys.py": """
-                def key(t, frac):
-                    return (t << 8) | int(frac * 255)
-            """,
-        })
-        assert rule_ids(violations) == ["EX009"]
-        assert "truncates" in violations[0].message
-
-    def test_fires_on_shift_past_int64_budget(self):
-        violations = project_check({
-            "src/repro/keys.py": """
-                def key(t, x):
-                    return (t << 63) | x
-            """,
-        })
-        assert rule_ids(violations) == ["EX009"]
-        assert "63" in violations[0].message
-
-
-# ---------------------------------------------------------------------------
-# incremental cache: determinism and re-analysis scope
+# baseline contract edge cases
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture()
 def mini_tree(tmp_path):
-    """A three-module project copy small enough to edit in tests."""
+    """A two-module project copy small enough to scope a run over."""
     pkg = tmp_path / "src" / "repro"
     pkg.mkdir(parents=True)
     (pkg / "__init__.py").write_text("")
-    (pkg / "base.py").write_text(textwrap.dedent("""
-        WIDTH = 10
-
-        def key(tid, core_id):
-            return (tid << WIDTH) | (core_id & ((1 << WIDTH) - 1))
-    """))
-    (pkg / "mid.py").write_text(textwrap.dedent("""
-        from repro.base import key
-
-        def mid_key(tid, core_id):
-            return key(tid, core_id)
-    """))
+    (pkg / "base.py").write_text("def key(tid, core_id):\n    return (tid, core_id)\n")
     (pkg / "leaf.py").write_text(textwrap.dedent("""
         import numpy as np
 
@@ -404,115 +298,12 @@ def mini_tree(tmp_path):
     return tmp_path
 
 
-def report_bytes(result):
-    return render_json(result, result.violations, [], [])
-
-
-class TestResultCache:
-    def test_cold_warm_and_jobs_reports_are_byte_identical(self, mini_tree):
-        cold = run_check(["src"], root=mini_tree, jobs=1)
-        warm = run_check(["src"], root=mini_tree, jobs=1)
-        forked = run_check(["src"], root=mini_tree, jobs=2, use_cache=False)
-        uncached = run_check(["src"], root=mini_tree, jobs=1, use_cache=False)
-        assert report_bytes(cold) == report_bytes(warm)
-        assert report_bytes(cold) == report_bytes(forked)
-        assert report_bytes(cold) == report_bytes(uncached)
-        assert warm.files_reanalyzed == 0
-        assert warm.project_roots_reanalyzed == 0
-        assert warm.cache_hits == cold.files_analyzed
-
-    def test_one_module_edit_reanalyzes_only_module_and_dependents(self, mini_tree):
-        run_check(["src"], root=mini_tree, jobs=1)
-        base = mini_tree / "src" / "repro" / "base.py"
-        base.write_text(base.read_text() + "\n# trailing comment\n")
-        warm = run_check(["src"], root=mini_tree, jobs=1)
-        # local pass: only the edited file; project pass: the edited
-        # module plus its reverse import-graph dependent (mid), never
-        # the unrelated leaf
-        assert warm.files_reanalyzed == 1
-        assert warm.project_roots_reanalyzed == 2
-
-    def test_edit_that_introduces_violation_is_caught_warm(self, mini_tree):
-        clean = run_check(["src"], root=mini_tree, jobs=1)
-        assert clean.violations == []
-        leaf = mini_tree / "src" / "repro" / "leaf.py"
-        leaf.write_text(textwrap.dedent("""
-            import numpy as np
-            import time
-
-            def draw(campaign_seed):
-                return np.random.default_rng(int(time.time()))
-        """))
-        warm = run_check(["src"], root=mini_tree, jobs=1)
-        assert "EX007" in {v.rule for v in warm.violations}
-
-    def test_cache_file_is_rewritten_and_valid_json(self, mini_tree):
-        run_check(["src"], root=mini_tree, jobs=1)
-        cache_path = mini_tree / ".staticcheck-cache.json"
-        payload = json.loads(cache_path.read_text())
-        assert payload["version"] == 1
-        assert "repro.base" in payload["modules"]
-
-    def test_corrupt_cache_degrades_to_cold_run(self, mini_tree):
-        cold = run_check(["src"], root=mini_tree, jobs=1)
-        (mini_tree / ".staticcheck-cache.json").write_text("{not json")
-        recovered = run_check(["src"], root=mini_tree, jobs=1)
-        assert report_bytes(cold) == report_bytes(recovered)
-        assert recovered.files_reanalyzed == cold.files_analyzed
-
-
-# ---------------------------------------------------------------------------
-# --changed-only
-# ---------------------------------------------------------------------------
-
-
-def _git(root, *args):
-    return subprocess.run(
-        ["git", *args], cwd=root, capture_output=True, text=True, check=True,
-        env={"PATH": "/usr/bin:/bin",
-             "GIT_AUTHOR_NAME": "t", "GIT_AUTHOR_EMAIL": "t@t",
-             "GIT_COMMITTER_NAME": "t", "GIT_COMMITTER_EMAIL": "t@t",
-             "HOME": str(root)},
-    )
-
-
-@pytest.mark.skipif(shutil.which("git") is None, reason="git unavailable")
-class TestChangedOnly:
-    def test_changed_only_restricts_scope_to_dependents(self, mini_tree):
-        _git(mini_tree, "init", "-q", "-b", "main")
-        _git(mini_tree, "add", ".")
-        _git(mini_tree, "commit", "-q", "-m", "seed")
-        base = mini_tree / "src" / "repro" / "base.py"
-        base.write_text(base.read_text() + "\n# edited\n")
-        result = run_check(
-            ["src"], root=mini_tree, jobs=1, use_cache=False,
-            changed_only=True, changed_base="main",
-        )
-        assert result.analyzed_paths == [
-            "src/repro/base.py", "src/repro/mid.py",
-        ]
-
-    def test_changed_only_with_no_changes_analyzes_nothing(self, mini_tree):
-        _git(mini_tree, "init", "-q", "-b", "main")
-        _git(mini_tree, "add", ".")
-        _git(mini_tree, "commit", "-q", "-m", "seed")
-        result = run_check(
-            ["src"], root=mini_tree, jobs=1, use_cache=False,
-            changed_only=True, changed_base="main",
-        )
-        assert result.analyzed_paths == []
-        assert result.violations == []
-
+class TestBaselineEdgeCases:
     def test_stale_entries_outside_scope_are_not_reported(self, mini_tree):
-        _git(mini_tree, "init", "-q", "-b", "main")
-        _git(mini_tree, "add", ".")
-        _git(mini_tree, "commit", "-q", "-m", "seed")
-        leaf = mini_tree / "src" / "repro" / "leaf.py"
-        leaf.write_text(leaf.read_text() + "\n# edited\n")
-        result = run_check(
-            ["src"], root=mini_tree, jobs=1, use_cache=False,
-            changed_only=True, changed_base="main",
-        )
+        """A baseline entry for a file the run did not analyze is out of
+        scope, not stale."""
+        result = run_check(["src/repro/leaf.py"], root=mini_tree)
+        assert result.analyzed_paths == ["src/repro/leaf.py"]
         baseline = Baseline(suppressions={
             "EX001:src/repro/base.py:key:time.time": "entry for unanalyzed file",
         })
@@ -521,13 +312,6 @@ class TestChangedOnly:
         )
         assert stale == []
 
-
-# ---------------------------------------------------------------------------
-# baseline contract edge cases
-# ---------------------------------------------------------------------------
-
-
-class TestBaselineEdgeCases:
     def test_empty_justification_rejected(self):
         text = json.dumps({
             "version": 1,
@@ -574,9 +358,7 @@ class TestBaselineEdgeCases:
 
 class TestSarif:
     def test_sarif_document_shape(self):
-        result = run_check(
-            ["src/repro/util"], root=REPO_ROOT, jobs=1, use_cache=False
-        )
+        result = run_check(["src/repro/util"], root=REPO_ROOT)
         baseline = load_baseline(REPO_ROOT / "staticcheck-baseline.json")
         new, suppressed, _stale = apply_baseline(
             result.violations, baseline, analyzed_paths=result.analyzed_paths
@@ -586,7 +368,7 @@ class TestSarif:
         run = doc["runs"][0]
         assert run["tool"]["driver"]["name"] == "existcheck"
         rule_index = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-        assert {"EX001", "EX007", "EX008", "EX009"} <= rule_index
+        assert {"EX001", "EX007", "EX008"} <= rule_index
         for entry in run["results"]:
             assert entry["ruleId"] in rule_index
             location = entry["locations"][0]["physicalLocation"]
@@ -595,9 +377,7 @@ class TestSarif:
             assert entry["partialFingerprints"]["existcheckKey/v1"]
 
     def test_sarif_levels_split_new_vs_baselined(self):
-        result = run_check(
-            ["src/repro/parallel"], root=REPO_ROOT, jobs=1, use_cache=False
-        )
+        result = run_check(["src/repro/parallel"], root=REPO_ROOT)
         baseline = load_baseline(REPO_ROOT / "staticcheck-baseline.json")
         new, suppressed, _stale = apply_baseline(
             result.violations, baseline, analyzed_paths=result.analyzed_paths
@@ -611,7 +391,7 @@ class TestSarif:
         out = tmp_path / "report.sarif"
         proc = subprocess.run(
             [sys.executable, "-m", "repro.staticcheck", "src/repro/util",
-             "--sarif", str(out), "--no-cache"],
+             "--sarif", str(out)],
             cwd=REPO_ROOT, capture_output=True, text=True,
             env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
         )
