@@ -38,6 +38,7 @@ from repro.hwtrace.cache import DecodeCache
 from repro.hwtrace.decoder import SoftwareDecoder, split_canonical_stream
 from repro.parallel.workers import shutdown_process_pool
 from repro.streaming import StreamingIngestor
+from repro.streaming.pipeline import QUEUE_CAPACITY
 from repro.util.bench import write_bench
 from repro.util.identity import reset_identity_counters
 from repro.util.units import MSEC
@@ -51,7 +52,7 @@ REPLICATIONS = 12
 TIMING_PASSES = 3
 #: streaming decode must keep at least this fraction of batch throughput
 MIN_DECODE_RATIO = 0.9
-#: deterministic virtual-time p99 queue lag budget (default StreamConfig)
+#: deterministic virtual-time p99 queue lag budget (pipeline constants)
 MAX_P99_LAG_NS = 1_000_000
 
 
@@ -186,9 +187,7 @@ def test_stream_throughput():
     )
     # lag comes from the virtual-time simulation: deterministic, bounded
     assert stats.p99_lag_ns <= MAX_P99_LAG_NS
-    assert stats.max_queue_depth <= StreamingIngestor(
-        app="Search1", binary=binary
-    ).config.queue_capacity
+    assert stats.max_queue_depth <= QUEUE_CAPACITY
     assert stats.backpressure_engagements > 0
 
     # -- dead-letter rate under the chaos preset -------------------------------

@@ -185,7 +185,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         reason=TraceReason(args.reason),
         period_ns=args.period_ms * MSEC,
         max_repetitions=args.max_repetitions,
-        shards=args.shards,
     ))
     if args.jobs and args.jobs > 1:
         from repro.parallel import RunPool
@@ -197,7 +196,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     else:
         master.reconcile(task, faults=plan, streaming=args.streaming)
     print(f"task {task.name}: {task.status.phase.value}")
-    print(f"  control shards:     {task.status.shards}")
     print(f"  repetitions traced: {task.status.sessions_completed}/{args.replicas}")
     print(f"  period:             {fmt_time(task.status.period_ns)}")
     print(f"  captured:           {fmt_bytes(int(task.status.bytes_captured))}")
@@ -458,11 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cluster.add_argument("--seed", type=int, default=7)
     cluster.add_argument("--jobs", type=int, default=1,
-                         help="worker processes the reconcile shards over")
-    cluster.add_argument(
-        "--shards", type=int, default=None,
-        help="control-plane shard count (default: derived from --jobs)",
-    )
+                         help="worker processes; each traced node runs as one "
+                              "pool task (output is identical for any width)")
     cluster.add_argument(
         "--max-repetitions", type=int, default=None,
         help="cap traced repetitions (default: RCO's spatial sampler)",
@@ -504,7 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--seed", type=int, default=11,
                        help="cluster/workload seed")
     chaos.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for trace decoding")
+                       help="worker processes each reconcile's traced "
+                            "nodes run on")
     chaos.add_argument("--json", default="",
                        help="write the sweep report JSON to this path")
     chaos.add_argument(

@@ -19,7 +19,6 @@ from repro.cluster.fleet import FleetIndex
 from repro.cluster.master import ClusterMaster, Deployment, RetryPolicy
 from repro.cluster.node import ClusterNode, NodeSpec, PodPlacement
 from repro.cluster.pod import Pod, PodPhase
-from repro.cluster.shard import ShardRing
 from repro.cluster.storage import ObjectStore, StructuredStore
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "NodeSpec",
     "PodPlacement",
     "FleetIndex",
-    "ShardRing",
     "Autoscaler",
     "AutoscalePolicy",
     "ChurnModel",

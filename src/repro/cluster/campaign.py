@@ -68,7 +68,8 @@ class ProfilingCampaign:
         """Profile as many due apps as the round budget allows.
 
         ``pool`` (a :class:`repro.parallel.RunPool`) is forwarded to each
-        reconcile's decode fan-out; ``faults`` (a
+        reconcile, which runs every traced node's tracing and decode as
+        one pool task; ``faults`` (a
         :class:`repro.faults.FaultPlan`) arms fault injection on every
         reconcile of the round — degraded tasks still contribute whatever
         coverage their salvaged sessions delivered.
@@ -109,8 +110,8 @@ class ProfilingCampaign:
         if task.status.phase not in (TaskPhase.COMPLETE, TaskPhase.DEGRADED):
             return
         # the master records per-pod coverage at reconcile time (the
-        # sessions may have run inside pool workers, so node facilities
-        # are not a reliable source here)
+        # sessions may have run inside pool workers, and reading node
+        # facilities would replay them in-process)
         for per_thread in self.master.task_coverage.get(task.name, {}).values():
             for intervals in per_thread.values():
                 progress.coverage.extend(intervals)

@@ -45,9 +45,6 @@ class TraceTaskSpec:
     #: explicit repetition cap (None = RCO's spatial sampler)
     max_repetitions: Optional[int] = None
     requester: str = "oncall"
-    #: explicit control-plane shard count (None = derived from the
-    #: reconcile pool's ``--jobs`` width)
-    shards: Optional[int] = None
 
     def to_manifest(self) -> Dict:
         """Kubernetes-style manifest dict (round-trips with from_manifest)."""
@@ -60,7 +57,6 @@ class TraceTaskSpec:
                 "periodNs": self.period_ns,
                 "maxRepetitions": self.max_repetitions,
                 "requester": self.requester,
-                "shards": self.shards,
             },
         }
 
@@ -75,7 +71,6 @@ class TraceTaskSpec:
             period_ns=spec.get("periodNs"),
             max_repetitions=spec.get("maxRepetitions"),
             requester=spec.get("requester", "oncall"),
-            shards=spec.get("shards"),
         )
 
 
@@ -86,8 +81,6 @@ class TraceTaskStatus:
     phase: TaskPhase = TaskPhase.PENDING
     selected_pods: List[str] = field(default_factory=list)
     period_ns: int = 0
-    #: control-plane shard count the reconcile actually ran with
-    shards: int = 0
     sessions_completed: int = 0
     bytes_captured: float = 0.0
     #: object-store keys of uploaded raw traces

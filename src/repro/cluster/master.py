@@ -8,14 +8,16 @@ tracing window, and (4) uploading raw traces to the object store and the
 decoded, structured results to the analytical store — the paper's §4
 control and data flows end to end.
 
-Sharded reconcile: the per-node tracing work (session start, fault
-arming, retries, salvage, decode) is packaged as node-disjoint *slots*
-and distributed over consistent-hash shards, each shard running as one
-task on the shared persistent worker pool.  A thin coordinator keeps all
+Pooled reconcile: the per-node tracing work (session start, fault
+arming, retries, salvage, decode) is packaged as node-disjoint *slots*,
+each running as one task on the shared persistent worker pool, whose
+work stealing balances the round.  A thin coordinator keeps all
 cross-node decisions (RCO sampling, timed-fault victim choice, refill
-rounds, quarantine) and merges shard results in slot-index order, so
-``jobs=1`` and ``jobs=N`` reconciles are byte-identical on a pristine
-fleet — including fault injection, retry backoff, and coverage metrics.
+rounds, quarantine) and merges slot results in slot-index order, so
+``jobs=1`` and ``jobs=N`` reconciles are byte-identical — including
+fault injection, retry backoff, and coverage metrics.  A slot that ran
+in a worker is replayed on the live node before the node is next used
+in-process, so later reconciles see the same node state at any width.
 Per-pod coordinator bookkeeping lives in numpy columns
 (:class:`~repro.cluster.fleet.FleetIndex`), which is what lets one
 master drive thousands of (lazily materialized) nodes.
@@ -23,6 +25,7 @@ master drive thousands of (lazily materialized) nodes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -36,7 +39,6 @@ from repro.cluster.node import (
     ClusterNode,
 )
 from repro.cluster.pod import Pod
-from repro.cluster.shard import ShardRing
 from repro.cluster.storage import BinaryRepository, ObjectStore, StructuredStore
 from repro.core.config import ExistConfig, TraceReason, TracingRequest
 from repro.core.rco import CoverageMetric, Repetition, RepetitionAwareCoverageOptimizer
@@ -48,7 +50,7 @@ from repro.hwtrace.decoder import encode_trace
 from repro.kernel.system import SystemConfig
 from repro.parallel.pool import RunPool
 from repro.program.workloads import WorkloadProfile, get_workload
-from repro.streaming import StreamConfig, StreamingIngestor
+from repro.streaming import StreamingIngestor
 from repro.streaming.pipeline import upload_stats
 from repro.util.units import MIB, MSEC
 
@@ -56,7 +58,7 @@ from repro.util.units import MIB, MSEC
 def _warm_worker_binary(app: str) -> None:
     """Regenerate ``app``'s memoized binary in this worker (warmup).
 
-    Broadcast once per reconcile so the first fan-out round doesn't pay
+    Broadcast once per reconcile so the first pooled round doesn't pay
     code generation in every worker mid-wave.
     """
     get_workload(app).binary()
@@ -280,40 +282,53 @@ def _run_slot(
     return outcome
 
 
-def _run_shard(payload) -> List[SlotOutcome]:
-    """Run one shard's slots in a pool worker.
+def _run_slot_with_plan(
+    slot_task: SlotTask,
+    policy: RetryPolicy,
+    plan: Optional[FaultPlan],
+    node: ClusterNode,
+) -> SlotOutcome:
+    """Run one slot on ``node`` with a fresh injector built from ``plan``.
 
-    Rebuilds each slot's node from its :class:`NodeSpec` (pinned
+    A pool worker runs it on a spec rebuild; the live node later replays
+    it with the same arguments.  The node was pristine at dispatch and
+    every slot-local fault stream is keyed by logical names, so the
+    replay leaves the live node where the worker's copy ended.
+    """
+    pod = next(p for p in node.pods if p.uid == slot_task.pod_uid)
+    injector = FaultInjector(plan) if plan is not None else None
+    return _run_slot(node, pod, slot_task, policy, injector)
+
+
+def _run_shard(payload) -> SlotOutcome:
+    """Run one slot in a pool worker.
+
+    Rebuilds the slot's node from its :class:`NodeSpec` (pinned
     pid/tids: no identity counters are drawn, and the rebuilt node
     produces byte-identical trace output to the coordinator's pristine
     original), runs the slot loop, and decodes in-worker against the
     fork-inherited binary cache (:func:`upload_stats`: the upload's own
-    CR3 only).  Ships back compact outcomes only.
+    CR3 only).  Ships back the compact outcome only.
     With ``decode`` False (streaming mode) the raw bytes come back
     undecoded — the streaming ingestor owns the decode instead.
     """
-    specs, slot_tasks, policy, plan, use_cache, decode = payload
-    nodes = {spec.name: ClusterNode.from_spec(spec) for spec in specs}
-    injector = FaultInjector(plan) if plan is not None else None
-    outcomes = []
-    for slot_task in slot_tasks:
-        node = nodes[slot_task.node_name]
-        pod = next(p for p in node.pods if p.uid == slot_task.pod_uid)
-        outcome = _run_slot(node, pod, slot_task, policy, injector)
-        if outcome.completed and decode:
-            (
-                outcome.records,
-                outcome.functions,
-                outcome.resyncs,
-                outcome.bytes_skipped,
-            ) = upload_stats(
-                outcome.cr3,
-                outcome.raw,
-                get_workload(slot_task.app).binary(),
-                process_decode_cache() if use_cache else None,
-            )
-        outcomes.append(outcome)
-    return outcomes
+    spec, slot_task, policy, plan, use_cache, decode = payload
+    outcome = _run_slot_with_plan(
+        slot_task, policy, plan, ClusterNode.from_spec(spec)
+    )
+    if outcome.completed and decode:
+        (
+            outcome.records,
+            outcome.functions,
+            outcome.resyncs,
+            outcome.bytes_skipped,
+        ) = upload_stats(
+            outcome.cr3,
+            outcome.raw,
+            get_workload(slot_task.app).binary(),
+            process_decode_cache() if use_cache else None,
+        )
+    return outcome
 
 
 @dataclass
@@ -500,13 +515,12 @@ class ClusterMaster:
         self.tasks.append(task)
         return task
 
-    # -- sharded reconcile ------------------------------------------------------
+    # -- pooled reconcile -------------------------------------------------------
 
     def _dispatch_round(
         self,
         slot_tasks: List[SlotTask],
         pods_by_uid: Dict[str, Pod],
-        ring: ShardRing,
         pool: Optional[RunPool],
         policy: RetryPolicy,
         faults: Optional[FaultPlan],
@@ -514,66 +528,49 @@ class ClusterMaster:
         binary,
         decode: bool = True,
     ) -> List[SlotOutcome]:
-        """Run one round's slots — sharded over the pool when possible.
+        """Run one round's slots — one pool task per slot when possible.
 
-        The worker path requires every slot node to be *rebuildable*
+        ``pool`` is None unless workers can regenerate ``binary``.  The
+        worker path also requires every slot node to be *rebuildable*
         (pristine: a spec rebuild is then byte-identical to the live
-        object) and the repository binary to be the memoized one (workers
-        regenerate it from the fork-inherited cache).  Anything else runs
-        the identical slot loop in-process on the live nodes, so both
-        paths produce the same outcomes.  ``decode`` False defers decode
-        to the streaming ingestor: outcomes carry raw bytes, stats zero.
+        object), and records each dispatched slot on its node for
+        replay.  Anything else runs the identical slot loop in-process on
+        the live nodes, so both paths produce the same outcomes.
+        Outcomes come back in slot order either way.  ``decode`` False
+        defers decode to the streaming ingestor: outcomes carry raw
+        bytes, stats zero.
         """
-        app = slot_tasks[0].app
         use_cache = self.decode_cache is not None
-        fan_out = (
-            pool is not None
-            and pool.parallel
-            and binary is get_workload(app).binary()
-            and all(
-                self.nodes[st.node_name].rebuildable for st in slot_tasks
-            )
-        )
-        if fan_out:
-            assert pool is not None
-            payloads = []
-            for group in ring.partition([st.node_name for st in slot_tasks]):
-                if not group:
-                    continue
-                shard_slots = tuple(slot_tasks[i] for i in group)
-                specs = tuple(
-                    self.nodes[name].to_spec()
-                    for name in dict.fromkeys(
-                        st.node_name for st in shard_slots
-                    )
+        if pool is not None and all(
+            self.nodes[st.node_name].rebuildable for st in slot_tasks
+        ):
+            outcomes = pool.map(_run_shard, [
+                (
+                    self.nodes[st.node_name].to_spec(),
+                    st, policy, faults, use_cache, decode,
                 )
-                payloads.append(
-                    (specs, shard_slots, policy, faults, use_cache, decode)
+                for st in slot_tasks
+            ])
+            for st in slot_tasks:
+                self.nodes[st.node_name].defer_replay(
+                    functools.partial(_run_slot_with_plan, st, policy, faults)
                 )
-            outcomes = [
-                outcome
-                for shard in pool.map(_run_shard, payloads)
-                for outcome in shard
-            ]
-            for slot_task in slot_tasks:
-                self.nodes[slot_task.node_name].trace_epochs += 1
-        else:
-            outcomes = []
-            for slot_task in slot_tasks:
-                node = self.nodes[slot_task.node_name]
-                pod = pods_by_uid[slot_task.pod_uid]
-                outcome = _run_slot(node, pod, slot_task, policy, injector)
-                if outcome.completed and decode:
-                    (
-                        outcome.records,
-                        outcome.functions,
-                        outcome.resyncs,
-                        outcome.bytes_skipped,
-                    ) = upload_stats(
-                        outcome.cr3, outcome.raw, binary, self.decode_cache
-                    )
-                outcomes.append(outcome)
-        outcomes.sort(key=lambda outcome: outcome.slot)
+            return outcomes
+        outcomes = []
+        for slot_task in slot_tasks:
+            node = self.nodes[slot_task.node_name]
+            pod = pods_by_uid[slot_task.pod_uid]
+            outcome = _run_slot(node, pod, slot_task, policy, injector)
+            if outcome.completed and decode:
+                (
+                    outcome.records,
+                    outcome.functions,
+                    outcome.resyncs,
+                    outcome.bytes_skipped,
+                ) = upload_stats(
+                    outcome.cr3, outcome.raw, binary, self.decode_cache
+                )
+            outcomes.append(outcome)
         return outcomes
 
     def reconcile(
@@ -583,22 +580,21 @@ class ClusterMaster:
         pool: Optional[RunPool] = None,
         faults: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        streaming=None,
+        streaming: bool = False,
     ) -> TraceTask:
         """Run the full reconciliation loop for one task.
 
-        ``pool`` (optional) shards the per-node tracing + decode work
-        across workers; results are byte-identical to the sequential
+        ``pool`` (optional) runs each node's tracing + decode work as
+        one worker task; results are byte-identical to the sequential
         path.  ``faults`` (optional) arms a seeded :class:`FaultPlan`
         against the run; the reconcile then *degrades* instead of
         failing — retrying in waves per ``retry_policy``, resampling
         replacement replicas, salvaging partial windows, and attaching a
         :class:`DegradationReport` with the honest loss accounting.
 
-        ``streaming`` switches decode from the batch wave path to the
-        online ingestion pipeline (``True`` for defaults, or a
-        :class:`~repro.streaming.StreamConfig`): completed slots feed
-        their uploads through the bounded backpressured queue as rounds
+        ``streaming`` True switches decode from the batch wave path to
+        the online ingestion pipeline: completed slots feed their
+        uploads through the bounded backpressured queue as rounds
         finish, corrupt uploads quarantine and replay, and the ingest
         accounting lands on ``task.status.stream``.  Coverage,
         degradation, and decode-loss end state is byte-identical to the
@@ -654,42 +650,29 @@ class ClusterMaster:
         task.status.phase = TaskPhase.SCHEDULED
         self._active_tasks += 1
 
-        n_shards = task.spec.shards or (
-            pool.max_workers if pool is not None else 1
-        )
-        ring = ShardRing(n_shards)
-        task.status.shards = ring.n_shards
         window = plan.period_ns + settle_ms * MSEC
         pods_by_uid = {pod.uid: pod for pod in deployment.pods}
         binary = self.binary_repository.fetch(task.spec.app)
-        if (
-            pool is not None
+        # workers regenerate the binary from the fork-inherited workload
+        # cache, so they can take slots and stream consumers only when
+        # the repository holds that memoized binary
+        worker_pool = (
+            pool
+            if pool is not None
             and pool.parallel
             and binary is get_workload(task.spec.app).binary()
-        ):
-            pool.broadcast(_warm_worker_binary, (task.spec.app,))
+            else None
+        )
+        if worker_pool is not None:
+            worker_pool.broadcast(_warm_worker_binary, (task.spec.app,))
 
         ingestor: Optional[StreamingIngestor] = None
         if streaming:
-            config = streaming if isinstance(streaming, StreamConfig) else None
-            # consumer fan-out needs workers to regenerate the binary
-            # from the fork-inherited workload cache, same as shard
-            # dispatch; otherwise consumers run in-process
-            stream_pool = (
-                pool
-                if (
-                    pool is not None
-                    and pool.parallel
-                    and binary is get_workload(task.spec.app).binary()
-                )
-                else None
-            )
             ingestor = StreamingIngestor(
                 app=task.spec.app,
                 binary=binary,
                 decode_cache=self.decode_cache,
-                pool=stream_pool,
-                config=config,
+                pool=worker_pool,
             )
 
         # (2+3) trace in rounds of node-disjoint slots: the initial
@@ -736,7 +719,7 @@ class ClusterMaster:
             fleet.mark_tracing(pending_rows)
 
             round_outcomes = self._dispatch_round(
-                round_tasks, pods_by_uid, ring, pool, policy, faults,
+                round_tasks, pods_by_uid, worker_pool, policy, faults,
                 injector, binary, decode=ingestor is None,
             )
             if ingestor is not None:
@@ -747,7 +730,7 @@ class ClusterMaster:
                     if outcome.completed:
                         ingestor.submit(outcome)
             # index-ordered merge: scratch reports fold in slot order, so
-            # the merged accounting is independent of shard layout
+            # the merged accounting is independent of worker placement
             failure_codes: List[int] = []
             for outcome in round_outcomes:
                 row = fleet.row_of(outcome.pod_uid)

@@ -11,10 +11,17 @@ Placement specs and lazy nodes: every pod placement is recorded as a
 *pinned* pid/tids drawn from the global identity counters at placement
 time.  A node is therefore a pure function of its :class:`NodeSpec`
 (:meth:`ClusterNode.from_spec` rebuilds it byte-identically, e.g. inside
-a pool worker running one control-plane shard), and a node constructed
+a pool worker running one reconcile slot), and a node constructed
 with ``lazy=True`` defers the expensive kernel/facility build until a
 reconcile actually traces it — which is what lets the fleet model scale
 to thousands of nodes.
+
+Worker replays: a slot that runs in a pool worker drives a rebuilt copy,
+so the live node stays at its pre-dispatch state.  The master records
+the slot on the node (:meth:`ClusterNode.defer_replay`), and the node
+replays it in-process the next time its state is read or changed —
+``alive``, ``system``, ``facility``, ``now`` or :meth:`place_pod` — so
+later in-process use sees exactly what a ``jobs=1`` run would.
 
 Fault surface: a node can *crash* (its clock halts, in-flight tracing
 sessions are aborted and their in-memory trace data is lost) and later
@@ -27,7 +34,7 @@ salvageable.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.cluster.pod import Pod, PodPhase
 from repro.core.config import ExistConfig, TracingRequest
@@ -94,12 +101,12 @@ class ClusterNode:
         self.pods: List[Pod] = []
         self.placements: List[PodPlacement] = []
         self._next_pin = 0
-        self.alive = True
+        self._alive = True
         self.crash_count = 0
         self.restart_count = 0
-        #: reconciles that traced this node via a pool worker (the parent
-        #: object stayed untouched, so ``now`` alone can't tell)
-        self.trace_epochs = 0
+        #: the slot a pool worker ran on a rebuild of this node, not yet
+        #: replayed here (see :meth:`defer_replay`)
+        self._replay: Optional[Callable[["ClusterNode"], object]] = None
         if not lazy:
             self.materialize()
 
@@ -145,12 +152,14 @@ class ClusterNode:
 
     @property
     def system(self) -> KernelSystem:
+        self._replay_worker_slot()
         self.materialize()
         assert self._system is not None
         return self._system
 
     @property
     def facility(self) -> ExistFacility:
+        self._replay_worker_slot()
         self.materialize()
         assert self._facility is not None
         return self._facility
@@ -197,18 +206,40 @@ class ClusterNode:
         """Whether a worker-side rebuild from spec matches this node.
 
         True only while the node is *pristine*: never crashed, restarted,
-        advanced in time, or traced by a pool worker on a previous
-        reconcile.  The sharded control plane dispatches only rebuildable
-        nodes to workers; anything else runs in-process on the live
-        object.
+        advanced in time, or traced by a pool worker.  The master
+        dispatches only rebuildable nodes to workers; anything else runs
+        in-process on the live object.  Reads no replayable state, so
+        asking never triggers a replay.
         """
         return (
-            self.alive
+            self._replay is None
+            and self._alive
             and self.crash_count == 0
             and self.restart_count == 0
-            and self.trace_epochs == 0
             and (self._system is None or self._system.sim.now == 0)
         )
+
+    def defer_replay(self, replay: Callable[["ClusterNode"], object]) -> None:
+        """Record the slot a pool worker ran on a rebuild of this node.
+
+        Only a rebuildable node goes to a worker, and a pending replay
+        makes it not rebuildable, so at most one is ever pending.
+        ``replay(node)`` re-runs that slot on this (still pristine)
+        node, in-process, right before the node's state is next read or
+        changed.
+        """
+        assert self._replay is None
+        self._replay = replay
+
+    def _replay_worker_slot(self) -> None:
+        replay, self._replay = self._replay, None
+        if replay is not None:
+            replay(self)
+
+    @property
+    def alive(self) -> bool:
+        self._replay_worker_slot()
+        return self._alive
 
     # -- pod placement -------------------------------------------------------
 
@@ -226,6 +257,7 @@ class ClusterNode:
         eager spawn would draw them — but the process itself spawns at
         :meth:`materialize` time.
         """
+        self._replay_worker_slot()
         n_cores = self.core_count
         if cpuset is None:
             if profile.provisioning is ProvisioningMode.CPU_SET:
@@ -303,7 +335,7 @@ class ClusterNode:
         """
         if not self.alive:
             return
-        self.alive = False
+        self._alive = False
         self.crash_count += 1
         otc = self.facility.otc
         if otc is not None:
@@ -327,7 +359,7 @@ class ClusterNode:
         self._system = KernelSystem(replace(self._base_config, seed=seed))
         self._facility = ExistFacility(self._system, self._exist_config, seed=seed)
         self._facility.install()
-        self.alive = True
+        self._alive = True
         for index, (placement, pod) in enumerate(
             zip(self.placements, self.pods)
         ):
@@ -371,6 +403,7 @@ class ClusterNode:
 
     @property
     def now(self) -> int:
+        self._replay_worker_slot()
         if self._system is None:
             return 0
         return self._system.sim.now
@@ -380,5 +413,5 @@ class ClusterNode:
         return self.system.topology.utilization(max(self.now, 1))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "up" if self.alive else "down"
+        state = "up" if self._alive else "down"
         return f"ClusterNode({self.name}, pods={len(self.pods)}, {state})"

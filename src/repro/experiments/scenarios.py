@@ -258,7 +258,7 @@ def run_chaos_scenario(
     retry_policy=None,
     reset_identities: bool = True,
     decode_cache=True,
-    streaming=None,
+    streaming: bool = False,
 ) -> Dict:
     """One seeded chaos reconcile on a fresh cluster; returns plain data.
 
@@ -277,9 +277,8 @@ def run_chaos_scenario(
     returned dict — cached and uncached decodes are byte-identical, so
     the dict remains comparable across cache settings and ``jobs``.
 
-    ``streaming`` (``True`` or a :class:`~repro.streaming.StreamConfig`)
-    reconciles through the online ingestion pipeline instead of batch
-    decode.  Like cache counters, the streaming-ingest accounting stays
+    ``streaming`` True reconciles through the online ingestion pipeline
+    instead of batch decode.  Like cache counters, the streaming-ingest accounting stays
     out of the returned dict: streaming and batch runs must compare
     equal, which is exactly the parity the tests assert.
     """
@@ -341,7 +340,7 @@ def chaos_sweep(
     seed: int = 11,
     jobs: int = 1,
     decode_cache=True,
-    streaming=None,
+    streaming: bool = False,
 ) -> Dict:
     """Run the chaos scenario across fault seeds; aggregate the damage.
 

@@ -69,10 +69,6 @@ class RunPool:
         caches here.  Workers forked after the warmup inherit the warm
         caches copy-on-write; workers forked earlier warm up lazily on
         first use and stay warm for every later map.
-    chunksize:
-        Cells dispatched to a worker per round trip.  Cells are coarse
-        (milliseconds to seconds each), so the default of 1 keeps the
-        pool balanced; raise it for very large grids of tiny cells.
     """
 
     def __init__(
@@ -80,12 +76,10 @@ class RunPool:
         max_workers: Optional[int] = None,
         base_seed: int = 0,
         warmup: Sequence[Callable[[], object]] = (),
-        chunksize: int = 1,
     ):
         if max_workers is None:
             max_workers = os.cpu_count() or 1
         self.base_seed = int(base_seed)
-        self.chunksize = max(1, int(chunksize))
         for fn in warmup:
             fn()
         self.max_workers = max(1, int(max_workers))
@@ -114,9 +108,7 @@ class RunPool:
         items = list(items)
         if self._pool is None or self._pool.closed:
             return [fn(item) for item in items]
-        return self._pool.map(
-            fn, items, chunksize=self.chunksize, width=self.max_workers
-        )
+        return self._pool.map(fn, items, width=self.max_workers)
 
     def broadcast(self, fn: Callable[[], object], args: tuple = ()) -> List:
         """Run ``fn(*args)`` once in each worker this pool dispatches to.

@@ -114,8 +114,8 @@ def _worker_main(conn: Connection, worker_id: int, base_seed: int) -> None:
     * ``None`` — shut down;
     * ``("call", fn, args)`` — broadcast call (warmups);
       replies ``("call", ok, payload)``;
-    * ``("tasks", fn, [(index, item), ...])`` — run a chunk of tasks;
-      replies ``("tasks", [(index, ok, payload), ...])``.
+    * ``("task", fn, index, item)`` — run one map task;
+      replies ``("task", ok, payload)``.
     """
     from repro.parallel import pool as pool_module
 
@@ -136,17 +136,14 @@ def _worker_main(conn: Connection, worker_id: int, base_seed: int) -> None:
             except BaseException as exc:  # noqa: B036 - must ship anything
                 conn.send(("call", False, _RemoteError(exc)))
             continue
-        _, fn, batch = message
-        replies = []
-        for index, item in batch:
-            # per-task reseed: stray global-RNG use becomes a function of
-            # the task index, never of worker identity or placement
-            _reseed_globals(derive_seed(base_seed, "task", index))
-            try:
-                replies.append((index, True, fn(item)))
-            except BaseException as exc:  # noqa: B036 - must ship anything
-                replies.append((index, False, _RemoteError(exc)))
-        conn.send(("tasks", replies))
+        _, fn, index, item = message
+        # per-task reseed: stray global-RNG use becomes a function of
+        # the task index, never of worker identity or placement
+        _reseed_globals(derive_seed(base_seed, "task", index))
+        try:
+            conn.send(("task", True, fn(item)))
+        except BaseException as exc:  # noqa: B036 - must ship anything
+            conn.send(("task", False, _RemoteError(exc)))
     try:
         conn.close()
     except OSError:  # pragma: no cover - already torn down
@@ -195,7 +192,7 @@ class WorkerPool:
 
     The parent owns the per-worker task deques and dispatches over pipes
     (tasks are coarse — milliseconds to seconds — so coordination cost is
-    noise).  A worker finishing its chunk is handed the next index from
+    noise).  A worker finishing its task is handed the next index from
     its *own* deque front; when that runs dry the parent steals from the
     **back** of the longest sibling deque, which is exactly the classic
     steal-half locality argument: the back of a deque holds the work its
@@ -235,7 +232,6 @@ class WorkerPool:
         self,
         fn: Callable[[T], R],
         items: Sequence[T],
-        chunksize: int = 1,
         width: Optional[int] = None,
     ) -> List[R]:
         """Apply ``fn`` to every item; results in input order.
@@ -252,7 +248,6 @@ class WorkerPool:
         with self._lock:
             self.stats.maps += 1
             workers = self._workers[: width or len(self._workers)]
-            chunksize = max(1, int(chunksize))
             n_workers = len(workers)
 
             results: List[Optional[R]] = [None] * len(items)
@@ -260,28 +255,21 @@ class WorkerPool:
             for index in range(len(items)):
                 deques[index % n_workers].append(index)
             attempts: Dict[int, int] = {}
-            #: worker slot -> batch of (index, item) currently running there
-            in_flight: Dict[int, List] = {}
+            #: worker slot -> index of the task currently running there
+            in_flight: Dict[int, int] = {}
             failure: Optional[BaseException] = None
 
-            def next_batch(slot: int) -> List:
-                batch = []
-                own = deques[slot]
-                while own and len(batch) < chunksize:
-                    batch.append(own.popleft())
-                if not batch:
-                    victim = max(range(n_workers), key=lambda v: len(deques[v]))
-                    if deques[victim]:
-                        self.stats.steals += 1
-                        while deques[victim] and len(batch) < chunksize:
-                            batch.append(deques[victim].pop())
-                return [(index, items[index]) for index in batch]
-
             def dispatch(slot: int) -> None:
-                batch = next_batch(slot)
-                if batch:
-                    in_flight[slot] = batch
-                    workers[slot].conn.send(("tasks", fn, batch))
+                if deques[slot]:
+                    index = deques[slot].popleft()
+                else:
+                    victim = max(range(n_workers), key=lambda v: len(deques[v]))
+                    if not deques[victim]:
+                        return
+                    self.stats.steals += 1
+                    index = deques[victim].pop()
+                in_flight[slot] = index
+                workers[slot].conn.send(("task", fn, index, items[index]))
 
             def respawn(slot: int) -> None:
                 self.stats.respawns += 1
@@ -304,37 +292,31 @@ class WorkerPool:
                     try:
                         message = conn.recv()
                     except (EOFError, OSError):
-                        # worker died mid-batch: respawn, re-dispatch its
-                        # tasks unless one of them already struck twice
-                        lost = in_flight.pop(slot)
+                        # worker died mid-task: respawn, re-dispatch the
+                        # task unless it already struck twice
+                        index = in_flight.pop(slot)
                         respawn(slot)
-                        nonlocal_failure = None
-                        for index, _item in lost:
-                            attempts[index] = attempts.get(index, 0) + 1
-                            if attempts[index] >= _MAX_TASK_ATTEMPTS:
-                                nonlocal_failure = WorkerCrashError(
-                                    f"task {index} killed its worker "
-                                    f"{attempts[index]} times"
-                                )
-                        if nonlocal_failure is not None:
-                            failure = failure or nonlocal_failure
+                        attempts[index] = attempts.get(index, 0) + 1
+                        if attempts[index] >= _MAX_TASK_ATTEMPTS:
+                            failure = failure or WorkerCrashError(
+                                f"task {index} killed its worker "
+                                f"{attempts[index]} times"
+                            )
                         elif failure is None:
-                            for index, _item in reversed(lost):
-                                deques[slot].appendleft(index)
+                            deques[slot].appendleft(index)
                         if failure is None:
                             dispatch(slot)
                         continue
-                    kind, payload = message[0], message[1]
-                    in_flight.pop(slot)
-                    assert kind == "tasks"
-                    for index, ok, value in payload:
-                        self.stats.tasks += 1
-                        if ok:
-                            results[index] = value
-                        else:
-                            self.stats.task_failures += 1
-                            if failure is None:
-                                failure = value.rebuild()
+                    kind, ok, value = message
+                    index = in_flight.pop(slot)
+                    assert kind == "task"
+                    self.stats.tasks += 1
+                    if ok:
+                        results[index] = value
+                    else:
+                        self.stats.task_failures += 1
+                        if failure is None:
+                            failure = value.rebuild()
                     if failure is None:
                         dispatch(slot)
 

@@ -12,18 +12,13 @@ byte-identical to batch reconcile (see
 
 from repro.streaming.backpressure import CreditController
 from repro.streaming.deadletter import DeadLetter, DeadLetterQueue
-from repro.streaming.pipeline import (
-    StreamConfig,
-    StreamStats,
-    StreamingIngestor,
-)
+from repro.streaming.pipeline import StreamStats, StreamingIngestor
 from repro.streaming.queue import VirtualDecodeQueue
 
 __all__ = [
     "CreditController",
     "DeadLetter",
     "DeadLetterQueue",
-    "StreamConfig",
     "StreamStats",
     "StreamingIngestor",
     "VirtualDecodeQueue",

@@ -25,7 +25,7 @@ Determinism contract — the property everything here is built around:
   decode-loss accounting downstream are therefore byte-identical.
 * **Width independence.**  Queue lag, backpressure engagements, and
   occupancy come from the virtual-time simulation (fixed
-  ``virtual_consumers``, integer ns), never from wall clocks or the
+  :data:`VIRTUAL_CONSUMERS`, integer ns), never from wall clocks or the
   worker count, so streaming stats are identical across ``--jobs``
   widths; real pool dispatch only changes wall-clock speed.
 """
@@ -33,7 +33,7 @@ Determinism contract — the property everything here is built around:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
@@ -44,6 +44,29 @@ from repro.streaming.backpressure import CreditController
 from repro.streaming.deadletter import DeadLetterQueue
 from repro.streaming.queue import VirtualDecodeQueue
 from repro.util.stats import percentile
+
+# Pipeline constants, all virtual-time.  VIRTUAL_CONSUMERS is
+# deliberately fixed rather than the pool width: it parameterizes the
+# deterministic queue simulation, which must not vary with ``--jobs``.
+
+#: bounded queue size — the producer's total credit pool
+QUEUE_CAPACITY = 64
+#: occupancy at which backpressure engages
+HIGH_WATERMARK = 48
+#: occupancy at which engaged backpressure releases
+LOW_WATERMARK = 16
+#: simulated decode workers draining the virtual queue
+VIRTUAL_CONSUMERS = 4
+#: producer gap between consecutive chunk enqueues
+ENQUEUE_GAP_NS = 2_000
+#: fixed per-chunk decode cost in the simulation
+CHUNK_OVERHEAD_NS = 10_000
+#: marginal decode cost per body byte in the simulation
+DECODE_NS_PER_BYTE = 30
+#: producer delay per enqueue while backpressure is engaged
+STALL_NS = 50_000
+#: chunk work units dispatched to the real consumers per flush
+BATCH_CHUNKS = 64
 
 
 def upload_stats(cr3: int, raw: bytes, binary, cache) -> Tuple[int, int, int, int]:
@@ -118,39 +141,6 @@ def _replay_upload(payload) -> Tuple[int, int, int, int]:
     app, use_cache, cr3, raw = payload
     cache = process_decode_cache() if use_cache else None
     return upload_stats(cr3, raw, get_workload(app).binary(), cache)
-
-
-@dataclass(frozen=True)
-class StreamConfig:
-    """Tuning knobs of the streaming pipeline (all virtual-time).
-
-    ``virtual_consumers`` is deliberately a fixed constant rather than
-    the pool width: it parameterizes the deterministic queue simulation,
-    which must not vary with ``--jobs``.
-    """
-
-    #: bounded queue size — the producer's total credit pool
-    queue_capacity: int = 64
-    #: occupancy at which backpressure engages
-    high_watermark: int = 48
-    #: occupancy at which engaged backpressure releases
-    low_watermark: int = 16
-    #: simulated decode workers draining the virtual queue
-    virtual_consumers: int = 4
-    #: producer gap between consecutive chunk enqueues
-    enqueue_gap_ns: int = 2_000
-    #: fixed per-chunk decode cost in the simulation
-    chunk_overhead_ns: int = 10_000
-    #: marginal decode cost per body byte in the simulation
-    decode_ns_per_byte: int = 30
-    #: producer delay per enqueue while backpressure is engaged
-    stall_ns: int = 50_000
-    #: chunk work units dispatched to the real consumers per flush
-    batch_chunks: int = 64
-
-    def service_ns(self, body_len: int) -> int:
-        """Simulated decode time of one chunk body."""
-        return self.chunk_overhead_ns + body_len * self.decode_ns_per_byte
 
 
 @dataclass
@@ -248,21 +238,19 @@ class StreamingIngestor:
         binary,
         decode_cache=None,
         pool=None,
-        config: Optional[StreamConfig] = None,
     ):
-        self.config = config or StreamConfig()
         self.app = app
         self._binary = binary
         self._use_cache = decode_cache is not None
         self._pool = pool if (pool is not None and pool.parallel) else None
         self._decoder = SoftwareDecoder({}, cache=decode_cache)
         self._known_cr3s: Set[int] = set()
-        self.queue = VirtualDecodeQueue(self.config.virtual_consumers)
+        self.queue = VirtualDecodeQueue(VIRTUAL_CONSUMERS)
         self.controller = CreditController(
-            capacity=self.config.queue_capacity,
-            high_watermark=self.config.high_watermark,
-            low_watermark=self.config.low_watermark,
-            stall_ns=self.config.stall_ns,
+            capacity=QUEUE_CAPACITY,
+            high_watermark=HIGH_WATERMARK,
+            low_watermark=LOW_WATERMARK,
+            stall_ns=STALL_NS,
         )
         self.dead_letters = DeadLetterQueue()
         self.stats = StreamStats()
@@ -305,27 +293,22 @@ class StreamingIngestor:
             )
             return
         self._accumulators[key] = _SessionAccumulator()
-        config = self.config
         # hot loop: one pace/admit per chunk; everything else is hoisted
         pace = self.controller.pace
         admit = self.queue.admit
         record_lag = self._lags.append
         queue = self.queue
-        gap_ns = config.enqueue_gap_ns
-        overhead_ns = config.chunk_overhead_ns
-        per_byte_ns = config.decode_ns_per_byte
-        batch_chunks = config.batch_chunks
         clock = self._clock
         pending = self._pending
         for cr3, body in units:
-            arrival = pace(queue, clock + gap_ns)
+            arrival = pace(queue, clock + ENQUEUE_GAP_NS)
             start, _completion = admit(
-                arrival, overhead_ns + len(body) * per_byte_ns
+                arrival, CHUNK_OVERHEAD_NS + len(body) * DECODE_NS_PER_BYTE
             )
             clock = arrival
             record_lag(start - arrival)
             pending.append((key, cr3, body))
-            if len(pending) >= batch_chunks:
+            if len(pending) >= BATCH_CHUNKS:
                 self._clock = clock
                 self._flush()
                 pending = self._pending

@@ -1,5 +1,5 @@
-"""Tests for the sharded control plane: ring, fleet index, lazy nodes,
-node spec rebuilds, pool parity, churn, and autoscaling."""
+"""Tests for the pooled control plane: fleet index, lazy nodes, node
+spec rebuilds, worker-slot replay, pool parity, churn, and autoscaling."""
 
 import json
 
@@ -7,53 +7,17 @@ import numpy as np
 import pytest
 
 from repro.cluster.autoscale import Autoscaler, AutoscalePolicy, ChurnModel
+from repro.cluster.campaign import ProfilingCampaign
 from repro.cluster.crd import TaskPhase, TraceTaskSpec
 from repro.cluster.fleet import ABANDONED, ACHIEVED, SELECTED, FleetIndex
 from repro.cluster.master import ClusterMaster, RetryPolicy
 from repro.cluster.node import ClusterNode
-from repro.cluster.shard import ShardRing
 from repro.core.config import TraceReason, TracingRequest
 from repro.faults.plan import FaultPlan
 from repro.parallel.pool import RunPool
 from repro.parallel.workers import shutdown_process_pool
 from repro.util.identity import reset_identity_counters
 from repro.util.units import MSEC
-
-
-class TestShardRing:
-    def test_stable_across_instances(self):
-        a, b = ShardRing(4), ShardRing(4)
-        keys = [f"node-{i:05d}" for i in range(200)]
-        assert [a.shard_of(k) for k in keys] == [b.shard_of(k) for k in keys]
-
-    def test_single_shard_fast_path(self):
-        ring = ShardRing(1)
-        assert {ring.shard_of(f"n{i}") for i in range(50)} == {0}
-
-    def test_partition_preserves_index_order(self):
-        ring = ShardRing(3)
-        keys = [f"node-{i}" for i in range(100)]
-        groups = ring.partition(keys)
-        assert sorted(i for g in groups for i in g) == list(range(100))
-        for group in groups:
-            assert group == sorted(group)
-
-    def test_roughly_balanced(self):
-        ring = ShardRing(4)
-        keys = [f"node-{i:05d}" for i in range(2000)]
-        groups = ring.partition(keys)
-        sizes = [len(g) for g in groups]
-        assert min(sizes) > 0
-        assert max(sizes) < 2000 * 0.6  # no shard owns a super-majority
-
-    def test_consistency_under_width_change(self):
-        keys = [f"node-{i:05d}" for i in range(1000)]
-        small, large = ShardRing(4), ShardRing(5)
-        moved = sum(
-            1 for k in keys if small.shard_of(k) != large.shard_of(k)
-        )
-        # consistent hashing moves ~1/n of the keys, not most of them
-        assert moved < 1000 * 0.5
 
 
 class TestFleetIndex:
@@ -146,7 +110,7 @@ class TestLazyNodes:
 
 
 class TestShardedReconcileParity:
-    def _run(self, jobs, faults=None, shards=None):
+    def _run(self, jobs, faults=None):
         reset_identity_counters()
         master = ClusterMaster(seed=7, decode_cache=False)
         master.add_nodes(8, base_seed=50)
@@ -155,7 +119,6 @@ class TestShardedReconcileParity:
             app="Search1",
             reason=TraceReason.ANOMALY,
             period_ns=40 * MSEC,
-            shards=shards,
         ))
         plan = FaultPlan.parse(faults, seed=11) if faults else None
         if jobs > 1:
@@ -182,10 +145,9 @@ class TestShardedReconcileParity:
     def test_pool_parity_fault_free(self):
         _task, serial = self._run(jobs=1)
         shutdown_process_pool()
-        task, sharded = self._run(jobs=2)
+        _task, sharded = self._run(jobs=2)
         shutdown_process_pool()
         assert serial == sharded
-        assert task.status.shards == 2
 
     @pytest.mark.slow
     def test_pool_parity_under_chaos(self):
@@ -195,15 +157,33 @@ class TestShardedReconcileParity:
         shutdown_process_pool()
         assert serial == sharded
 
-    def test_explicit_shard_count_recorded(self):
-        task, _ = self._run(jobs=1, shards=4)
-        assert task.status.shards == 4
-        assert task.finished
 
-    def test_spec_shards_roundtrip_manifest(self):
-        spec = TraceTaskSpec(app="Search1", shards=3)
-        clone = TraceTaskSpec.from_manifest(spec.to_manifest())
-        assert clone.shards == 3
+class TestWorkerSlotReplay:
+    """A slot that ran in a pool worker replays on the live node before
+    the node is next used in-process, so later rounds pick up where the
+    worker left off instead of re-tracing from t=0."""
+
+    def _campaign_coverage(self, pool):
+        reset_identity_counters()
+        master = ClusterMaster(seed=3)
+        master.add_nodes(2, base_seed=30)
+        master.deploy("Search1", replicas=2)
+        campaign = ProfilingCampaign(master, ["Search1"], period_ns=40 * MSEC)
+        coverage = []
+        for _ in range(4):
+            campaign.run_round(pool=pool)
+            coverage.append(campaign.coverage_report()["Search1"])
+        return coverage
+
+    def test_campaign_coverage_independent_of_jobs(self):
+        shutdown_process_pool()
+        serial = self._campaign_coverage(None)
+        with RunPool(max_workers=2) as pool:
+            pooled = self._campaign_coverage(pool)
+        shutdown_process_pool()
+        assert pooled == serial
+        # every round profiles new windows
+        assert all(a < b for a, b in zip(serial, serial[1:]))
 
 
 class TestChaosDecodeParity:

@@ -10,6 +10,8 @@ from repro.cluster.master import ClusterMaster
 from repro.cluster.node import ClusterNode
 from repro.core.config import TraceReason
 from repro.experiments.scenarios import run_traced_execution
+from repro.parallel.pool import RunPool
+from repro.parallel.workers import shutdown_process_pool
 from repro.tracing.ebpf import EbpfScheme
 from repro.util.units import MSEC
 
@@ -65,20 +67,28 @@ class TestClusterPipeline:
             assert row["bytes"] > 0
             assert row["records"] > 0
 
-    def test_two_sequential_tasks_share_facilities(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_two_sequential_tasks_share_facilities(self, jobs):
+        # at jobs=2 the first task runs in a worker: the live node must
+        # still carry that session when the second task traces it
         master = ClusterMaster(seed=5)
         master.add_node(ClusterNode("n0", seed=0))
         master.deploy("Agent", replicas=1)
+        pool = RunPool(max_workers=jobs)
         for _ in range(2):
             task = master.submit(
                 TraceTaskSpec(
                     app="Agent", reason=TraceReason.ANOMALY, period_ns=100 * MSEC
                 )
             )
-            master.reconcile(task)
+            master.reconcile(task, pool=pool)
             assert task.status.phase is TaskPhase.COMPLETE
+        pool.close()
+        shutdown_process_pool()
         node = master.nodes["n0"]
         assert len(node.facility.completed) == 2
+        # two 100 ms periods plus 50 ms settle each, back to back
+        assert node.now == 300 * MSEC
         # buffers fully released after both sessions
         assert node.system.facility_memory_bytes == 0
 

@@ -22,10 +22,10 @@ from repro.hwtrace.tracer import TraceSegment
 from repro.streaming import (
     CreditController,
     DeadLetterQueue,
-    StreamConfig,
     StreamingIngestor,
     VirtualDecodeQueue,
 )
+from repro.streaming.pipeline import QUEUE_CAPACITY
 
 
 def make_segment(path, *, cr3=0x1000, e0=0, e1=50, t0=100, truncate=None):
@@ -204,17 +204,6 @@ class TestStreamingReconcileParity:
                                  jobs=2)
         assert canonical_fingerprint(one) == canonical_fingerprint(two)
 
-    def test_custom_config_preserves_parity(self):
-        # aggressive backpressure changes pacing, never decoded results
-        tight = StreamConfig(
-            queue_capacity=4, high_watermark=3, low_watermark=1,
-            batch_chunks=8,
-        )
-        batch = run_chaos_scenario(faults="none", fault_seed=0)
-        stream = run_chaos_scenario(faults="none", fault_seed=0,
-                                    streaming=tight)
-        assert canonical_fingerprint(batch) == canonical_fingerprint(stream)
-
 
 class TestStreamingStatus:
     def _reconcile(self, faults=None, streaming=True, nodes=2):
@@ -243,7 +232,7 @@ class TestStreamingStatus:
         return task
 
     def test_batch_reconcile_leaves_stream_unset(self):
-        task = self._reconcile(streaming=None)
+        task = self._reconcile(streaming=False)
         assert task.status.stream is None
 
     def test_stream_accounting_on_status(self):
@@ -254,6 +243,9 @@ class TestStreamingStatus:
         assert stream["chunks"] > 0
         assert stream["dead_letters"] == 0
         assert stream["makespan_ns"] > 0
+        # the default queue fills past its high watermark on this load
+        assert stream["backpressure_engagements"] > 0
+        assert stream["max_queue_depth"] <= QUEUE_CAPACITY
 
     def test_chaos_uploads_quarantine_and_replay(self):
         task = self._reconcile(faults="chaos")
@@ -266,17 +258,6 @@ class TestStreamingStatus:
         assert stream["dead_letter_rate"] > 0
         report = task.status.degradation
         assert report is not None and report.decode_resyncs > 0
-
-    def test_tight_queue_engages_backpressure(self):
-        task = self._reconcile(
-            streaming=StreamConfig(
-                queue_capacity=8, high_watermark=6, low_watermark=2,
-            )
-        )
-        stream = task.status.stream
-        assert stream["backpressure_engagements"] > 0
-        assert stream["max_queue_depth"] <= 8
-        assert stream["throttled_ns"] > 0
 
 
 class TestIngestorContract:
