@@ -67,10 +67,16 @@ class TestClusterPipeline:
             assert row["bytes"] > 0
             assert row["records"] > 0
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_two_sequential_tasks_share_facilities(self, jobs):
+    def test_two_sequential_tasks_share_facilities(self):
+        self._two_sequential_tasks(jobs=1)
+
+    def test_two_sequential_tasks_share_facilities_pooled(self):
         # at jobs=2 the first task runs in a worker: the live node must
         # still carry that session when the second task traces it
+        self._two_sequential_tasks(jobs=2)
+
+    @staticmethod
+    def _two_sequential_tasks(jobs):
         master = ClusterMaster(seed=5)
         master.add_node(ClusterNode("n0", seed=0))
         master.deploy("Agent", replicas=1)
