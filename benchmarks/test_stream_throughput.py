@@ -7,12 +7,14 @@ Measurements recorded to ``BENCH_stream.json`` (uniform schema via
   harvested upload set decoded repeatedly (steady state, decode cache
   attached on both paths, mirroring the production default) through the
   batch whole-stream decoder and through the streaming consumer stage
-  (``split_canonical_stream`` + per-chunk ``decode_chunk``).  The
+  (``split_canonical_stream``, then one ``decode_chunks`` call per
+  ``BATCH_CHUNKS`` batch, as the in-process consumer runs it).  The
   streaming/batch ratio is asserted ``>= 0.9`` directly — incremental
   decode must keep up with the batch path it replaces.
 * **full-pipeline sustained ingest** — chunks/s and MB/s through the
-  complete :class:`StreamingIngestor` (virtual-time queue, credit-based
-  backpressure, accounting included), plus the deterministic p99 queue
+  complete :class:`StreamingIngestor` (one virtual-time pacing pass per
+  upload under credit-based backpressure, batched decode, accounting
+  included), plus the deterministic p99 queue
   lag, max occupancy, and backpressure engagement count the virtual
   simulation reports.
 * **dead-letter rate under chaos** — a chaos-preset streaming reconcile:
@@ -38,7 +40,7 @@ from repro.hwtrace.cache import DecodeCache
 from repro.hwtrace.decoder import SoftwareDecoder, split_canonical_stream
 from repro.parallel.workers import shutdown_process_pool
 from repro.streaming import StreamingIngestor
-from repro.streaming.pipeline import QUEUE_CAPACITY
+from repro.streaming.pipeline import BATCH_CHUNKS, QUEUE_CAPACITY
 from repro.util.bench import write_bench
 from repro.util.identity import reset_identity_counters
 from repro.util.units import MSEC
@@ -135,12 +137,16 @@ def test_stream_throughput():
         unit for _cr3, raw in uploads for unit in split_canonical_stream(raw)
     ]
     chunk_count = len(chunk_units) * REPLICATIONS
+    chunk_batches = [
+        tuple(zip(*chunk_units[first:first + BATCH_CHUNKS]))
+        for first in range(0, len(chunk_units), BATCH_CHUNKS)
+    ]
 
     def consume_pass():
-        decode_chunk = chunk_decoder.decode_chunk
+        decode_chunks = chunk_decoder.decode_chunks
         for _ in range(REPLICATIONS):
-            for cr3, body in chunk_units:
-                decode_chunk(cr3, body)
+            for cr3s, bodies in chunk_batches:
+                decode_chunks(cr3s, bodies)
 
     consume_pass()
     stream_decode_s = _best_of(consume_pass)

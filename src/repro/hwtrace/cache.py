@@ -39,7 +39,9 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from typing import Dict, List, Optional, Tuple
+from collections import OrderedDict, deque
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,6 +50,9 @@ import numpy as np
 UNKNOWN_BINARY_FP = b"\x00<unknown-binary>"
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
+
+#: the body half of a ``(fingerprint, body)`` cache key
+_BODY = itemgetter(1)
 
 
 def binary_fingerprint(binary) -> bytes:
@@ -114,7 +119,8 @@ class DecodeCache:
         if max_bytes <= 0:
             raise ValueError("max_bytes must be positive")
         self.max_bytes = int(max_bytes)
-        self._entries: Dict[Tuple[bytes, bytes], ChunkEntry] = {}
+        #: least recently used first
+        self._entries: "OrderedDict[Tuple[bytes, bytes], ChunkEntry]" = OrderedDict()
         self._lock = threading.Lock()
         self.current_bytes = 0
         self.hits = 0
@@ -128,40 +134,63 @@ class DecodeCache:
         #: streams that bypassed the cache (non-canonical / corrupt)
         self.fallbacks = 0
 
-    # -- lookup / insert ---------------------------------------------------
+    # -- lookup ------------------------------------------------------------
 
-    def get(self, key: Tuple[bytes, bytes]) -> Optional[ChunkEntry]:
-        """Entry for ``key`` (refreshing its LRU position), or ``None``."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            # dicts preserve insertion order: re-insert to mark recency
-            del self._entries[key]
-            self._entries[key] = entry
-            self.hits += 1
-            self.bytes_saved += len(key[1])
-            return entry
+    def get_or_resolve(
+        self,
+        keys: Sequence[Tuple[bytes, bytes]],
+        resolve: Callable[[List[int]], List[ChunkEntry]],
+    ) -> List[ChunkEntry]:
+        """Entries for a batch of keys, resolving the misses in one call.
 
-    def put(self, key: Tuple[bytes, bytes], entry: ChunkEntry) -> None:
-        """Insert ``entry``, evicting least-recently-used past the budget."""
-        cost = entry.cost_bytes + len(key[1])
+        ``resolve`` receives the positions in ``keys`` of the distinct
+        missed keys and returns their entries, which are inserted.  The
+        lock is taken once for the whole batch.  Counters equal those of
+        looking the keys up one at a time, in order, and inserting each
+        miss before the next lookup: a key repeating one that missed
+        earlier in the batch is a hit.  Only a batch that overflows the
+        byte budget can tell the two apart: its new entries rank as more
+        recently used than its hits, and a repeat of an entry too large
+        to cache still counts a hit.
+        """
         with self._lock:
-            if cost > self.max_bytes:
-                return  # larger than the whole budget: not worth caching
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self.current_bytes -= old.cost_bytes + len(key[1])
-            self._entries[key] = entry
-            self.current_bytes += cost
-            self.insertions += 1
-            self.bytes_decoded += len(key[1])
-            while self.current_bytes > self.max_bytes:
-                evicted_key, evicted = next(iter(self._entries.items()))
-                del self._entries[evicted_key]
-                self.current_bytes -= evicted.cost_bytes + len(evicted_key[1])
-                self.evictions += 1
+            table = self._entries
+            found: List[Optional[ChunkEntry]] = list(map(table.get, keys))
+            missed: Dict[Tuple[bytes, bytes], int] = {}
+            if None in found:
+                for position, (key, entry) in enumerate(zip(keys, found)):
+                    if entry is None and key not in missed:
+                        missed[key] = position
+                hit_keys = [key for key, entry in zip(keys, found) if entry is not None]
+            else:
+                hit_keys = keys
+            # the common all-hit batch never leaves C: lookups above,
+            # recency refresh and byte count here
+            deque(map(table.move_to_end, hit_keys), maxlen=0)
+            self.hits += len(keys) - len(missed)
+            self.bytes_saved += sum(map(len, map(_BODY, keys))) - sum(
+                map(len, map(_BODY, missed))
+            )
+            if missed:
+                self.misses += len(missed)
+                positions = list(missed.values())
+                for key, position, entry in zip(missed, positions, resolve(positions)):
+                    found[position] = entry
+                    cost = entry.cost_bytes + len(key[1])
+                    if cost > self.max_bytes:
+                        continue  # larger than the whole budget: not worth caching
+                    table[key] = entry
+                    self.current_bytes += cost
+                    self.insertions += 1
+                    self.bytes_decoded += len(key[1])
+                    while self.current_bytes > self.max_bytes:
+                        evicted_key, evicted = table.popitem(last=False)
+                        self.current_bytes -= evicted.cost_bytes + len(evicted_key[1])
+                        self.evictions += 1
+                for position, key in enumerate(keys):
+                    if found[position] is None:
+                        found[position] = found[missed[key]]
+        return found  # type: ignore[return-value]
 
     def note_fallback(self) -> None:
         """Record one stream that had to bypass the cached path."""
@@ -269,18 +298,19 @@ class ChunkPlan:
         return bool(self.canonical_headers.all())
 
 
-def find_psb_offsets(data: bytes, psb: bytes) -> List[int]:
-    """All non-overlapping PSB positions, in ``bytes.find`` order.
+def find_psb_offsets(data: bytes, psb: bytes) -> np.ndarray:
+    """All non-overlapping PSB positions, in ``bytes.find`` order (int64).
 
     Matches the resynchronization search of the resilient scanner, so the
-    chunk boundaries equal the only positions a resync can land on.
+    chunk boundaries equal the only positions a resync can land on.  One
+    ``bytes.split`` finds every match in C with the same left-to-right,
+    non-overlapping semantics; match ``k`` sits after the first ``k + 1``
+    pieces and ``k`` earlier matches.
     """
-    offsets: List[int] = []
-    position = data.find(psb)
-    while position != -1:
-        offsets.append(position)
-        position = data.find(psb, position + len(psb))
-    return offsets
+    pieces = data.split(psb)
+    lengths = np.fromiter(map(len, pieces), np.int64, len(pieces))[:-1]
+    lengths += len(psb)
+    return np.cumsum(lengths) - len(psb)
 
 
 def _gather_le(buf: np.ndarray, starts: np.ndarray, offset: int, width: int) -> np.ndarray:
@@ -299,10 +329,9 @@ def plan_chunks(data: bytes, buf: np.ndarray, psb: bytes) -> Optional[ChunkPlan]
     Returns ``None`` when the stream does not start with a PSB at offset
     zero (the cached path then falls back to the full-stream scan).
     """
-    offsets = find_psb_offsets(data, psb)
-    if not offsets or offsets[0] != 0:
+    starts = find_psb_offsets(data, psb)
+    if not starts.size or starts[0] != 0:
         return None
-    starts = np.asarray(offsets, dtype=np.int64)
     ends = np.empty_like(starts)
     ends[:-1] = starts[1:]
     ends[-1] = len(data)

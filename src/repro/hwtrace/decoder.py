@@ -14,7 +14,7 @@ The round trip is genuine: the decoder sees only bytes and binaries.
 :meth:`SoftwareDecoder.decode` is one pipeline.  A fully canonical upload
 (everything :func:`encode_trace` emits) needs no packet scan: each PSB
 chunk's timestamp and CR3 sit in its header, so its 8-byte event records
-resolve in bulk — all at once, or chunk by chunk through a
+resolve in bulk — all at once, or as one batch of chunk bodies through a
 :class:`~repro.hwtrace.cache.DecodeCache`.  Anything else takes the
 columnar packet scan (:mod:`repro.hwtrace.codec`) and a TSC/PIP
 forward-fill.  Every route resolves TIP addresses with one group-by-CR3
@@ -24,6 +24,7 @@ per-packet reference the equality tests compare against.
 
 from __future__ import annotations
 
+from itertools import compress, repeat
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -110,22 +111,28 @@ def _canonical_split(data: bytes) -> Optional[Tuple[ChunkPlan, List[bytes], np.n
     return plan, bodies, words
 
 
+def canonical_chunks(data: bytes) -> Optional[Tuple[List[int], List[bytes]]]:
+    """:func:`split_canonical_stream` as two columns, ``(cr3s, bodies)``."""
+    split = _canonical_split(data)
+    if split is None:
+        return None
+    plan, bodies, _words = split
+    return plan.cr3s.tolist(), bodies
+
+
 def split_canonical_stream(data: bytes) -> Optional[List[Tuple[int, bytes]]]:
     """Split a canonical upload into per-chunk ``(cr3, body)`` work units.
 
     Returns one entry per PSB chunk of a fully canonical stream — the
     body is everything after the 32-byte ``PSB TSC PIP`` header with any
     trailing OVF stripped, ready for
-    :meth:`SoftwareDecoder.decode_chunk` — or ``None`` when the upload is
+    :meth:`SoftwareDecoder.decode_chunks` — or ``None`` when the upload is
     empty, is not a pure canonical chunk sequence, or any event record is
     malformed.  ``None`` signals that the bytes need the full resilient
     scan (or a dead-letter quarantine) instead of incremental decode.
     """
-    split = _canonical_split(data)
-    if split is None:
-        return None
-    plan, bodies, _words = split
-    return list(zip(plan.cr3s.tolist(), bodies))
+    chunks = canonical_chunks(data)
+    return None if chunks is None else list(zip(*chunks))
 
 
 def _address_table(binary: Binary) -> Tuple[np.ndarray, np.ndarray]:
@@ -376,8 +383,8 @@ class SoftwareDecoder:
         production decoder's behaviour); strict mode raises on bad
         framing, which is what tests and integrity checks want.  A
         canonical upload decodes straight from its chunk headers and
-        record words — with a :class:`DecodeCache` attached, chunk by
-        chunk through the cache — and anything else takes the packet
+        record words — with a :class:`DecodeCache` attached, as one
+        :meth:`decode_chunks` batch — and anything else takes the packet
         scan.  Every route returns the same bytes.
         """
         if not data:
@@ -393,7 +400,7 @@ class SoftwareDecoder:
         if self.cache is None:
             block_ids, function_ids, kept, unresolved = self._resolve_records(plan, words)
         else:
-            entries = self._cached_entries(plan.cr3s.tolist(), bodies)
+            entries = self.decode_chunks(plan.cr3s.tolist(), bodies)
             kept = np.fromiter(
                 (entry.block_ids.size for entry in entries), np.int64, len(entries)
             )
@@ -414,28 +421,58 @@ class SoftwareDecoder:
     def decode_chunk(self, cr3: int, body: bytes) -> ChunkEntry:
         """Decode one canonical chunk *body* against ``cr3``'s binary.
 
-        The streaming-ingest unit of work: ``body`` is everything after a
-        chunk's 32-byte ``PSB TSC PIP`` header (trailing OVF stripped),
-        exactly as produced by :func:`split_canonical_stream`.  Returns
-        the context-free :class:`ChunkEntry` (resolved block/function ids
-        plus the unresolved count), served from the attached cache when
-        there is one.  The caller must have validated the record framing.
+        A one-chunk :meth:`decode_chunks`.
         """
-        if not body:
-            return _EMPTY_ENTRY
-        key = (self._fingerprints.get(cr3, UNKNOWN_BINARY_FP), body)
-        cache = self.cache
-        if cache is not None:
-            cached = cache.get(key)
-            if cached is not None:
-                return cached
-        words = np.frombuffer(body, dtype="<u8")
-        entry = _chunk_entry(
-            *self._resolve((words >> _ADDRESS_SHIFT).astype(np.int64), None, (cr3,))
-        )
-        if cache is not None:
-            cache.put(key, entry)
-        return entry
+        return self.decode_chunks((cr3,), (body,))[0]
+
+    def decode_chunks(
+        self, cr3s: Sequence[int], bodies: Sequence[bytes]
+    ) -> List[ChunkEntry]:
+        """Decode a batch of canonical chunk *bodies*, one entry per body.
+
+        The streaming-ingest unit of work: each body is everything after
+        a chunk's 32-byte ``PSB TSC PIP`` header (trailing OVF stripped),
+        exactly as produced by :func:`split_canonical_stream`, and
+        decodes against the binary of the CR3 at the same position.
+        Returns the context-free :class:`ChunkEntry` of each (resolved
+        block/function ids plus the unresolved count).  Empty bodies need
+        no lookup.  With a cache attached, the batch takes its lock once
+        and resolves the distinct bodies it misses in one pass; without
+        one, every body resolves in that pass.  The caller must have
+        validated the record framing.
+        """
+        fingerprints = map(self._fingerprints.get, cr3s, repeat(UNKNOWN_BINARY_FP))
+        keys = list(compress(zip(fingerprints, bodies), bodies))
+
+        def resolve(positions: List[int]) -> List[ChunkEntry]:
+            key_cr3s = list(compress(cr3s, bodies))
+            chunk_cr3s = [key_cr3s[position] for position in positions]
+            chunk_bodies = [keys[position][1] for position in positions]
+            words = np.frombuffer(b"".join(chunk_bodies), dtype="<u8")
+            counts = [len(body) >> 3 for body in chunk_bodies]
+            block_ids, function_ids = self._resolve(
+                (words >> _ADDRESS_SHIFT).astype(np.int64),
+                np.repeat(np.asarray(chunk_cr3s, dtype=np.int64), counts),
+                chunk_cr3s,
+            )
+            boundaries = np.cumsum(counts)[:-1]
+            return [
+                _chunk_entry(blocks, functions)
+                for blocks, functions in zip(
+                    np.split(block_ids, boundaries), np.split(function_ids, boundaries)
+                )
+            ]
+
+        if not keys:
+            found = []
+        elif self.cache is None:
+            found = resolve(list(range(len(keys))))
+        else:
+            found = self.cache.get_or_resolve(keys, resolve)
+        if len(found) == len(bodies):
+            return found
+        filled = iter(found)
+        return [next(filled) if body else _EMPTY_ENTRY for body in bodies]
 
     def _resolve_records(
         self, plan: ChunkPlan, words: np.ndarray
@@ -459,38 +496,6 @@ class SoftwareDecoder:
             block_ids = block_ids[keep]
             function_ids = function_ids[keep]
         return block_ids, function_ids, counts, unresolved
-
-    def _cached_entries(self, cr3s: List[int], bodies: List[bytes]) -> List[ChunkEntry]:
-        """Per-chunk entries through the cache; misses resolve in one batch."""
-        cache = self.cache
-        assert cache is not None
-        keys = [
-            (self._fingerprints.get(cr3, UNKNOWN_BINARY_FP), body)
-            for cr3, body in zip(cr3s, bodies)
-        ]
-        entries: List[Optional[ChunkEntry]] = [
-            cache.get(key) if key[1] else _EMPTY_ENTRY for key in keys
-        ]
-        misses = [index for index, entry in enumerate(entries) if entry is None]
-        if misses:
-            words = np.frombuffer(b"".join(bodies[index] for index in misses), dtype="<u8")
-            counts = [len(bodies[index]) >> 3 for index in misses]
-            miss_cr3s = [cr3s[index] for index in misses]
-            block_ids, function_ids = self._resolve(
-                (words >> _ADDRESS_SHIFT).astype(np.int64),
-                np.repeat(np.asarray(miss_cr3s, dtype=np.int64), counts),
-                miss_cr3s,
-            )
-            boundaries = np.cumsum(counts)[:-1]
-            for index, blocks, functions in zip(
-                misses,
-                np.split(block_ids, boundaries),
-                np.split(function_ids, boundaries),
-            ):
-                entry = _chunk_entry(blocks, functions)
-                entries[index] = entry
-                cache.put(keys[index], entry)
-        return entries  # type: ignore[return-value]
 
     def _resolve(
         self,

@@ -3,13 +3,15 @@
 :class:`StreamingIngestor` is the online counterpart of the batch
 reconcile's decode step.  Completed tracing slots *submit* their raw
 uploads as they finish; each canonical upload is split into PSB-chunk
-work units (:func:`repro.hwtrace.decoder.split_canonical_stream`), paced
-through a bounded virtual-time queue by a credit-based backpressure
-controller, and decoded incrementally — batched over the persistent
-worker pool when one is available (competing consumers), in-process
-otherwise.  Non-canonical uploads (corrupt, truncated, foreign framing)
-are quarantined in a dead-letter queue and replayed through the
-resilient whole-stream decoder at the end.
+work units (:func:`repro.hwtrace.decoder.canonical_chunks`), paced as a
+whole through a bounded virtual-time queue under credit-based
+backpressure (:class:`~repro.streaming.queue.VirtualDecodeQueue`), and
+decoded incrementally in :data:`BATCH_CHUNKS` batches — over the
+persistent worker pool when one is available (competing consumers),
+in-process otherwise, one batched cache lookup per batch either way.
+Non-canonical uploads (corrupt, truncated, foreign framing) are
+quarantined in a dead-letter queue and replayed through the resilient
+whole-stream decoder at the end.
 
 Determinism contract — the property everything here is built around:
 
@@ -33,14 +35,14 @@ Determinism contract — the property everything here is built around:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
 from repro.hwtrace.cache import process_decode_cache
-from repro.hwtrace.decoder import SoftwareDecoder, split_canonical_stream
+from repro.hwtrace.decoder import SoftwareDecoder, canonical_chunks
 from repro.program.workloads import get_workload
-from repro.streaming.backpressure import CreditController
 from repro.streaming.deadletter import DeadLetterQueue
 from repro.streaming.queue import VirtualDecodeQueue
 from repro.util.stats import percentile
@@ -105,11 +107,13 @@ def _consume_chunk_batch(payload) -> List[Tuple[object, int, Tuple[int, ...], in
         {cr3: binary for _key, cr3, _body in items},
         cache=process_decode_cache() if use_cache else None,
     )
+    entries = decoder.decode_chunks(
+        [cr3 for _key, cr3, _body in items], [body for _key, _cr3, body in items]
+    )
     records: Dict[object, int] = {}
     functions: Dict[object, List[np.ndarray]] = {}
     unresolved: Dict[object, int] = {}
-    for key, cr3, body in items:
-        entry = decoder.decode_chunk(cr3, body)
+    for (key, _cr3, _body), entry in zip(items, entries):
         if key in records:
             records[key] += entry.block_ids.size
             unresolved[key] += entry.unresolved
@@ -192,13 +196,22 @@ class StreamStats:
         }
 
 
+#: kept-record count of a decoded chunk entry
+_KEPT = attrgetter("block_ids.size")
+#: function ids of a decoded chunk entry's kept records
+_FUNCTIONS = attrgetter("function_ids")
+#: unresolved-record count of a decoded chunk entry
+_UNRESOLVED = attrgetter("unresolved")
+
+
 class _SessionAccumulator:
     """Chunk-level stats folding into one upload's session tuple.
 
     Function-id dedup is deferred to :meth:`as_stats` — the hot path
-    only appends the per-chunk id arrays, and one ``np.unique`` over
-    their concatenation at finish replaces a per-chunk dedup (set union
-    is commutative either way, so shard layout still cannot matter).
+    only appends the per-chunk id arrays (once per distinct entry of a
+    batch), and one ``np.unique`` over their concatenation at finish
+    replaces a per-chunk dedup (set union is commutative either way, so
+    batch and shard layout still cannot matter).
     """
 
     __slots__ = ("records", "function_arrays")
@@ -245,18 +258,20 @@ class StreamingIngestor:
         self._pool = pool if (pool is not None and pool.parallel) else None
         self._decoder = SoftwareDecoder({}, cache=decode_cache)
         self._known_cr3s: Set[int] = set()
-        self.queue = VirtualDecodeQueue(VIRTUAL_CONSUMERS)
-        self.controller = CreditController(
+        self.queue = VirtualDecodeQueue(
+            consumers=VIRTUAL_CONSUMERS,
             capacity=QUEUE_CAPACITY,
             high_watermark=HIGH_WATERMARK,
             low_watermark=LOW_WATERMARK,
             stall_ns=STALL_NS,
+            gap_ns=ENQUEUE_GAP_NS,
         )
         self.dead_letters = DeadLetterQueue()
         self.stats = StreamStats()
-        self._clock = 0
-        self._lags: List[int] = []
-        self._pending: List[Tuple[object, int, bytes]] = []
+        #: chunks awaiting dispatch, as ``(key, cr3s, bodies)`` runs of
+        #: one upload each; never more than BATCH_CHUNKS chunks in total
+        self._pending: List[Tuple[object, List[int], List[bytes]]] = []
+        self._pending_chunks = 0
         self._outcomes: Dict[object, object] = {}
         self._accumulators: Dict[object, _SessionAccumulator] = {}
         self._final: Dict[object, Tuple[int, int, int, int]] = {}
@@ -270,7 +285,9 @@ class StreamingIngestor:
         ``outcome`` is a :class:`~repro.cluster.master.SlotOutcome` (or
         anything exposing ``slot``, ``cr3``, ``label``, ``raw`` and the
         four session-stat fields); its stats are written at
-        :meth:`finish`.
+        :meth:`finish`.  The whole upload is paced through the virtual
+        queue in one pass, then handed to the consumers in
+        :data:`BATCH_CHUNKS` batches, which continue across uploads.
         """
         if self._finished:
             raise RuntimeError("ingestor already finished")
@@ -284,8 +301,8 @@ class StreamingIngestor:
             self.stats.empty_uploads += 1
             self._final[key] = (0, 0, 0, 0)
             return
-        units = split_canonical_stream(raw)
-        if units is None:
+        chunks = canonical_chunks(raw)
+        if chunks is None:
             self.stats.dead_letters += 1
             self.stats.dead_letter_bytes += len(raw)
             self.dead_letters.quarantine(
@@ -293,28 +310,26 @@ class StreamingIngestor:
             )
             return
         self._accumulators[key] = _SessionAccumulator()
-        # hot loop: one pace/admit per chunk; everything else is hoisted
-        pace = self.controller.pace
-        admit = self.queue.admit
-        record_lag = self._lags.append
-        queue = self.queue
-        clock = self._clock
-        pending = self._pending
-        for cr3, body in units:
-            arrival = pace(queue, clock + ENQUEUE_GAP_NS)
-            start, _completion = admit(
-                arrival, CHUNK_OVERHEAD_NS + len(body) * DECODE_NS_PER_BYTE
-            )
-            clock = arrival
-            record_lag(start - arrival)
-            pending.append((key, cr3, body))
-            if len(pending) >= BATCH_CHUNKS:
-                self._clock = clock
+        cr3s, bodies = chunks
+        lengths = np.fromiter(map(len, bodies), np.int64, len(bodies))
+        self.queue.enqueue(
+            (lengths * DECODE_NS_PER_BYTE + CHUNK_OVERHEAD_NS).tolist()
+        )
+        self.stats.chunks += len(bodies)
+        self.stats.chunk_bytes += int(lengths.sum())
+        if self._pool is None:
+            for cr3 in dict.fromkeys(cr3s):
+                if cr3 not in self._known_cr3s:
+                    self._decoder.add_binary(cr3, self._binary)
+                    self._known_cr3s.add(cr3)
+        first = 0
+        while first < len(bodies):
+            last = min(len(bodies), first + BATCH_CHUNKS - self._pending_chunks)
+            self._pending.append((key, cr3s[first:last], bodies[first:last]))
+            self._pending_chunks += last - first
+            first = last
+            if self._pending_chunks == BATCH_CHUNKS:
                 self._flush()
-                pending = self._pending
-        self._clock = clock
-        self.stats.chunks += len(units)
-        self.stats.chunk_bytes += sum(len(body) for _cr3, body in units)
 
     # -- consumer side -----------------------------------------------------
 
@@ -324,10 +339,17 @@ class StreamingIngestor:
             return
         batch = self._pending
         self._pending = []
+        self._pending_chunks = 0
         self.stats.batches += 1
+        accumulators = self._accumulators
         if self._pool is not None:
-            width = min(len(batch), self._pool.max_workers)
-            shards = [batch[offset::width] for offset in range(width)]
+            items = [
+                (key, cr3, body)
+                for key, cr3s, bodies in batch
+                for cr3, body in zip(cr3s, bodies)
+            ]
+            width = min(len(items), self._pool.max_workers)
+            shards = [items[offset::width] for offset in range(width)]
             results = [
                 result
                 for shard_results in self._pool.map(
@@ -339,7 +361,7 @@ class StreamingIngestor:
             # aggregation is commutative (sums and distinct-id unions),
             # so shard layout cannot influence the session stats
             for key, kept, function_ids, unresolved in results:
-                accumulator = self._accumulators[key]
+                accumulator = accumulators[key]
                 accumulator.records += kept
                 if function_ids:
                     accumulator.function_arrays.append(
@@ -347,21 +369,24 @@ class StreamingIngestor:
                     )
                 self.stats.unresolved_records += unresolved
             return
-        decoder = self._decoder
-        known_cr3s = self._known_cr3s
-        accumulators = self._accumulators
-        unresolved_total = 0
-        for key, cr3, body in batch:
-            if cr3 not in known_cr3s:
-                decoder.add_binary(cr3, self._binary)
-                known_cr3s.add(cr3)
-            entry = decoder.decode_chunk(cr3, body)
+        cr3s: List[int] = []
+        bodies: List[bytes] = []
+        for _key, run_cr3s, run_bodies in batch:
+            cr3s += run_cr3s
+            bodies += run_bodies
+        entries = self._decoder.decode_chunks(cr3s, bodies)
+        first = 0
+        for key, run_cr3s, _run_bodies in batch:
+            last = first + len(run_cr3s)
+            chunk_entries = entries[first:last]
             accumulator = accumulators[key]
-            accumulator.records += entry.block_ids.size
-            if entry.function_ids.size:
-                accumulator.function_arrays.append(entry.function_ids)
-            unresolved_total += entry.unresolved
-        self.stats.unresolved_records += unresolved_total
+            accumulator.records += sum(map(_KEPT, chunk_entries))
+            # cached entries repeat: one id array per distinct entry
+            accumulator.function_arrays.extend(
+                map(_FUNCTIONS, dict.fromkeys(chunk_entries))
+            )
+            first = last
+        self.stats.unresolved_records += sum(map(_UNRESOLVED, entries))
 
     def _replay_dead_letters(self) -> None:
         """Resilient-decode quarantined uploads and record their stats."""
@@ -418,12 +443,13 @@ class StreamingIngestor:
                 outcome.bytes_skipped,
             ) = self._final[key]
         stats = self.stats
-        stats.max_queue_depth = self.queue.max_depth
-        stats.backpressure_engagements = self.controller.engagements
-        stats.credit_waits = self.controller.credit_waits
-        stats.throttled_ns = self.controller.throttled_ns
-        stats.makespan_ns = self.queue.makespan_ns
-        if self._lags:
-            stats.p99_lag_ns = int(percentile(self._lags, 99.0))
-            stats.max_lag_ns = int(max(self._lags))
+        queue = self.queue
+        stats.max_queue_depth = queue.max_depth
+        stats.backpressure_engagements = queue.engagements
+        stats.credit_waits = queue.credit_waits
+        stats.throttled_ns = queue.throttled_ns
+        stats.makespan_ns = queue.makespan_ns
+        if queue.lags:
+            stats.p99_lag_ns = int(percentile(queue.lags, 99.0))
+            stats.max_lag_ns = int(max(queue.lags))
         return stats

@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 from repro.hwtrace.cache import DecodeCache, binary_fingerprint, process_decode_cache
-from repro.hwtrace.decoder import DecodedTrace, SoftwareDecoder, encode_trace
+from repro.hwtrace.decoder import (
+    DecodedTrace,
+    SoftwareDecoder,
+    encode_trace,
+    split_canonical_stream,
+)
 from repro.hwtrace.packets import (
     PacketError,
     PipPacket,
@@ -89,6 +94,25 @@ class TestByteIdentity:
         assert cache.hits > 0
         assert cache.misses == misses_before  # body identical -> no decode
         assert cache.bytes_saved > 0
+
+    def test_whole_upload_and_per_chunk_decodes_count_alike(
+        self, tiny_path, tiny_binary
+    ):
+        # replicas repeat bodies inside one upload: the second and third
+        # segments repeat the first's body, the fourth has its own
+        raw = encode_trace([
+            make_segment(tiny_path, e0=0, e1=40, t0=100),
+            make_segment(tiny_path, e0=0, e1=40, t0=200),
+            make_segment(tiny_path, e0=0, e1=40, t0=300),
+            make_segment(tiny_path, e0=40, e1=80, t0=400),
+        ])
+        whole = SoftwareDecoder({0x1000: tiny_binary}, cache=DecodeCache())
+        whole.decode(raw)
+        chunked = SoftwareDecoder({0x1000: tiny_binary}, cache=DecodeCache())
+        for cr3, body in split_canonical_stream(raw):
+            chunked.decode_chunk(cr3, body)
+        assert whole.cache.stats() == chunked.cache.stats()
+        assert whole.cache.misses == 2 and whole.cache.hits == 2
 
     def test_corrupt_stream_resilient_falls_back_identically(
         self, tiny_path, tiny_binary

@@ -5,9 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.rco import augment_traces, interval_intersection, interval_length, merge_intervals
-from repro.hwtrace.cache import DecodeCache
+from repro.hwtrace.cache import DecodeCache, find_psb_offsets
 from repro.hwtrace.decoder import SoftwareDecoder, encode_trace, split_canonical_stream
 from repro.hwtrace.packets import (
+    PSB_BYTES,
     PipPacket,
     PsbPacket,
     TipPacket,
@@ -179,6 +180,37 @@ def test_chunk_framing_roundtrip(tiny_path, specs):
     cached = SoftwareDecoder({KNOWN_CR3: tiny_path.binary}, cache=DecodeCache())
     _assert_same_trace(cached.decode(data), reference)  # cold cache
     _assert_same_trace(cached.decode(data), reference)  # warm cache
+
+
+def _find_loop(data: bytes, psb: bytes):
+    """PSB search one ``bytes.find`` at a time (the reference)."""
+    offsets = []
+    position = data.find(psb)
+    while position != -1:
+        offsets.append(position)
+        position = data.find(psb, position + len(psb))
+    return offsets
+
+
+# pieces of arbitrary bytes and runs of the PSB's ``02 82`` pair, some
+# longer than one PSB and some cut off mid-pair
+psb_pieces = st.one_of(
+    st.binary(max_size=12),
+    st.integers(1, 20).map(lambda pairs: b"\x02\x82" * pairs),
+    st.integers(1, 20).map(lambda pairs: b"\x02\x82" * pairs + b"\x02"),
+    st.just(PSB_BYTES),
+)
+
+
+@given(st.lists(psb_pieces, max_size=12).map(b"".join))
+def test_find_psb_offsets_matches_find_loop(data):
+    assert find_psb_offsets(data, PSB_BYTES).tolist() == _find_loop(data, PSB_BYTES)
+
+
+def test_find_psb_offsets_on_overlong_run_and_prefix():
+    # 17 pairs after a one-byte prefix hold two PSBs, not ten overlapping ones
+    data = b"\x00" + b"\x02\x82" * 17
+    assert find_psb_offsets(data, PSB_BYTES).tolist() == [1, 17] == _find_loop(data, PSB_BYTES)
 
 
 # ---------------------------------------------------------------------------
