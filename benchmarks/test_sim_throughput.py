@@ -11,7 +11,10 @@ Two measurements, both recorded to ``BENCH_sim.json`` (uniform schema via
   run with ``jobs=1`` and ``jobs=4``.  Results must be byte-identical;
   wall-clock speedup is always recorded, and the >= 3x bar is asserted
   only on machines that actually have >= 4 CPUs (a single-core container
-  cannot exhibit process-level parallelism).
+  cannot exhibit process-level parallelism).  The serial leg's
+  ``matrix_cells_per_s`` (cells over serial wall) is the whole-node
+  simulator's single-core speed — slice scheduling, syscall picks and
+  run-to-completion — and ``check_regression.py`` gates it.
 """
 
 from __future__ import annotations
@@ -162,6 +165,7 @@ def test_sim_throughput():
         "matrix_cells": len(cells),
         "matrix_jobs": MATRIX_JOBS,
         "matrix_serial_s": round(t_serial, 3),
+        "matrix_cells_per_s": round(len(cells) / t_serial, 3),
         "matrix_parallel_s": round(t_parallel, 3),
         "matrix_speedup": round(matrix_speedup, 3),
         "matrix_identical": serial_json == parallel_json,
@@ -174,6 +178,7 @@ def test_sim_throughput():
         f"event loop: legacy {legacy_best:,.0f} ev/s -> "
         f"current {current_best:,.0f} ev/s ({loop_speedup:.2f}x)"
     )
+    emit(f"serial matrix: {len(cells) / t_serial:.2f} cells/s")
     emit(
         f"8-way matrix: jobs=1 {t_serial:.2f}s -> jobs={MATRIX_JOBS} "
         f"{t_parallel:.2f}s ({matrix_speedup:.2f}x on "

@@ -56,6 +56,12 @@ class CtlBits(enum.IntFlag):
         )
 
 
+#: plain-int masks of the bits read on every slice; testing an int
+#: against an ``IntFlag`` member would build a flag object per test
+TRACE_EN_MASK = int(CtlBits.TRACE_EN)
+CR3_FILTER_MASK = int(CtlBits.CR3_FILTER)
+
+
 class TraceEnabledError(RuntimeError):
     """Raised when software modifies trace configuration with TraceEn set."""
 
@@ -95,15 +101,15 @@ class RtitMsrFile:
         """WRMSR: write a register, enforcing the TraceEn rules."""
         if address not in _RTIT_ADDRESSES:
             raise ValueError(f"unknown RTIT MSR {address:#x}")
-        trace_enabled = bool(self._values[RTIT_CTL] & CtlBits.TRACE_EN)
-        if trace_enabled and not self.hot_switching:
+        value = int(value)
+        if self._values[RTIT_CTL] & TRACE_EN_MASK and not self.hot_switching:
             if address != RTIT_CTL:
                 raise TraceEnabledError(
                     f"write to MSR {address:#x} requires TraceEn=0"
                 )
             # the only legal enabled-state change is clearing TraceEn
             # without touching other CTL bits
-            if (value | CtlBits.TRACE_EN) != self._values[RTIT_CTL]:
+            if (value | TRACE_EN_MASK) != self._values[RTIT_CTL]:
                 raise TraceEnabledError(
                     "CTL reconfiguration requires TraceEn=0 "
                     "(disable tracing first)"
@@ -116,11 +122,17 @@ class RtitMsrFile:
 
     @property
     def ctl(self) -> CtlBits:
+        """The CTL register as flags (values are stored as plain ints)."""
         return CtlBits(self._values[RTIT_CTL])
 
     @property
+    def ctl_value(self) -> int:
+        """The raw CTL register value."""
+        return self._values[RTIT_CTL]
+
+    @property
     def trace_enabled(self) -> bool:
-        return bool(self._values[RTIT_CTL] & CtlBits.TRACE_EN)
+        return bool(self._values[RTIT_CTL] & TRACE_EN_MASK)
 
     @property
     def cr3_match(self) -> int:
@@ -151,13 +163,13 @@ class RtitMsrFile:
 
     def enable(self) -> None:
         """Set TraceEn (one WRMSR); idempotent enables still pay the op."""
-        self.write(RTIT_CTL, self._values[RTIT_CTL] | CtlBits.TRACE_EN)
+        self.write(RTIT_CTL, self._values[RTIT_CTL] | TRACE_EN_MASK)
 
     def disable(self) -> None:
         """Clear TraceEn (one WRMSR)."""
         current = self._values[RTIT_CTL]
-        if not current & CtlBits.TRACE_EN:
+        if not current & TRACE_EN_MASK:
             # still a WRMSR on real hardware if software writes anyway;
             # model drivers as checking first, so this is free
             return
-        self.write(RTIT_CTL, current & ~int(CtlBits.TRACE_EN))
+        self.write(RTIT_CTL, current & ~TRACE_EN_MASK)

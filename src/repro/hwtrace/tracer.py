@@ -21,7 +21,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.hwtrace.cost import CostLedger
-from repro.hwtrace.msr import CtlBits, RtitMsrFile
+from repro.hwtrace.msr import CR3_FILTER_MASK, TRACE_EN_MASK, RtitMsrFile
 from repro.hwtrace.topa import ToPAOutput
 from repro.program.path import PathModel
 
@@ -132,7 +132,7 @@ class CoreTracer:
 
     @property
     def cr3_filtering(self) -> bool:
-        return bool(self.msr.ctl & CtlBits.CR3_FILTER)
+        return bool(self.msr.ctl_value & CR3_FILTER_MASK)
 
     # -- capture path (hardware-side; free of software cost) -------------------
 
@@ -153,9 +153,11 @@ class CoreTracer:
         Returns the stored segment, or ``None`` if the slice was filtered
         or entirely lost to overflow.
         """
-        if not self.enabled:
+        msr = self.msr
+        ctl = msr.ctl_value
+        if not ctl & TRACE_EN_MASK:
             return None
-        if self.cr3_filtering and self.msr.cr3_match not in (0, cr3):
+        if ctl & CR3_FILTER_MASK and msr.cr3_match not in (0, cr3):
             self.filtered_slices += 1
             return None
         if self.output is None:

@@ -147,11 +147,13 @@ class CpuTopology:
 
     def busy_in_llc_domain(self, core: LogicalCore) -> int:
         """Number of busy logical cores sharing ``core``'s LLC, excluding it."""
-        return sum(
-            1
-            for other in self._socket_members[core.socket_id]
-            if other is not core and other.running is not None
-        )
+        # a plain loop: this runs once per slice, and a generator frame
+        # per call costs more than the count itself
+        busy = 0
+        for other in self._socket_members[core.socket_id]:
+            if other.running is not None and other is not core:
+                busy += 1
+        return busy
 
     def speed_factor(self, core: LogicalCore, llc_pressure: float) -> float:
         """Convenience wrapper over the interference model."""

@@ -11,8 +11,9 @@ Two structural choices make this the fastest loop Python allows:
   comparison heapq performs is a C-level int compare instead of a Python
   ``Event.__lt__`` call — pushes and pops on deep queues cost a fraction
   of an object heap;
-* the run loops (:meth:`Simulator.run_until`,
-  :meth:`Simulator.run_until_idle`) pop ready events in one batched pass,
+* every run method (:meth:`Simulator.run_until`,
+  :meth:`Simulator.run_until_stopped`, :meth:`Simulator.run_until_idle`)
+  drives one shared loop that pops ready events in a batched pass,
   skipping tombstones inline without re-heapifying and deferring the
   fired-event counter to the end of the batch, so driving a node costs
   one Python frame per *run*, not two method calls per *event*.
@@ -25,11 +26,15 @@ cancel heavily (re-armed timers).
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Callable, List, Optional, Tuple
 
 #: compaction threshold: never compact heaps smaller than this (the
 #: rebuild would cost more than the garbage it reclaims)
 _COMPACT_MIN_SIZE = 64
+
+#: event cap of a batch that only a deadline, halt or stop may end
+_NO_LIMIT = 1 << 63
 
 
 class Event:
@@ -93,6 +98,8 @@ class Simulator:
         self._tombstones = 0
         #: a halted clock fires nothing and never advances (crashed node)
         self.halted = False
+        #: set by :meth:`halt` or :meth:`stop` to end the running batch
+        self._stop = False
 
     # -- scheduling -------------------------------------------------------
 
@@ -136,13 +143,23 @@ class Simulator:
         Models a node crash — from the outside the machine simply stops
         responding, with ``now`` frozen at the instant of the crash.  A
         halt can be issued from inside a running event callback; the
-        batched run loops observe it after that callback returns.
+        batched run loop observes it after that callback returns.
         """
         self.halted = True
+        self._stop = True
 
     def resume(self) -> None:
         """Lift a halt (a repaired node); queued events become runnable."""
         self.halted = False
+
+    def stop(self) -> None:
+        """End the running batch once the current callback returns.
+
+        Unlike :meth:`halt` this is one-shot: ``now`` stays at the
+        stopping event and the next run call carries on normally.  This is
+        how run-to-completion ends the instant its last target finishes.
+        """
+        self._stop = True
 
     # -- execution --------------------------------------------------------
 
@@ -154,47 +171,26 @@ class Simulator:
             self._tombstones -= 1
         return heap[0][0] if heap else None
 
-    def step(self) -> bool:
-        """Fire the next pending event.  Returns False if none remain."""
-        if self.halted:
-            return False
-        heap = self._heap
-        while heap:
-            at, _, event = heapq.heappop(heap)
-            if event.cancelled:
-                self._tombstones -= 1
-                continue
-            if at < self.now:
-                raise RuntimeError("event heap corrupted: time went backwards")
-            self.now = at
-            event.fired = True
-            self._events_fired += 1
-            event.callback()
-            return True
-        return False
+    def _run(self, deadline: float, limit: int = _NO_LIMIT) -> Tuple[int, bool]:
+        """The one batched pop loop behind every run method.
 
-    def run_until(self, deadline: int, max_events: Optional[int] = None) -> int:
-        """Run events up to and including ``deadline``.
-
-        Returns the number of events fired.  Advances ``now`` to
-        ``deadline`` even if the queue drains earlier, so measurement
-        windows have well-defined ends.
-
-        This is the hot path of every experiment: ready events are popped
-        in one batched pass directly off the heap — no per-event
-        ``peek``/``step`` round trips, tombstones skipped inline.  A
-        halt issued by a fired callback (node crash) stops the batch and
-        freezes ``now`` at the crash instant.
+        Fires ready events up to and including ``deadline`` straight off
+        the heap, skipping tombstones inline and adding to
+        :attr:`events_fired` once per batch.  A :meth:`halt` or
+        :meth:`stop` issued by a callback ends the batch after that
+        callback returns; so does firing ``limit`` events.  Returns
+        ``(fired, drained)``, where ``drained`` means the batch ended
+        because no event at or before ``deadline`` was left.
         """
         if self.halted:
-            return 0
+            return 0, False
+        self._stop = False
         heap = self._heap
         pop = heapq.heappop
         fired = 0
-        unbounded = max_events is None
         while heap:
             head = heap[0]
-            if head[0] > deadline or not (unbounded or fired < max_events):
+            if head[0] > deadline:
                 break
             pop(heap)
             event = head[2]
@@ -205,38 +201,44 @@ class Simulator:
             event.fired = True
             fired += 1
             event.callback()
-            if self.halted:
+            if self._stop or fired >= limit:
                 self._events_fired += fired
-                return fired
+                return fired, False
         self._events_fired += fired
-        if self.now < deadline:
+        return fired, True
+
+    def run_until(self, deadline: int) -> int:
+        """Run events up to and including ``deadline``.
+
+        Returns the number of events fired.  Advances ``now`` to
+        ``deadline`` once the queue holds nothing earlier, so measurement
+        windows have well-defined ends.  A halt issued by a fired callback
+        (node crash) stops the batch and freezes ``now`` at the crash
+        instant; so does :meth:`stop`, leaving the remaining ready events
+        for the next call.
+        """
+        fired, drained = self._run(deadline)
+        if drained and self.now < deadline:
             self.now = deadline
         return fired
 
+    def run_until_stopped(self, deadline: int) -> int:
+        """Run events up to ``deadline`` or until a callback calls :meth:`stop`.
+
+        The run-to-completion loop: unlike :meth:`run_until`, ``now`` is
+        left at the last fired event whether the batch was stopped or ran
+        dry, so a completion time is the instant the work finished.
+        Returns the number of events fired.
+        """
+        return self._run(deadline)[0]
+
     def run_until_idle(self, max_events: int = 50_000_000) -> int:
         """Run until no events remain.  Guards against runaway loops."""
-        if self.halted:
-            return 0
-        heap = self._heap
-        pop = heapq.heappop
-        fired = 0
-        while heap:
-            at, _, event = pop(heap)
-            if event.cancelled:
-                self._tombstones -= 1
-                continue
-            self.now = at
-            event.fired = True
-            fired += 1
-            if fired > max_events:
-                self._events_fired += fired
-                raise RuntimeError(
-                    f"simulation exceeded {max_events} events; likely a livelock"
-                )
-            event.callback()
-            if self.halted:
-                break
-        self._events_fired += fired
+        fired, _ = self._run(math.inf, max_events)
+        if fired >= max_events and self.pending_count:
+            raise RuntimeError(
+                f"simulation exceeded {max_events} events; likely a livelock"
+            )
         return fired
 
     @property

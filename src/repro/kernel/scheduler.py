@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Tuple
+from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 from repro.kernel.cpu import CpuTopology, LogicalCore
 from repro.kernel.events import Simulator
@@ -159,6 +159,9 @@ class Scheduler:
         #: (timestamp, cpu, pid, tid) log of switches, kept only if enabled
         self.switch_log: Optional[List[Tuple[int, int, int, int]]] = None
         self._threads: List[Thread] = []
+        #: called with each thread right after it exits; run-to-completion
+        #: uses it to stop the clock when its last target finishes
+        self.on_thread_exit: Optional[Callable[[Thread], None]] = None
 
     # -- facility integration ----------------------------------------------
 
@@ -357,6 +360,8 @@ class Scheduler:
             thread.current_core = None
             core.running = None
             self._switch_out(core, prev=thread)
+            if self.on_thread_exit is not None:
+                self.on_thread_exit(thread)
             return
 
         if result.outcome == SLICE_SYSCALL:

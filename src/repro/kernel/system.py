@@ -16,7 +16,7 @@ from repro.kernel.cpu import CpuTopology, InterferenceModel
 from repro.kernel.events import Simulator
 from repro.kernel.scheduler import Scheduler, SchedulerConfig
 from repro.kernel.syscalls import SyscallTable
-from repro.kernel.task import Process, ThreadState
+from repro.kernel.task import Process, Thread, ThreadState
 from repro.kernel.tracepoints import TracepointRegistry
 from repro.util.rng import RngFactory
 from repro.util.units import MIB, SEC
@@ -175,21 +175,38 @@ class KernelSystem:
     ) -> bool:
         """Run until all threads of ``processes`` finish (or deadline).
 
-        Returns True if everything completed before the deadline.
+        Returns True if everything completed before the deadline.  The
+        clock stops at the event in which the last target thread exits;
+        on a miss it stays at the last event fired, short of the deadline.
+        Targets are re-checked only when the first still-pending one
+        exits, never per event.
         """
         targets = list(processes)
 
-        def done() -> bool:
-            return all(
-                t.state is ThreadState.DONE for p in targets for t in p.threads
-            )
+        def first_pending() -> Optional[Thread]:
+            for process in targets:
+                for thread in process.threads:
+                    if thread.state is not ThreadState.DONE:
+                        return thread
+            return None
 
-        while not done():
-            next_time = self.sim.peek_time()
-            if next_time is None or next_time > deadline_ns:
-                break
-            self.sim.step()
-        return done()
+        pending = first_pending()
+        if pending is None:
+            return True
+
+        def on_exit(thread: Thread) -> None:
+            nonlocal pending
+            if thread is pending:
+                pending = first_pending()
+                if pending is None:
+                    self.sim.stop()
+
+        self.scheduler.on_thread_exit = on_exit
+        try:
+            self.sim.run_until_stopped(deadline_ns)
+        finally:
+            self.scheduler.on_thread_exit = None
+        return pending is None
 
     # -- measurement ---------------------------------------------------------------
 

@@ -20,6 +20,7 @@ tracing schemes execute identical paths at different speeds.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -182,7 +183,17 @@ class ProgramExecution(_ScriptedExecution):
         self.syscall_mix = syscall_mix or {"brk": 0.5, "madvise": 0.3, "mmap": 0.2}
         self._mix_names = list(self.syscall_mix)
         mix = np.array([self.syscall_mix[n] for n in self._mix_names], dtype=float)
-        self._mix_probs = mix / mix.sum()
+        total = mix.sum()
+        if not (mix >= 0).all() or not 0 < total < math.inf:
+            raise ValueError(
+                "syscall_mix weights must be non-negative with a positive sum"
+            )
+        # the CDF Generator.choice(n, p=probs) would rebuild on every draw;
+        # bisecting it with one random() gives the same pick and leaves the
+        # RNG stream exactly where choice() would
+        cdf = (mix / total).cumsum()
+        cdf /= cdf[-1]
+        self._mix_cdf = cdf.tolist()
         super().__init__(
             path_model, nominal_ips, branch_per_instr, seed, label,
             phase_offset_instr=phase_offset_instr,
@@ -196,10 +207,8 @@ class ProgramExecution(_ScriptedExecution):
             yield ("work", chunk)
             emitted += chunk
             if emitted < self.work_total:
-                name = self._mix_names[
-                    int(self._rng.choice(len(self._mix_names), p=self._mix_probs))
-                ]
-                yield ("syscall", name)
+                pick = bisect.bisect_right(self._mix_cdf, self._rng.random())
+                yield ("syscall", self._mix_names[pick])
 
 
 class ServerLoopExecution(_ScriptedExecution):

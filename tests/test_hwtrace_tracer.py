@@ -111,3 +111,33 @@ class TestLifecycle:
         assert not tracer.output.stopped
         assert tracer.segments == []
         assert tracer.overflow_slices == 0
+
+
+class TestControlBitsView:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            CtlBits(0),
+            CtlBits.BRANCH_EN | CtlBits.TOPA,
+            CtlBits.BRANCH_EN | CtlBits.TOPA | CtlBits.CR3_FILTER,
+            CtlBits.exist_default(),
+        ],
+    )
+    def test_int_masks_agree_with_flag_view(self, tracer, flags):
+        def check():
+            ctl = tracer.msr.ctl
+            assert type(tracer.msr.ctl_value) is int
+            assert tracer.msr.trace_enabled == bool(ctl & CtlBits.TRACE_EN)
+            assert tracer.enabled == tracer.msr.trace_enabled
+            assert tracer.cr3_filtering == bool(ctl & CtlBits.CR3_FILTER)
+
+        tracer.msr.configure(flags, cr3_match=0x5000)
+        check()
+        assert not tracer.enabled
+        tracer.msr.enable()
+        check()
+        assert tracer.enabled
+        tracer.msr.disable()
+        check()
+        assert not tracer.enabled
+        assert tracer.msr.ctl == flags

@@ -207,3 +207,48 @@ class TestHalt:
         sim.run_until(1000)
         assert fired == ["late"]
         assert sim.now == 1000
+
+
+class TestStop:
+    def test_stop_keeps_remaining_ready_events(self):
+        sim = Simulator()
+        seen = []
+
+        def record_and_stop():
+            seen.append(sim.now)
+            sim.stop()
+
+        sim.schedule(10, record_and_stop)
+        sim.schedule(20, lambda: seen.append(sim.now))
+        sim.schedule(30, lambda: seen.append(sim.now))
+        assert sim.run_until(100) == 1
+        # stopped short: the clock must not jump past the queued events
+        assert sim.now == 10
+        assert sim.run_until(200) == 2
+        assert seen == [10, 20, 30]
+        assert sim.now == 200
+
+    def test_run_until_stopped_leaves_clock_at_last_event(self):
+        sim = Simulator()
+        sim.schedule(10, lambda: None)
+        sim.schedule(40, sim.stop)
+        sim.schedule(50, lambda: None)
+        assert sim.run_until_stopped(100) == 2
+        assert sim.now == 40
+        assert sim.pending_count == 1
+
+    def test_run_until_stopped_miss_does_not_reach_deadline(self):
+        sim = Simulator()
+        sim.schedule(10, lambda: None)
+        sim.schedule(500, lambda: None)
+        assert sim.run_until_stopped(100) == 1
+        assert sim.now == 10
+        assert sim.events_fired == 1
+
+    def test_stop_is_one_shot(self):
+        sim = Simulator()
+        sim.schedule(10, sim.stop)
+        sim.schedule(20, lambda: None)
+        sim.run_until(15)
+        assert sim.run_until(30) == 1
+        assert sim.now == 30

@@ -1,6 +1,11 @@
 """Unit tests for the execution engines."""
 
+import bisect
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.kernel.task import SLICE_DONE, SLICE_SYSCALL, SLICE_TIMESLICE
 from repro.program.execution import ProgramExecution, ServerLoopExecution
@@ -167,3 +172,45 @@ class TestServerLoopExecution:
             rb = b.advance(1 * MSEC, 1.0, False)
             assert ra.work_done == rb.work_done
             assert ra.outcome == rb.outcome
+
+
+class TestSyscallPick:
+    """The CDF bisect pick against ``Generator.choice`` as the reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        weights=st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-6, 1e6)), min_size=1, max_size=8
+        ).filter(lambda w: sum(w) > 0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bisect_matches_choice(self, tiny_path, weights, seed):
+        mix = {f"sys{i}": w for i, w in enumerate(weights)}
+        engine = make_compute(tiny_path, syscall_mix=mix)
+        cdf = engine._mix_cdf
+        p = np.array(weights) / np.sum(weights)
+        ours = np.random.default_rng(seed)
+        reference = np.random.default_rng(seed)
+        for _ in range(20):
+            pick = bisect.bisect_right(cdf, ours.random())
+            assert pick == int(reference.choice(len(weights), p=p))
+            assert weights[pick] > 0
+        assert ours.random() == reference.random()
+
+    @pytest.mark.parametrize(
+        "mix", [{"brk": 0.5, "mmap": -0.1}, {"brk": 0.0, "mmap": 0.0}]
+    )
+    def test_bad_mix_rejected_at_construction(self, tiny_path, mix):
+        with pytest.raises(ValueError):
+            make_compute(tiny_path, syscall_mix=mix)
+
+    def test_script_picks_follow_the_mix(self, tiny_path):
+        engine = make_compute(
+            tiny_path,
+            work=2e7,
+            syscall_interval=1e4,
+            syscall_mix={"brk": 1.0, "mmap": 0.0, "madvise": 3.0},
+        )
+        names = [p for kind, p in engine._make_script() if kind == "syscall"]
+        assert "mmap" not in names
+        assert 0.65 < names.count("madvise") / len(names) < 0.85
