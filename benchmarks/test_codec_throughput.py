@@ -1,9 +1,9 @@
-"""Codec throughput microbenchmark: object path vs. columnar path.
+"""Codec throughput microbenchmark: columnar encode, object vs. columnar decode.
 
-Encodes a ~10 MB synthetic packet stream and decodes it with both the
-per-packet object pipeline (``encode_trace_objects`` /
-``SoftwareDecoder.decode_objects``) and the vectorized columnar pipeline
-(``encode_trace`` / ``SoftwareDecoder.decode``), then writes MB/s for
+Encodes a ~10 MB synthetic packet stream with the columnar encoder
+(``encode_trace``) and decodes it with both the per-packet object
+pipeline (``SoftwareDecoder.decode_objects``) and the vectorized
+columnar pipeline (``SoftwareDecoder.decode``), then writes MB/s for
 each to ``BENCH_codec.json`` at the repository root — the perf
 trajectory other PRs regress against.  The vectorized decode must beat
 the object decode by >= 10x on this stream.
@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from conftest import emit
-from repro.hwtrace.decoder import SoftwareDecoder, encode_trace, encode_trace_objects
+from repro.hwtrace.decoder import SoftwareDecoder, encode_trace
 from repro.hwtrace.tracer import TraceSegment
 from repro.program.binary import FunctionCategory
 from repro.program.generator import BinaryShape, generate_binary
@@ -63,10 +63,6 @@ def test_codec_throughput():
     binary, segments = _build_segments()
 
     stream, t_encode_columnar = _timed(lambda: encode_trace(segments))
-    stream_objects, t_encode_objects = _timed(
-        lambda: encode_trace_objects(segments)
-    )
-    assert stream == stream_objects, "encoders diverged byte-wise"
     megabytes = len(stream) / 1e6
     assert megabytes >= 9.5, f"stream too small: {megabytes:.1f} MB"
 
@@ -82,9 +78,7 @@ def test_codec_throughput():
     metrics = {
         "stream_mb": round(megabytes, 3),
         "records": len(decoded),
-        "encode_object_mb_s": round(megabytes / t_encode_objects, 2),
         "encode_columnar_mb_s": round(megabytes / t_encode_columnar, 2),
-        "encode_speedup": round(t_encode_objects / t_encode_columnar, 2),
         "decode_object_mb_s": round(megabytes / t_decode_objects, 2),
         "decode_columnar_mb_s": round(megabytes / t_decode_columnar, 2),
         "decode_speedup": round(t_decode_objects / t_decode_columnar, 2),
@@ -96,17 +90,14 @@ def test_codec_throughput():
     emit("Codec throughput (10 MB synthetic stream)")
     emit(f"{'path':<20}{'encode MB/s':>14}{'decode MB/s':>14}")
     emit(
-        f"{'object':<20}{report['encode_object_mb_s']:>14.1f}"
+        f"{'object':<20}{'-':>14}"
         f"{report['decode_object_mb_s']:>14.1f}"
     )
     emit(
         f"{'columnar':<20}{report['encode_columnar_mb_s']:>14.1f}"
         f"{report['decode_columnar_mb_s']:>14.1f}"
     )
-    emit(
-        f"speedup: encode {report['encode_speedup']:.1f}x, "
-        f"decode {report['decode_speedup']:.1f}x"
-    )
+    emit(f"speedup: decode {report['decode_speedup']:.1f}x")
 
     assert report["decode_speedup"] >= MIN_SPEEDUP, (
         f"columnar decode only {report['decode_speedup']:.1f}x faster; "

@@ -1,25 +1,22 @@
-"""Vectorized service-engine throughput benchmark (million-RPC campaign).
+"""Service-engine throughput benchmark (million-RPC campaign).
 
 Measurements recorded to ``BENCH_services.json`` (uniform schema via
 :mod:`repro.util.bench`):
 
-* **legacy_spans_per_s** — the original closure-per-call engine on the
-  e-commerce pipeline (the reference oracle, kept for the equivalence
-  suite), timed on a run small enough to finish quickly.
 * **vector_spans_per_s** — a one-million-request e-commerce campaign
-  through the vectorized engine (``jobs=1`` so the comparison is
-  single-core against single-core).  The in-test gate is the *ratio*:
-  the vectorized engine must clear ``MIN_ENGINE_RATIO`` (10x) over
-  legacy in the same run — a machine-independent bound, unlike the
-  absolute spans/s which the regression gate tracks per box.
+  through the columnar engine (``jobs=1``, single core); the regression
+  gate tracks it per box.
 * **engine_exact / parity_identical** — the correctness side riding
-  along: the vectorized engine reproduces the legacy engine bit-for-bit
-  (sorted responses, busy accounting, span forests), and a chaos-preset
-  campaign merges byte-identically for ``jobs=1`` vs ``jobs=2``.
+  along: a small e-commerce run reproduces its golden digest (sorted
+  responses, busy accounting, completed count, window and span forests
+  with ids and parents), and a chaos-preset campaign merges
+  byte-identically for ``jobs=1`` vs ``jobs=2``.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import time
 from pathlib import Path
 
@@ -40,25 +37,35 @@ from repro.util.bench import write_bench
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: requests timed through the legacy closure engine (it is the slow one)
-LEGACY_REQUESTS = 20_000
 #: the headline campaign: one million requests, 14 RPCs each
 CAMPAIGN_REQUESTS = 1_000_000
 #: fleet-cell size; large cells amortize per-partition table builds
 PARTITION_REQUESTS = 62_500
-#: the vectorized engine must beat legacy by at least this factor
-MIN_ENGINE_RATIO = 10.0
 SEED = 7
 UTILIZATION = 0.7
+#: blake2b of ``_report_digest`` over the 2,000-request exactness run
+SMALL_RUN_DIGEST = "afc534de57cb4a8072002ac1778b98d0"
 
 
-def _span_forest(report):
-    forest = {}
-    for trace in report.sample_traces:
-        forest[trace.request_id] = sorted(
-            (s.service, s.start_ns, s.end_ns, s.self_ns) for s in trace.spans
+def _report_digest(report) -> str:
+    forest = {
+        str(trace.request_id): sorted(
+            [s.service, s.start_ns, s.end_ns, s.self_ns, s.span_id, s.parent]
+            for s in trace.spans
         )
-    return forest
+        for trace in report.sample_traces
+    }
+    canonical = json.dumps(
+        {
+            "response_times_ns": np.sort(report.response_times_ns).tolist(),
+            "service_busy_ns": report.service_busy_ns,
+            "completed": report.completed,
+            "duration_ns": report.duration_ns,
+            "span_forest": forest,
+        },
+        sort_keys=True,
+    ).encode()
+    return hashlib.blake2b(canonical, digest_size=16).hexdigest()
 
 
 def test_services_throughput():
@@ -67,39 +74,15 @@ def test_services_throughput():
     rate = QueueingSimulator(graph).rate_for_utilization(UTILIZATION)
     arrivals = PoissonArrivals(rate, seed=SEED)
 
-    # -- exactness: vector vs legacy on the same arrivals ----------------------
-    legacy_small = QueueingSimulator(graph, seed=SEED, engine="legacy").run_open_loop(
-        arrivals, 2_000, keep_traces=2_000
-    )
-    vector_small = run_vectorized(
+    # -- exactness: the small run against its golden digest --------------------
+    small = run_vectorized(
         graph, arrivals.arrival_times(2_000), SEED, keep_traces=2_000
     )
-    engine_exact = (
-        np.array_equal(
-            np.sort(legacy_small.response_times_ns),
-            np.sort(vector_small.response_times_ns),
-        )
-        and legacy_small.service_busy_ns == vector_small.service_busy_ns
-        and _span_forest(legacy_small) == _span_forest(vector_small)
-    )
-    assert engine_exact, "vectorized engine diverged from the legacy oracle"
-    emit("exactness: vector == legacy (responses, busy time, span forests)")
+    engine_exact = _report_digest(small) == SMALL_RUN_DIGEST
+    assert engine_exact, "service engine diverged from its golden digest"
+    emit("exactness: engine == golden digest (responses, busy time, span forests)")
 
-    # -- legacy engine throughput ----------------------------------------------
-    start = time.perf_counter()
-    legacy_report = QueueingSimulator(graph, seed=SEED, engine="legacy").run_open_loop(
-        arrivals, LEGACY_REQUESTS
-    )
-    legacy_s = time.perf_counter() - start
-    calls_per_request = 14  # the e-commerce pipeline's RPC fan-out
-    legacy_spans = LEGACY_REQUESTS * calls_per_request
-    legacy_spans_per_s = legacy_spans / legacy_s
-    emit(
-        f"legacy engine:  {legacy_spans:>10,} spans in {legacy_s:6.2f}s"
-        f" = {legacy_spans_per_s:>9,.0f} spans/s"
-    )
-
-    # -- vectorized million-RPC campaign ---------------------------------------
+    # -- million-RPC campaign --------------------------------------------------
     spec = CampaignSpec(
         workload="ecommerce",
         n_requests=CAMPAIGN_REQUESTS,
@@ -113,15 +96,9 @@ def test_services_throughput():
     vector_spans = campaign["spans_simulated"]
     vector_spans_per_s = vector_spans / campaign_s
     emit(
-        f"vector engine:  {vector_spans:>10,} spans in {campaign_s:6.2f}s"
+        f"engine: {vector_spans:>10,} spans in {campaign_s:6.2f}s"
         f" = {vector_spans_per_s:>9,.0f} spans/s"
         f"  ({campaign['partitions']} partitions)"
-    )
-
-    ratio = vector_spans_per_s / legacy_spans_per_s
-    emit(f"vector/legacy ratio: {ratio:.1f}x (gate: >= {MIN_ENGINE_RATIO:.0f}x)")
-    assert ratio >= MIN_ENGINE_RATIO, (
-        f"vectorized engine only {ratio:.1f}x over legacy"
     )
 
     # -- jobs parity under the chaos preset ------------------------------------
@@ -138,13 +115,10 @@ def test_services_throughput():
 
     baseline = campaign["schemes"]["baseline"]
     metrics = {
-        "legacy_requests": LEGACY_REQUESTS,
         "campaign_requests": CAMPAIGN_REQUESTS,
         "campaign_partitions": campaign["partitions"],
         "campaign_spans": vector_spans,
-        "legacy_spans_per_s": round(legacy_spans_per_s, 0),
         "vector_spans_per_s": round(vector_spans_per_s, 0),
-        "vector_vs_legacy_ratio": round(ratio, 1),
         "campaign_p50_ms": round(baseline["p50_ms"], 3),
         "campaign_p99_ms": round(baseline["p99_ms"], 3),
         "campaign_rps": round(baseline["throughput_rps"], 0),
@@ -152,8 +126,3 @@ def test_services_throughput():
         "parity_identical": parity,
     }
     write_bench(REPO_ROOT / "BENCH_services.json", "services_campaign", metrics)
-
-    emit("Vectorized service campaign engine")
-    emit(f"  legacy:   {legacy_spans_per_s:>12,.0f} spans/s")
-    emit(f"  vector:   {vector_spans_per_s:>12,.0f} spans/s  ({ratio:.1f}x)")
-    assert legacy_report.completed > 0

@@ -55,12 +55,9 @@ from repro.hwtrace.packets import (
     PSB_BYTES,
     OvfPacket,
     PipPacket,
-    PsbPacket,
     PtwPacket,
     TipPacket,
-    TntPacket,
     TscPacket,
-    encode_packets,
     parse_stream,
     parse_stream_resilient,
 )
@@ -172,8 +169,7 @@ def encode_trace(segments: Sequence[TraceSegment]) -> bytes:
     was lost there.
 
     The event body is assembled columnar (one vectorized pass per
-    segment); the bytes are identical to what per-packet object encoding
-    produced.
+    segment); a blake2b golden in the codec tests pins the bytes.
     """
     parts: List[bytes] = []
     for segment in segments:
@@ -662,27 +658,6 @@ class SoftwareDecoder:
             resyncs=resyncs,
             ptwrites=ptwrites,
         )
-
-
-def encode_trace_objects(segments: Sequence[TraceSegment]) -> bytes:
-    """Reference encoder via per-packet objects (the pre-columnar path).
-
-    Byte-identical to :func:`encode_trace`; kept for golden-equality
-    tests and the codec benchmark.
-    """
-    packets: List[object] = []
-    for segment in segments:
-        packets.append(PsbPacket())
-        packets.append(TscPacket(segment.t_start))
-        packets.append(PipPacket(segment.cr3))
-        blocks = segment.path_model.binary.blocks
-        for block_id in segment.captured_block_ids().tolist():
-            bits = tuple(bool((block_id >> k) & 1) for k in range(4))
-            packets.append(TntPacket(bits))
-            packets.append(TipPacket(blocks[block_id].address))
-        if segment.truncated:
-            packets.append(OvfPacket())
-    return encode_packets(packets)  # type: ignore[arg-type]
 
 
 def _forward_fill(mask: np.ndarray, values: np.ndarray) -> np.ndarray:

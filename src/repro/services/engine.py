@@ -1,41 +1,36 @@
-"""Vectorized columnar engine for million-RPC service campaigns.
+"""Columnar service engine for open-loop and million-RPC service runs.
 
-The legacy :meth:`~repro.services.latency.QueueingSimulator._run` engine
-schedules one Python closure per RPC call and allocates a
-:class:`~repro.services.rpc.Span` dataclass per event — tens of
-thousands of spans/s.  This module replaces that hot path with a
-batched, array-based engine that reproduces the legacy discipline
-*exactly* (the legacy path stays available as the reference oracle):
+Every RPC of a run flows through one batched, array-based event loop:
 
 * **Static call programs** — a request's call tree is a pure function
   of the graph, so it is compiled once (:class:`CallProgram`): DFS
   preorder slots, per-slot service ids, and precomputed
-  completion-walk offsets.  ``call_no`` in the legacy engine is the
-  submit-order counter, and synchronous sequential RPC makes submit
-  order DFS preorder — the slot index *is* the legacy ``call_no``.
-* **Precomputed lognormal tables** — the legacy engine draws service
-  times as ``max(1, int(math.exp(mu + sigma * normal_table[idx])))``
-  with a 65536-entry common-random-numbers table.  We precompute the
-  exponentiated table per (service, inflation) with the same
-  ``math.exp`` (``np.exp`` can differ by 1 ULP, flipping the ``int``
-  truncation) and gather whole (request, call) matrices in numpy.
-  The CRN contract is preserved bit for bit: two runs differing only
-  in tracing inflation see identical noise indices.
+  completion-walk offsets.  Synchronous sequential RPC makes submit
+  order DFS preorder, so slot ``j`` is the request's ``j``-th call.
+* **Precomputed lognormal tables** — service times are
+  ``max(1, int(math.exp(mu + sigma * normal_table[idx])))`` over a
+  65536-entry common-random-numbers table, exponentiated once per
+  (service, inflation) with ``math.exp`` (``np.exp`` can differ by 1
+  ULP, flipping the ``int`` truncation) and gathered as whole
+  (request, call) matrices in numpy.  Two runs differing only in
+  tracing inflation see identical noise indices.
 * **Columnar event loop** — the heap holds one packed integer per
   *in-flight* call (``time``, submit sequence, and (request, slot)
-  token packed into a single int), not one closure per event.  Worker reservation happens at submit time and queued calls
-  can start *early* at a release (before their network arrival),
-  exactly as the legacy engine does; see :func:`run_vectorized`.
+  token packed into a single int), not one closure per event.  Worker
+  reservation happens at submit time and queued calls can start
+  *early* at a release (before their network arrival); see
+  :func:`run_vectorized` for the full discipline.
 * **SoA SpanLog** — spans live in int64 ``start/end/self`` columns,
   with a lazy :meth:`SpanLog.traces` compat view materializing
   :class:`~repro.services.rpc.RequestTrace` objects only on demand.
 
-Known divergence (documented, not observed on the seeded equivalence
-suite): when two service completions land on the *same nanosecond* at
-the same contended service, the legacy engine breaks the tie by the
-order the completions were *scheduled* (at start fire) while this
-engine breaks it by submit order.  Queue ordering itself is identical
-— both key queued calls by (arrival, submit sequence).
+Tie order: events are ordered by (time, sequence), one global counter.
+Request launches take sequence numbers ``0..n-1``, so an arrival wins a
+same-nanosecond tie against any in-flight completion.  A call takes the
+next number when it is submitted — to the event heap if a worker is
+free, else to the service queue, which serves calls by (arrival,
+sequence) — and a queued call takes a fresh one when a release starts
+it.  Same-nanosecond completions run in that order.
 """
 
 from __future__ import annotations
@@ -52,14 +47,15 @@ from repro.services.graph import ServiceGraph
 from repro.services.rpc import RequestTrace, Span, span_id_for
 from repro.util.rng import derive_seed
 
-#: multiplicative-hash constants of the common-random-numbers index —
-#: shared verbatim with the legacy closure engine so both engines
-#: sample identical service times for a given (request, service, call)
+#: multiplicative-hash constants of the common-random-numbers index:
+#: a (request, service, call) triple always draws the same table entry
 TABLE_BITS = 16
 TABLE_MASK = (1 << TABLE_BITS) - 1
 RID_MIX = 2654435761
 SALT_MIX = 97
 CALL_MIX = 7919
+#: span-recording modes of :func:`run_vectorized`
+RECORD_MODES = ("auto", "full", "none")
 
 
 
@@ -67,7 +63,7 @@ CALL_MIX = 7919
 class CallProgram:
     """One request's static call tree, compiled to flat slot tables.
 
-    Slot ``j`` is the j-th call in DFS preorder (== legacy ``call_no``).
+    Slot ``j`` is the j-th call in DFS preorder (== submit order).
     ``table[j]`` drives the event loop without per-event graph walks::
 
         (service_id, is_leaf, next_slot, offset_ns, ends, next_service_id)
@@ -154,7 +150,7 @@ class CallProgram:
 
 
 def normal_table_for(seed: int) -> np.ndarray:
-    """The 65536-entry CRN table, identical to the legacy engine's."""
+    """The 65536-entry common-random-numbers table of ``seed``."""
     rng = np.random.default_rng(derive_seed(seed, "queueing"))
     return rng.standard_normal(1 << TABLE_BITS)
 
@@ -170,7 +166,7 @@ def _exp_table(
 
     Uses ``math.exp`` in a scalar loop, not ``np.exp``: the two can
     disagree by 1 ULP, which the ``int()`` truncation would amplify
-    into an off-by-one nanosecond vs the legacy engine.
+    into an off-by-one nanosecond in the service times.
     """
     key = (table_key, float(mean), float(sigma))
     if cache is not None:
@@ -200,9 +196,10 @@ def service_time_matrix(
 ) -> np.ndarray:
     """(n_requests, max_slots) int64 service times, CRN-exact.
 
-    Entry ``[rid, j]`` equals the legacy engine's
-    ``sample_service_time(spec, service, rid, call_no=j)`` for the
-    request's program class; slots beyond a class's program are left
+    Entry ``[rid, j]`` is the service time of call ``j`` of request
+    ``rid`` under the request's program class: the exponentiated CRN
+    table at index ``(rid * RID_MIX + crc32(service) * SALT_MIX + j *
+    CALL_MIX) & TABLE_MASK``.  Slots beyond a class's program are left
     at 1 and never visited by the event loop.
     """
     table_key = derive_seed(seed, "queueing")
@@ -339,7 +336,7 @@ def run_vectorized(
 ):
     """Run the columnar event loop; returns a ``LatencyReport``.
 
-    Discipline (identical to the legacy closure engine):
+    Discipline:
 
     * a worker is *reserved at submit time* — ``busy`` increments when
       the caller issues the RPC, before the network flight;
@@ -347,7 +344,7 @@ def run_vectorized(
       by ``(future_arrival, submit_seq)``;
     * at each completion the worker is released and the queue head (if
       any) starts *immediately* — possibly before its own arrival
-      time, exactly as the legacy engine's release/queued_start path;
+      time;
     * only then is the completing request's next call submitted
       (first child, next sibling from the completion walk, or the
       response recorded).
@@ -361,6 +358,14 @@ def run_vectorized(
     """
     from repro.services.latency import LatencyReport
 
+    if not 0.0 <= warmup_fraction < 1.0:
+        raise ValueError(
+            f"warmup_fraction must be in [0, 1), got {warmup_fraction!r}"
+        )
+    if record not in RECORD_MODES:
+        raise ValueError(
+            f"record must be one of {RECORD_MODES}, got {record!r}"
+        )
     arrival_times = np.asarray(arrival_times, dtype=np.int64)
     n = len(arrival_times)
     if programs is None:
@@ -394,9 +399,9 @@ def run_vectorized(
     # << tok_bits) | tok`` with ``tok = rid << kbits | slot`` — so a
     # heap sift is a single int compare and a pop allocates nothing but
     # the decode shifts.  ``seq`` is a global submit-order counter:
-    # launches take 0..n-1 (winning same-ns ties against sim events,
-    # as the legacy engine's pre-pushed launch events do) and service
-    # queues share the counter, matching legacy (arrival, seq) order.
+    # launches take 0..n-1 (winning same-ns ties against sim events)
+    # and service queues share the counter, so queued calls are served
+    # in (arrival, seq) order.
     kbits = max(1, (k - 1).bit_length())
     kmask = (1 << kbits) - 1
     tok_bits = kbits + max(1, (n - 1).bit_length())
@@ -406,7 +411,7 @@ def run_vectorized(
     tabs = [p.table for p in programs]
     tab0 = tabs[0]
     cls_l = classes.tolist() if classes is not None else None
-    # free worker count per service (= workers - busy in legacy terms)
+    # free worker count per service (workers - busy)
     free_l = list(programs[0].workers)
     n_services = len(free_l)
     qheaps: List[List[int]] = [[] for _ in range(n_services)]
@@ -458,7 +463,7 @@ def run_vectorized(
             tab = tab0 if cls_l is None else tabs[cls_l[rid]]
             sid_j, is_leaf, nj, off, ends, sid2 = tab[j]
             # release the worker, then start the queue head (it may
-            # start before its own arrival — legacy discipline)
+            # start before its own arrival)
             free_l[sid_j] += 1
             q = qheaps[sid_j]
             if q:

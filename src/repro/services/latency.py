@@ -1,12 +1,14 @@
-"""Discrete-event queueing simulator for end-to-end latency.
+"""Open-loop latency runs over a service graph.
 
-Each service is a ``workers``-server FCFS queue; a request visits the
-root, and after a service's own processing it issues its outgoing calls
+Each service is a ``workers``-server queue; a request visits the root,
+and after a service's own processing it issues its outgoing calls
 *sequentially* (synchronous RPC), returning when the last child returns.
-Installing a tracing scheme multiplies one service's service time by its
-measured node-level inflation — the simulator then shows how that
-single-digit (or per-mille) overhead compounds through queueing into the
-tail (Figures 3b and 16).
+The discipline itself lives in :func:`repro.services.engine.run_vectorized`;
+:class:`QueueingSimulator` is the capacity and rate helper in front of
+it.  Installing a tracing scheme multiplies one service's service time
+by its measured node-level inflation — the run then shows how that
+single-digit (or per-mille) overhead compounds through queueing into
+the tail (Figures 3b and 16).
 
 This simulator is intentionally independent of the kernel simulator:
 service-time inflations are *measured* there (a real EXIST/baseline run
@@ -16,19 +18,16 @@ the paper's testbed composes node overhead and cluster queueing.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
-import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.services.graph import CallEdge, ServiceGraph, ServiceSpec
+from repro.services.engine import run_vectorized
+from repro.services.graph import ServiceGraph
 from repro.services.loadgen import PoissonArrivals
-from repro.services.rpc import RequestTrace, Span
-from repro.util.rng import derive_seed
+from repro.services.rpc import RequestTrace
 from repro.util.stats import percentiles
 from repro.util.units import SEC
 
@@ -43,10 +42,10 @@ class LatencyReport:
     service_busy_ns: Dict[str, int]
     service_workers: Dict[str, int]
     sample_traces: List[RequestTrace] = field(default_factory=list)
-    #: columnar span window (vectorized engine only); ``sample_traces``
-    #: is its materialized compat view
+    #: columnar span window; ``sample_traces`` is its materialized
+    #: compat view
     span_log: Optional[object] = None
-    #: total RPC calls simulated, including warmup (vectorized engine)
+    #: total RPC calls simulated, including warmup
     spans_simulated: int = 0
 
     def percentile(self, pct: float) -> float:
@@ -74,32 +73,17 @@ class LatencyReport:
         return busy / (workers * self.duration_ns)
 
 
-class _ServiceState:
-    __slots__ = ("spec", "busy", "queue", "busy_ns")
-
-    def __init__(self, spec: ServiceSpec):
-        self.spec = spec
-        self.busy = 0
-        self.queue: List[Tuple[int, int, object]] = []  # (arrival, seq, call)
-        self.busy_ns = 0
-
-
 class QueueingSimulator:
     """Event-driven simulation of a :class:`ServiceGraph` under load.
 
-    ``engine`` selects the hot path: ``"vector"`` (default) runs the
-    columnar array engine of :mod:`repro.services.engine`; ``"legacy"``
-    runs the original closure-per-call heap, kept as the reference
-    oracle for the equivalence suite.  Both produce identical reports
-    on the seeded test graphs (percentile-exact, span-tree-exact).
+    Runs go through the columnar engine of :mod:`repro.services.engine`;
+    this class adds the bottleneck-capacity and utilization-to-rate
+    arithmetic that load sweeps need.
     """
 
-    def __init__(self, graph: ServiceGraph, seed: int = 0, engine: str = "vector"):
-        if engine not in ("vector", "legacy"):
-            raise ValueError(f"unknown engine {engine!r}")
+    def __init__(self, graph: ServiceGraph, seed: int = 0):
         self.graph = graph
         self.seed = seed
-        self.engine = engine
 
     # -- public API ---------------------------------------------------------
 
@@ -112,13 +96,8 @@ class QueueingSimulator:
         record: str = "auto",
     ) -> LatencyReport:
         """Drive ``n_requests`` Poisson arrivals through the graph."""
-        times = arrivals.arrival_times(n_requests)
-        if self.engine == "legacy":
-            return self._run(times, warmup_fraction, keep_traces)
-        from repro.services.engine import run_vectorized
-
         return run_vectorized(
-            self.graph, times, self.seed,
+            self.graph, arrivals.arrival_times(n_requests), self.seed,
             warmup_fraction=warmup_fraction,
             keep_traces=keep_traces,
             record=record,
@@ -155,171 +134,3 @@ class QueueingSimulator:
                     base * edge.calls_per_request
                 )
         return counts
-
-    def _run(
-        self,
-        arrival_times: np.ndarray,
-        warmup_fraction: float,
-        keep_traces: int,
-    ) -> LatencyReport:
-        rng = np.random.default_rng(derive_seed(self.seed, "queueing"))
-        # common random numbers: each (request, service, call) indexes a
-        # fixed table of standard-normal draws, so two runs differing only
-        # in tracing inflation see identical service-time randomness —
-        # scheme comparisons measure the inflation, not the noise
-        normal_table = rng.standard_normal(1 << 16)
-        table_mask = (1 << 16) - 1
-        states = {
-            name: _ServiceState(spec) for name, spec in self.graph.services.items()
-        }
-        heap: List[Tuple[int, int, Callable[[], None]]] = []
-        seq = itertools.count()
-        now = 0
-
-        def at(time: int, fn: Callable[[], None]) -> None:
-            heapq.heappush(heap, (time, next(seq), fn))
-
-        response_times: List[int] = []
-        completions = 0
-        traces: List[RequestTrace] = []
-        warmup_count = int(len(arrival_times) * warmup_fraction)
-
-        service_salts = {
-            name: zlib.crc32(name.encode()) for name in self.graph.services
-        }
-
-        def sample_service_time(
-            spec: ServiceSpec, service_name: str, rid: int, call_no: int
-        ) -> int:
-            mean = spec.inflated_mean()
-            sigma = spec.service_time_sigma
-            mu = math.log(mean) - 0.5 * sigma * sigma
-            # stable salt (never the built-in hash(): it is randomized per
-            # process and would break cross-run determinism)
-            index = (
-                rid * 2654435761 + service_salts[service_name] * 97
-                + call_no * 7919
-            ) & table_mask
-            return max(1, int(math.exp(mu + sigma * normal_table[index])))
-
-        def submit(
-            service_name: str,
-            arrive_ns: int,
-            done: Callable[[int], None],
-            trace: Optional[RequestTrace],
-            rid: int,
-            counter: Dict[str, int],
-        ) -> None:
-            state = states[service_name]
-            call_no = counter["n"]
-            counter["n"] += 1
-
-            def start(start_ns: int) -> None:
-                service_ns = sample_service_time(
-                    state.spec, service_name, rid, call_no
-                )
-                state.busy_ns += service_ns
-                end_own = start_ns + service_ns
-
-                def after_children(child_end: int) -> None:
-                    if trace is not None:
-                        trace.spans.append(
-                            Span(
-                                service=service_name,
-                                start_ns=start_ns,
-                                end_ns=child_end,
-                                self_ns=service_ns,
-                            )
-                        )
-                    done(child_end)
-
-                def run_children(t: int) -> None:
-                    edges = self.graph.callees(service_name)
-                    self._run_calls_sequentially(
-                        edges, t, after_children, submit, trace, rid, counter
-                    )
-
-                def release(t: int) -> None:
-                    state.busy -= 1
-                    if state.queue:
-                        _, _, queued_start = heapq.heappop(state.queue)
-                        state.busy += 1
-                        queued_start(t)  # type: ignore[operator]
-                    run_children(t)
-
-                at(end_own, lambda: release(end_own))
-
-            if state.busy < state.spec.workers:
-                state.busy += 1
-                at(arrive_ns, lambda: start(max(arrive_ns, now)))
-            else:
-                heapq.heappush(state.queue, (arrive_ns, next(seq), start))
-
-        def launch(request_id: int, arrive_ns: int) -> None:
-            keep = request_id >= warmup_count and len(traces) < keep_traces
-            trace = RequestTrace(request_id=request_id) if keep else None
-
-            def finished(end_ns: int) -> None:
-                nonlocal completions
-                if request_id >= warmup_count:
-                    response_times.append(end_ns - arrive_ns)
-                    completions += 1
-                    if trace is not None and len(traces) < keep_traces:
-                        traces.append(trace)
-
-            submit(
-                self.graph.root, arrive_ns, finished, trace,
-                request_id, {"n": 0},
-            )
-
-        for request_id, arrive in enumerate(arrival_times):
-            at(int(arrive), lambda r=request_id, a=int(arrive): launch(r, a))
-
-        while heap:
-            now, _, fn = heapq.heappop(heap)
-            fn()
-
-        if not response_times:
-            raise RuntimeError("no requests completed after warmup")
-        measured_window = int(arrival_times[-1] - arrival_times[warmup_count]) or 1
-        return LatencyReport(
-            response_times_ns=np.array(response_times, dtype=np.int64),
-            completed=completions,
-            duration_ns=measured_window,
-            service_busy_ns={n: s.busy_ns for n, s in states.items()},
-            service_workers={
-                n: s.spec.workers for n, s in states.items()
-            },
-            sample_traces=traces,
-        )
-
-    def _run_calls_sequentially(
-        self,
-        edges: List[CallEdge],
-        start_ns: int,
-        done: Callable[[int], None],
-        submit: Callable,
-        trace: Optional[RequestTrace],
-        rid: int,
-        counter: Dict[str, int],
-    ) -> None:
-        """Issue each edge's calls one after another (synchronous RPC)."""
-        plan: List[CallEdge] = []
-        for edge in edges:
-            plan.extend([edge] * edge.calls_per_request)
-
-        def step(index: int, t: int) -> None:
-            if index >= len(plan):
-                done(t)
-                return
-            edge = plan[index]
-            submit(
-                edge.callee,
-                t + edge.network_ns,
-                lambda end: step(index + 1, end + edge.network_ns),
-                trace,
-                rid,
-                counter,
-            )
-
-        step(0, start_ns)

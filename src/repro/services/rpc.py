@@ -7,15 +7,8 @@ then digs into — the paper's motivating two-level observability story.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
-
-# Legacy span-id stream: process-lifetime, reset between independent
-# runs by repro.util.identity.reset_identity_counters().  Only the
-# legacy closure engine's default span ids draw from it — the
-# vectorized engine derives ids structurally via span_id_for().
-_span_counter = itertools.count(1)
 
 
 def span_id_for(request_id: int, call_index: int) -> str:
@@ -23,9 +16,7 @@ def span_id_for(request_id: int, call_index: int) -> str:
     preorder) of request ``request_id``.
 
     A pure function of request identity, so span ids are byte-identical
-    across runs, jobs widths, and worker placements — unlike the
-    counter default, which depends on how many spans the process has
-    already minted.
+    across runs, jobs widths, and worker placements.
     """
     return f"span-r{request_id:08d}c{call_index:04d}"
 
@@ -44,7 +35,7 @@ class Span:
     end_ns: int
     parent: Optional[str] = None
     self_ns: Optional[int] = None
-    span_id: str = field(default_factory=lambda: f"span-{next(_span_counter):08d}")
+    span_id: str = ""
 
     @property
     def duration_ns(self) -> int:

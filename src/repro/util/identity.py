@@ -2,7 +2,7 @@
 
 Several simulation entities draw identities from module-global
 ``itertools.count`` streams (pids/tids, pod uids, session ids, task
-names, RPC span ids).  Those streams make identities unique across every
+names).  Those streams make identities unique across every
 cluster built in one interpreter — which is what experiments want — but
 they also leak across *independent* runs: the second cluster built in a
 process gets different pids, hence different CR3 values, hence different
@@ -16,8 +16,8 @@ to its boot value.  Only replay harnesses should do this — resetting
 while entities from a previous run are still in use would mint duplicate
 identities.
 
-The RPC span-id stream is legacy-only: the vectorized service engine
-derives span ids structurally from ``(request_id, call_index)`` via
+RPC span ids are not such a stream: the service engine derives them
+from ``(request_id, call_index)`` via
 :func:`repro.services.rpc.span_id_for`, so its output is
 placement-invariant without any counter to rewind.
 """
@@ -78,11 +78,9 @@ def reset_identity_counters() -> None:
     from repro.cluster import crd, pod
     from repro.core import otc
     from repro.kernel import task
-    from repro.services import rpc
 
     task._pid_counter = itertools.count(1000)
     task._tid_counter = itertools.count(5000)
     crd._task_counter = itertools.count(1)
     pod._pod_counter = itertools.count(1)
     otc._session_ids = itertools.count(1)
-    rpc._span_counter = itertools.count(1)

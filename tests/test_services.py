@@ -145,6 +145,12 @@ class TestRpc:
         assert trace.response_time_ns == 300
         assert trace.critical_service() == "a"
 
+    def test_equal_spans_compare_equal(self):
+        # span identity comes from the producer (span_id_for), never from
+        # a process-global stream: two spans built alike are equal
+        assert Span("a", 0, 10, self_ns=5) == Span("a", 0, 10, self_ns=5)
+        assert Span("a", 0, 10).span_id == ""
+
     def test_span_of(self):
         trace = RequestTrace(request_id=1)
         trace.spans.append(Span("a", 0, 10))

@@ -1,14 +1,18 @@
-"""Tests for the vectorized service engine and campaign runner.
+"""Tests for the service engine and campaign runner.
 
-The legacy closure engine stays in the tree as the reference oracle:
-the core property here is that the vectorized engine reproduces it
-*exactly* — same sorted response times, same busy accounting, same span
-trees — across graphs, seeds, utilizations (including overload), and
-tracing inflation.  On top sit the campaign-level properties: partition
-merges are byte-identical for any ``--jobs`` width, and every scenario
+The core property here is that the engine's output is pinned exactly —
+sorted response times, busy accounting, completed count, measured
+window and span forests (ids and parents included) — across graphs,
+seeds, utilizations (including overload), and tracing inflation.  The
+digests in ``GOLDEN`` were recorded from runs in which the retired
+closure-per-call engine produced the identical report, so each
+``test_matches_legacy_*`` case still checks what the oracle checked.
+On top sit the campaign-level properties: partition merges are
+byte-identical for any ``--jobs`` width, and every scenario
 perturbation is a pure function of the spec.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -38,6 +42,24 @@ from repro.services.workloads import (
 )
 from repro.util.units import USEC
 
+#: blake2b digests of ``_digest(report)`` over the equivalence grid
+GOLDEN = {
+    "two_tier_graph-0": "5cde47aa87f5f5cd3804d785a876c4df",
+    "two_tier_graph-7": "771e4c6699b93f4a936009b82cfdb848",
+    "two_tier_graph-123": "a04caddfdbcd3000f984f13d24ab2bf6",
+    "social_network_chain-0": "c369079170ca10b6b3a0f904ce74ee3f",
+    "social_network_chain-7": "b310e78b92a5ef7167c6f5125f24bebb",
+    "social_network_chain-123": "30a35127568dab09a2e8533f5d872d27",
+    "search_pipeline-0": "7c5f114bd817399203aa0f36bd43b9d1",
+    "search_pipeline-7": "3b4e536f876cc0bda410908cc07d9760",
+    "search_pipeline-123": "ea0a9752379d681dbbd7ea171098ae75",
+    "ecommerce_pipeline": "5ca2754a217ede8989aa1a0edf0afbbc",
+    "fanout_fanin": "8bceee49dd1fd860bd2674fa493794ec",
+    "deep_chain": "bef2638931fc402603ba4a37fad8dcb5",
+    "overload": "ebe2737263ef205eca07ca99f8c09fde",
+    "inflation": "c5da71e4527c4aea40f2635a618deafc",
+}
+
 
 def two_tier_graph(workers=4, service_us=100):
     graph = ServiceGraph(root="front")
@@ -51,29 +73,36 @@ def two_tier_graph(workers=4, service_us=100):
     return graph
 
 
-def span_forest(report):
-    """Per-request span multisets, placement-independent."""
-    forest = {}
-    for trace in report.sample_traces:
-        forest[trace.request_id] = sorted(
-            (s.service, s.start_ns, s.end_ns, s.self_ns) for s in trace.spans
-        )
-    return forest
-
-
-def run_both(graph, seed, utilization, n=600, keep=600, inflate=None):
+def run(graph, seed, utilization, n=600, keep=600, inflate=None):
     sim = QueueingSimulator(graph, seed=seed)
     rate = sim.rate_for_utilization(utilization)
     if inflate:
         graph.set_tracing_inflation(*inflate)
     arrivals = PoissonArrivals(rate, seed=seed)
-    legacy = QueueingSimulator(graph, seed=seed, engine="legacy").run_open_loop(
+    return QueueingSimulator(graph, seed=seed).run_open_loop(
         arrivals, n, keep_traces=keep
     )
-    vector = QueueingSimulator(graph, seed=seed, engine="vector").run_open_loop(
-        arrivals, n, keep_traces=keep
-    )
-    return legacy, vector
+
+
+def _digest(report):
+    forest = {
+        str(trace.request_id): sorted(
+            [s.service, s.start_ns, s.end_ns, s.self_ns, s.span_id, s.parent]
+            for s in trace.spans
+        )
+        for trace in report.sample_traces
+    }
+    canonical = json.dumps(
+        {
+            "response_times_ns": np.sort(report.response_times_ns).tolist(),
+            "service_busy_ns": report.service_busy_ns,
+            "completed": report.completed,
+            "duration_ns": report.duration_ns,
+            "span_forest": forest,
+        },
+        sort_keys=True,
+    ).encode()
+    return hashlib.blake2b(canonical, digest_size=16).hexdigest()
 
 
 class TestEngineEquivalence:
@@ -87,45 +116,30 @@ class TestEngineEquivalence:
         ],
     )
     def test_matches_legacy_engine(self, build, seed):
-        legacy, vector = run_both(build(), seed, 0.8)
-        assert np.array_equal(
-            np.sort(legacy.response_times_ns), np.sort(vector.response_times_ns)
-        )
-        assert legacy.service_busy_ns == vector.service_busy_ns
-        assert legacy.completed == vector.completed
-        assert legacy.duration_ns == vector.duration_ns
-        assert span_forest(legacy) == span_forest(vector)
+        report = run(build(), seed, 0.8)
+        assert _digest(report) == GOLDEN[f"{build.__name__}-{seed}"]
 
     @pytest.mark.parametrize(
         "build", [ecommerce_pipeline, fanout_fanin, deep_chain]
     )
     def test_matches_legacy_on_campaign_workloads(self, build):
-        legacy, vector = run_both(build(), 11, 0.7, n=400, keep=400)
-        assert np.array_equal(
-            np.sort(legacy.response_times_ns), np.sort(vector.response_times_ns)
-        )
-        assert span_forest(legacy) == span_forest(vector)
+        report = run(build(), 11, 0.7, n=400, keep=400)
+        assert _digest(report) == GOLDEN[build.__name__]
 
     def test_matches_legacy_in_overload(self):
         # utilization > 1: queues grow without bound, the regime where
         # event-ordering bugs surface
-        legacy, vector = run_both(
+        report = run(
             ServiceGraph.social_network_chain(), 5, 1.02, n=400, keep=400
         )
-        assert np.array_equal(
-            np.sort(legacy.response_times_ns), np.sort(vector.response_times_ns)
-        )
-        assert span_forest(legacy) == span_forest(vector)
+        assert _digest(report) == GOLDEN["overload"]
 
     def test_matches_legacy_under_inflation(self):
-        legacy, vector = run_both(
+        report = run(
             ServiceGraph.search_pipeline(), 3, 0.85,
             inflate=("Search1", 1.08),
         )
-        assert np.array_equal(
-            np.sort(legacy.response_times_ns), np.sort(vector.response_times_ns)
-        )
-        assert legacy.service_busy_ns == vector.service_busy_ns
+        assert _digest(report) == GOLDEN["inflation"]
 
     def test_crn_contract_inflation_only_changes_traced_rows(self):
         # common random numbers: the inflated run must see the identical
@@ -180,8 +194,7 @@ class TestCallProgram:
 class TestSpanLog:
     def test_deterministic_span_ids(self):
         assert span_id_for(12, 3) == "span-r00000012c0003"
-        _, vector = run_both(two_tier_graph(), 2, 0.5, n=200, keep=10)
-        trace = vector.sample_traces[0]
+        trace = run(two_tier_graph(), 2, 0.5, n=200, keep=10).sample_traces[0]
         rid = trace.request_id
         assert [s.span_id for s in trace.spans] == [
             span_id_for(rid, j) for j in range(len(trace.spans))
@@ -203,12 +216,12 @@ class TestSpanLog:
 
         zipkin = ZipkinCollector()
         zipkin.collect(report.span_log.traces())
-        legacy_stats = zipkin.service_stats()
-        assert set(stats) == set(legacy_stats)
+        object_stats = zipkin.service_stats()
+        assert set(stats) == set(object_stats)
         for name in stats:
-            assert stats[name].span_count == legacy_stats[name].span_count
-            assert stats[name].total_ns == legacy_stats[name].total_ns
-            assert stats[name].p99_ns == legacy_stats[name].p99_ns
+            assert stats[name].span_count == object_stats[name].span_count
+            assert stats[name].total_ns == object_stats[name].total_ns
+            assert stats[name].p99_ns == object_stats[name].p99_ns
 
     def test_record_modes(self):
         graph = two_tier_graph()
@@ -219,6 +232,38 @@ class TestSpanLog:
         full = sim.run_open_loop(arrivals, 200, record="full")
         assert len(full.span_log) == 200 * 2
         assert full.spans_simulated == 200 * 2
+
+    def test_unknown_record_mode_rejected(self):
+        graph = two_tier_graph()
+        sim = QueueingSimulator(graph, seed=1)
+        arrivals = PoissonArrivals(sim.rate_for_utilization(0.5), seed=1)
+        with pytest.raises(ValueError, match="record"):
+            sim.run_open_loop(arrivals, 50, record="ful")
+        with pytest.raises(ValueError, match="record"):
+            run_vectorized(graph, arrivals.arrival_times(50), 1, record="ful")
+
+
+class TestWarmupFraction:
+    @pytest.mark.parametrize("fraction", [-0.5, 1.0, 1.5])
+    def test_out_of_range_rejected_by_engine(self, fraction):
+        times = PoissonArrivals(1000.0, seed=1).arrival_times(10)
+        with pytest.raises(ValueError, match="warmup_fraction"):
+            run_vectorized(two_tier_graph(), times, 1, warmup_fraction=fraction)
+
+    @pytest.mark.parametrize("fraction", [-0.5, 1.0, 1.5])
+    def test_out_of_range_rejected_by_simulator(self, fraction):
+        sim = QueueingSimulator(two_tier_graph(), seed=1)
+        with pytest.raises(ValueError, match="warmup_fraction"):
+            sim.run_open_loop(
+                PoissonArrivals(1000.0, seed=1), 10, warmup_fraction=fraction
+            )
+
+    def test_zero_warmup_measures_every_request(self):
+        sim = QueueingSimulator(two_tier_graph(), seed=1)
+        report = sim.run_open_loop(
+            PoissonArrivals(1000.0, seed=1), 10, warmup_fraction=0.0
+        )
+        assert report.completed == len(report.response_times_ns) == 10
 
 
 class TestLoadgen:
