@@ -6,10 +6,12 @@ Measurements recorded to ``BENCH_services.json`` (uniform schema via
 * **vector_spans_per_s** — a one-million-request e-commerce campaign
   through the columnar engine (``jobs=1``, single core); the regression
   gate tracks it per box.
-* **engine_exact / parity_identical** — the correctness side riding
-  along: a small e-commerce run reproduces its golden digest (sorted
-  responses, busy accounting, completed count, window and span forests
-  with ids and parents), and a chaos-preset campaign merges
+* **engine_exact / campaign_exact / parity_identical** — the
+  correctness side riding along: a small e-commerce run reproduces its
+  golden digest (sorted responses, busy accounting, completed count,
+  window and span forests with ids and parents), the million-request
+  campaign report reproduces its golden digest (every one of its 14M
+  service times feeds it), and a chaos-preset campaign merges
   byte-identically for ``jobs=1`` vs ``jobs=2``.
 """
 
@@ -39,12 +41,14 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: the headline campaign: one million requests, 14 RPCs each
 CAMPAIGN_REQUESTS = 1_000_000
-#: fleet-cell size; large cells amortize per-partition table builds
+#: fleet-cell size
 PARTITION_REQUESTS = 62_500
 SEED = 7
 UTILIZATION = 0.7
 #: blake2b of ``_report_digest`` over the 2,000-request exactness run
 SMALL_RUN_DIGEST = "afc534de57cb4a8072002ac1778b98d0"
+#: blake2b (8 bytes) of ``campaign_report_json`` of the headline campaign
+CAMPAIGN_DIGEST = "355c0b80de0818d9"
 
 
 def _report_digest(report) -> str:
@@ -100,6 +104,11 @@ def test_services_throughput():
         f" = {vector_spans_per_s:>9,.0f} spans/s"
         f"  ({campaign['partitions']} partitions)"
     )
+    campaign_exact = hashlib.blake2b(
+        campaign_report_json(campaign).encode(), digest_size=8
+    ).hexdigest() == CAMPAIGN_DIGEST
+    assert campaign_exact, "million-request campaign diverged from its golden digest"
+    emit("exactness: campaign report == golden digest (14M service times)")
 
     # -- jobs parity under the chaos preset ------------------------------------
     parity_spec = CampaignSpec(
@@ -123,6 +132,7 @@ def test_services_throughput():
         "campaign_p99_ms": round(baseline["p99_ms"], 3),
         "campaign_rps": round(baseline["throughput_rps"], 0),
         "engine_exact": engine_exact,
+        "campaign_exact": campaign_exact,
         "parity_identical": parity,
     }
     write_bench(REPO_ROOT / "BENCH_services.json", "services_campaign", metrics)

@@ -7,13 +7,13 @@ Every RPC of a run flows through one batched, array-based event loop:
   preorder slots, per-slot service ids, and precomputed
   completion-walk offsets.  Synchronous sequential RPC makes submit
   order DFS preorder, so slot ``j`` is the request's ``j``-th call.
-* **Precomputed lognormal tables** — service times are
+* **Exact vectorized lognormals** — service times are
   ``max(1, int(math.exp(mu + sigma * normal_table[idx])))`` over a
-  65536-entry common-random-numbers table, exponentiated once per
-  (service, inflation) with ``math.exp`` (``np.exp`` can differ by 1
-  ULP, flipping the ``int`` truncation) and gathered as whole
-  (request, call) matrices in numpy.  Two runs differing only in
-  tracing inflation see identical noise indices.
+  65536-entry common-random-numbers table, gathered as whole
+  (request, call) matrices and exponentiated with ``np.exp``; entries
+  within :data:`EXACT_BAND` of an integer, where a few ULP could flip
+  the ``int`` truncation, are redone with ``math.exp``.  Two runs
+  differing only in tracing inflation see identical noise indices.
 * **Columnar event loop** — the heap holds one packed integer per
   *in-flight* call (``time``, submit sequence, and (request, slot)
   token packed into a single int), not one closure per event.  Worker
@@ -56,6 +56,9 @@ SALT_MIX = 97
 CALL_MIX = 7919
 #: span-recording modes of :func:`run_vectorized`
 RECORD_MODES = ("auto", "full", "none")
+#: relative distance to an integer within which :func:`_lognormal_ns`
+#: recomputes ``np.exp`` with ``math.exp`` (thousands of ULP)
+EXACT_BAND = 2.0 ** -40
 
 
 
@@ -155,34 +158,21 @@ def normal_table_for(seed: int) -> np.ndarray:
     return rng.standard_normal(1 << TABLE_BITS)
 
 
-def _exp_table(
-    normal_table: np.ndarray,
-    table_key: int,
-    mean: float,
-    sigma: float,
-    cache: Optional[Dict] = None,
-) -> np.ndarray:
-    """``max(1, int(exp(mu + sigma * x)))`` over the whole CRN table.
+def _lognormal_ns(x: np.ndarray) -> np.ndarray:
+    """``max(1, int(math.exp(v)))`` for every ``v`` in ``x``, as int64.
 
-    Uses ``math.exp`` in a scalar loop, not ``np.exp``: the two can
-    disagree by 1 ULP, which the ``int()`` truncation would amplify
-    into an off-by-one nanosecond in the service times.
+    ``np.exp`` is within a few ULP of ``math.exp``, so the truncations
+    differ only within that error of an integer; such entries (and
+    non-finite ones, so overflow raises) are redone with ``math.exp``.
     """
-    key = (table_key, float(mean), float(sigma))
-    if cache is not None:
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-    mu = math.log(mean) - 0.5 * sigma * sigma
-    exp = math.exp
-    out = np.fromiter(
-        (exp(mu + sigma * x) for x in normal_table),
-        dtype=np.float64,
-        count=len(normal_table),
-    ).astype(np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.exp(x)
+        # ``not (dist > band)`` also catches NaN and inf
+        suspect = np.flatnonzero(~(np.abs(y - np.rint(y)) > y * EXACT_BAND))
+    if len(suspect):
+        y.flat[suspect] = [math.exp(v) for v in x.flat[suspect].tolist()]
+    out = y.astype(np.int64)  # truncates toward zero, as int() does
     np.maximum(out, 1, out=out)
-    if cache is not None:
-        cache[key] = out
     return out
 
 
@@ -192,19 +182,17 @@ def service_time_matrix(
     classes: Optional[np.ndarray],
     seed: int,
     n_requests: int,
-    exp_cache: Optional[Dict] = None,
 ) -> np.ndarray:
     """(n_requests, max_slots) int64 service times, CRN-exact.
 
-    Entry ``[rid, j]`` is the service time of call ``j`` of request
-    ``rid`` under the request's program class: the exponentiated CRN
-    table at index ``(rid * RID_MIX + crc32(service) * SALT_MIX + j *
-    CALL_MIX) & TABLE_MASK``.  Slots beyond a class's program are left
-    at 1 and never visited by the event loop.
+    Entry ``[rid, j]`` is ``max(1, int(math.exp(mu + sigma * x)))`` for
+    call ``j`` of request ``rid`` under the request's program class,
+    with ``x`` the CRN table entry at index ``(rid * RID_MIX +
+    crc32(service) * SALT_MIX + j * CALL_MIX) & TABLE_MASK`` and
+    ``mu = log(inflated_mean) - sigma**2 / 2``.  Slots beyond a class's
+    program are left at 1 and never visited by the event loop.
     """
-    table_key = derive_seed(seed, "queueing")
     normal = normal_table_for(seed)
-    local_cache: Dict = {} if exp_cache is None else exp_cache
     k_max = max(p.n_slots for p in programs)
     svc = np.ones((n_requests, k_max), dtype=np.int64)
     rids = np.arange(n_requests, dtype=np.int64)
@@ -213,19 +201,12 @@ def service_time_matrix(
         if len(rows) == 0:
             continue
         mix = rows * RID_MIX
-        salts = {name: zlib.crc32(name.encode()) for name in prog.service_names}
-        for j in range(prog.n_slots):
-            name = prog.service_names[prog.sid[j]]
-            spec = graph.services[name]
-            tab = _exp_table(
-                normal, table_key, spec.inflated_mean(),
-                spec.service_time_sigma, local_cache,
-            )
-            idx = (mix + salts[name] * SALT_MIX + j * CALL_MIX) & TABLE_MASK
-            if classes is None:
-                svc[:, j] = tab[idx]
-            else:
-                svc[rows, j] = tab[idx]
+        for j, s in enumerate(prog.sid):
+            spec = graph.services[prog.service_names[s]]
+            sigma = spec.service_time_sigma
+            mu = math.log(spec.inflated_mean()) - 0.5 * sigma * sigma
+            idx = (mix + zlib.crc32(spec.name.encode()) * SALT_MIX + j * CALL_MIX) & TABLE_MASK
+            svc[rows, j] = _lognormal_ns(mu + sigma * normal[idx])
     return svc
 
 
@@ -332,7 +313,6 @@ def run_vectorized(
     classes: Optional[np.ndarray] = None,
     transform: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     record: str = "auto",
-    exp_cache: Optional[Dict] = None,
 ):
     """Run the columnar event loop; returns a ``LatencyReport``.
 
@@ -377,7 +357,7 @@ def run_vectorized(
     if n - warmup_count <= 0:
         raise RuntimeError("no requests completed after warmup")
 
-    svc_np = service_time_matrix(graph, programs, classes, seed, n, exp_cache)
+    svc_np = service_time_matrix(graph, programs, classes, seed, n)
     if transform is not None:
         svc_np = transform(svc_np)
 
@@ -505,6 +485,9 @@ def run_vectorized(
             seq += 1
     if seq >= (1 << seq_bits):  # would corrupt packed keys
         raise OverflowError("event sequence overflowed its key field")
+    stuck = [programs[0].service_names[i] for i, q in enumerate(qheaps) if q]
+    if stuck:  # the heap is drained, so these queues will never move
+        raise RuntimeError(f"requests left unfinished, queued at {', '.join(stuck)}")
 
     # -- assembly ---------------------------------------------------------
     responses = resp_np[warmup_count:] - arrival_times[warmup_count:]

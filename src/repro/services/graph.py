@@ -9,6 +9,7 @@ service's overhead end to end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -29,6 +30,19 @@ class ServiceSpec:
     #: multiplicative service-time inflation from an installed tracer
     #: (1.0 = untraced; set from a measured node-level overhead)
     tracing_inflation: float = 1.0
+
+    def __post_init__(self) -> None:
+        for field, ok, rule in (
+            ("workers", self.workers >= 1, ">= 1"),
+            ("service_time_ns", self.service_time_ns > 0, "> 0"),
+            ("tracing_inflation", self.tracing_inflation > 0, "> 0"),
+            ("service_time_sigma", 0 <= self.service_time_sigma < math.inf, "finite and >= 0"),
+        ):
+            if not ok:
+                raise ValueError(
+                    f"service {self.name!r}: {field} must be {rule}, "
+                    f"got {getattr(self, field)!r}"
+                )
 
     def inflated_mean(self) -> float:
         """Mean service time including any tracing inflation (ns)."""

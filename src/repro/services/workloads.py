@@ -403,7 +403,6 @@ def _run_partition(task: _PartitionTask) -> Dict[str, object]:
         traced_graph.set_tracing_inflation(traced, spec.inflation)
         schemes.append(("traced", traced_graph))
 
-    exp_cache: Dict = {}
     keep = spec.keep_traces if task.index == 0 else 0
     out: Dict[str, object] = {"index": task.index, "requests": n}
     if classes is not None:
@@ -416,7 +415,6 @@ def _run_partition(task: _PartitionTask) -> Dict[str, object]:
             programs=programs,
             classes=classes,
             transform=transform,
-            exp_cache=exp_cache,
         )
         entry: Dict[str, object] = {
             "responses": np.sort(report.response_times_ns),

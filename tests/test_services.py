@@ -47,6 +47,20 @@ class TestGraph:
         graph.clear_tracing()
         assert graph.service("back").tracing_inflation == 1.0
 
+    def test_zero_workers_rejected(self):
+        with pytest.raises(ValueError, match="'root'.*workers"):
+            ServiceSpec("root", workers=0)
+
+    @pytest.mark.parametrize("field", ["service_time_ns", "tracing_inflation"])
+    def test_nonpositive_mean_rejected(self, field):
+        with pytest.raises(ValueError, match=f"'svc'.*{field}"):
+            ServiceSpec("svc", **{field: 0})
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
+    def test_bad_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="'svc'.*service_time_sigma"):
+            ServiceSpec("svc", service_time_sigma=sigma)
+
     def test_prebuilt_graphs(self):
         assert "Search1" in ServiceGraph.search_pipeline().services
         assert "compose-post" in ServiceGraph.social_network_chain().services

@@ -14,6 +14,8 @@ perturbation is a pure function of the spec.
 
 import hashlib
 import json
+import math
+import zlib
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ import pytest
 from repro.services.collector import service_stats_from_log
 from repro.services.engine import (
     CallProgram,
+    _lognormal_ns,
     normal_table_for,
     run_vectorized,
     service_time_matrix,
@@ -33,6 +36,7 @@ from repro.services.workloads import (
     SCENARIO_PRESETS,
     SERVICE_WORKLOADS,
     CampaignSpec,
+    _retry_variant,
     campaign_report_json,
     deep_chain,
     diurnal_arrival_times,
@@ -178,17 +182,78 @@ class TestCallProgram:
 
     def test_service_time_matrix_matches_point_samples(self):
         graph = two_tier_graph()
-        svc = service_time_matrix(graph, (CallProgram.compile(graph),), None, 7, 50)
-        # spot-check against a direct scalar recomputation
-        import math
-        import zlib
+        programs = (CallProgram.compile(graph),)
+        assert np.array_equal(
+            service_time_matrix(graph, programs, None, 7, 50),
+            scalar_service_times(graph, programs, None, 7, 50),
+        )
+        # the retry-storm's two request classes, with an inflated service
+        workload = SERVICE_WORKLOADS["ecommerce"]
+        base = workload.build()
+        retry = _retry_variant(
+            base, workload.retry_edge, SCENARIO_PRESETS["retry-storm"].retry_calls
+        )
+        programs = (CallProgram.compile(base), CallProgram.compile(retry))
+        classes = (np.random.default_rng(3).random(400) < 0.4).astype(np.int64)
+        base.set_tracing_inflation(workload.traced_service, 1.07)
+        assert np.array_equal(
+            service_time_matrix(base, programs, classes, 11, 400),
+            scalar_service_times(base, programs, classes, 11, 400),
+        )
 
-        table = normal_table_for(7)
-        spec = graph.services["back"]
-        mu = math.log(spec.inflated_mean()) - 0.5 * spec.service_time_sigma ** 2
-        idx = (13 * 2654435761 + zlib.crc32(b"back") * 97 + 1 * 7919) & 0xFFFF
-        want = max(1, int(math.exp(mu + spec.service_time_sigma * table[idx])))
-        assert svc[13, 1] == want
+    def test_sigma_zero_column_is_exact(self):
+        # exp(log(mean)) lands on or next to the integer mean: with a
+        # 92us mean a SIMD np.exp can truncate to 91999 where math.exp
+        # gives 92000
+        graph = two_tier_graph(service_us=92)
+        graph.services["back"].service_time_sigma = 0.0
+        graph.set_tracing_inflation("front", 1.05)
+        programs = (CallProgram.compile(graph),)
+        svc = service_time_matrix(graph, programs, None, 5, 300)
+        assert np.array_equal(svc, scalar_service_times(graph, programs, None, 5, 300))
+        assert set(svc[:, 1].tolist()) == {92_000}
+
+    def test_tiny_means_clamp_to_one(self):
+        graph = ServiceGraph(root="a")
+        graph.add_service(ServiceSpec("a", service_time_ns=1, service_time_sigma=0.8))
+        graph.add_service(ServiceSpec("b", service_time_ns=2, tracing_inflation=0.3))
+        graph.add_edge("a", "b", calls_per_request=3)
+        programs = (CallProgram.compile(graph),)
+        svc = service_time_matrix(graph, programs, None, 2, 500)
+        assert np.array_equal(svc, scalar_service_times(graph, programs, None, 2, 500))
+        assert svc.min() == 1 and (svc == 1).mean() > 0.5
+
+
+def scalar_service_times(graph, programs, classes, seed, n):
+    """The service-time definition, one ``math.exp`` per call."""
+    table = normal_table_for(seed)
+    want = np.ones((n, max(p.n_slots for p in programs)), dtype=np.int64)
+    for rid in range(n):
+        prog = programs[0 if classes is None else int(classes[rid])]
+        for j in range(prog.n_slots):
+            name = prog.service_names[prog.sid[j]]
+            spec = graph.services[name]
+            sigma = spec.service_time_sigma
+            mu = math.log(spec.inflated_mean()) - 0.5 * sigma * sigma
+            idx = (rid * 2654435761 + zlib.crc32(name.encode()) * 97 + j * 7919) & 0xFFFF
+            want[rid, j] = max(1, int(math.exp(mu + sigma * table[idx])))
+    return want
+
+
+class TestLognormalNs:
+    def test_integer_boundaries(self):
+        # exp(log(k)) sits on the truncation boundary of every integer k
+        x = np.log(np.arange(1, 2_000_000, 7, dtype=np.float64))
+        want = [max(1, int(math.exp(v))) for v in x.tolist()]
+        assert _lognormal_ns(x).tolist() == want
+
+    def test_clamps_small_values_to_one(self):
+        x = np.array([-800.0, -5.0, -1e-12, 0.0, 1e-12, math.log(1.5)])
+        assert _lognormal_ns(x).tolist() == [1, 1, 1, 1, 1, 1]
+
+    def test_overflow_raises_like_math_exp(self):
+        with pytest.raises(OverflowError):
+            _lognormal_ns(np.array([1.0, 800.0]))
 
 
 class TestSpanLog:
@@ -264,6 +329,18 @@ class TestWarmupFraction:
             PoissonArrivals(1000.0, seed=1), 10, warmup_fraction=0.0
         )
         assert report.completed == len(report.response_times_ns) == 10
+
+
+class TestUnfinishedRequests:
+    def test_stranded_request_raises(self):
+        # a worker count zeroed after validation strands every request in
+        # the root's queue; it must not be reported as completed
+        graph = ServiceGraph(root="a")
+        graph.add_service(ServiceSpec("a", workers=1))
+        graph.services["a"].workers = 0
+        times = np.arange(10, dtype=np.int64) * 1_000_000
+        with pytest.raises(RuntimeError, match="unfinished.*a"):
+            run_vectorized(graph, times, 1, warmup_fraction=0.0)
 
 
 class TestLoadgen:
