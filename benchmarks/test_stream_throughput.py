@@ -1,4 +1,4 @@
-"""Streaming ingestion benchmark (online decode vs the batch path).
+"""Streaming ingestion benchmark (reconcile decode vs whole-stream decode).
 
 Measurements recorded to ``BENCH_stream.json`` (uniform schema via
 :mod:`repro.util.bench`):
@@ -6,17 +6,16 @@ Measurements recorded to ``BENCH_stream.json`` (uniform schema via
 * **sustained decode throughput, streaming vs batch** — the same
   harvested upload set decoded repeatedly (steady state, decode cache
   attached on both paths, mirroring the production default) through the
-  batch whole-stream decoder and through the streaming consumer stage
-  (``split_canonical_stream``, then one ``decode_chunks`` call per
-  ``BATCH_CHUNKS`` batch, as the in-process consumer runs it).  The
-  streaming/batch ratio is asserted ``>= 0.9`` directly — incremental
-  decode must keep up with the batch path it replaces.
+  whole-stream ``SoftwareDecoder.decode`` and through
+  :func:`~repro.streaming.pipeline.upload_stats`, the one decode every
+  reconcile slot runs (streaming or not), with a shared ``DecodeCache``.  The streaming/batch ratio is asserted ``>= 0.9``
+  directly — the stats decode must keep up with the whole-stream one.
 * **full-pipeline sustained ingest** — chunks/s and MB/s through the
-  complete :class:`StreamingIngestor` (one virtual-time pacing pass per
-  upload under credit-based backpressure, batched decode, accounting
-  included), plus the deterministic p99 queue
-  lag, max occupancy, and backpressure engagement count the virtual
-  simulation reports.
+  complete :class:`StreamingIngestor` (``submit`` decodes each upload
+  with ``upload_stats``, then paces its chunk lengths through the
+  virtual queue under credit-based backpressure, accounting included),
+  plus the deterministic p99 queue lag, max occupancy, and backpressure
+  engagement count the virtual simulation reports.
 * **dead-letter rate under chaos** — a chaos-preset streaming reconcile:
   corrupt uploads must quarantine, replay, and the streaming end state
   must stay byte-identical to batch and across jobs widths.
@@ -40,7 +39,7 @@ from repro.hwtrace.cache import DecodeCache
 from repro.hwtrace.decoder import SoftwareDecoder, split_canonical_stream
 from repro.parallel.workers import shutdown_process_pool
 from repro.streaming import StreamingIngestor
-from repro.streaming.pipeline import BATCH_CHUNKS, QUEUE_CAPACITY
+from repro.streaming.pipeline import QUEUE_CAPACITY, upload_stats
 from repro.util.bench import write_bench
 from repro.util.identity import reset_identity_counters
 from repro.util.units import MSEC
@@ -129,27 +128,19 @@ def test_stream_throughput():
     batch_mb_s = total_mb / batch_s
     emit(f"batch decode (cached, sustained):  {batch_mb_s:7.1f} MB/s")
 
-    # -- streaming consumer decode, cached steady state ------------------------
-    chunk_decoder = SoftwareDecoder({}, cache=DecodeCache())
-    for cr3, _raw in uploads:
-        chunk_decoder.add_binary(cr3, binary)
-    chunk_units = [
-        unit for _cr3, raw in uploads for unit in split_canonical_stream(raw)
-    ]
-    chunk_count = len(chunk_units) * REPLICATIONS
-    chunk_batches = [
-        tuple(zip(*chunk_units[first:first + BATCH_CHUNKS]))
-        for first in range(0, len(chunk_units), BATCH_CHUNKS)
-    ]
+    # -- reconcile stats decode (upload_stats), cached steady state -----------
+    stats_cache = DecodeCache()
+    chunk_count = REPLICATIONS * sum(
+        len(split_canonical_stream(raw)) for _cr3, raw in uploads
+    )
 
-    def consume_pass():
-        decode_chunks = chunk_decoder.decode_chunks
-        for _ in range(REPLICATIONS):
-            for cr3s, bodies in chunk_batches:
-                decode_chunks(cr3s, bodies)
+    def stats_pass():
+        for cr3, raw in uploads:
+            for _ in range(REPLICATIONS):
+                upload_stats(cr3, raw, binary, stats_cache)
 
-    consume_pass()
-    stream_decode_s = _best_of(consume_pass)
+    stats_pass()
+    stream_decode_s = _best_of(stats_pass)
     stream_decode_mb_s = total_mb / stream_decode_s
     decode_ratio = stream_decode_mb_s / batch_mb_s
     emit(
@@ -157,11 +148,11 @@ def test_stream_throughput():
         f"({decode_ratio:.2f}x batch)"
     )
     assert decode_ratio >= MIN_DECODE_RATIO, (
-        f"streaming chunk decode fell to {decode_ratio:.2f}x of batch "
+        f"upload_stats decode fell to {decode_ratio:.2f}x of batch "
         f"(floor {MIN_DECODE_RATIO}x)"
     )
 
-    # -- full pipeline: pacing + queue simulation + decode + accounting --------
+    # -- full pipeline: decode + pacing + queue simulation + accounting --------
     ingest_cache = DecodeCache()
 
     def ingest_pass():

@@ -165,10 +165,22 @@ def _stream_stats_line(stream: dict) -> str:
     return line
 
 
+def _cache_stats_snapshots(pool) -> list:
+    """Decode-cache stats of ``pool``'s forked workers (empty in-process).
+
+    Pooled slots decode through each worker's own process cache, so the
+    CLI line sums these with the parent's counters.
+    """
+    from repro.hwtrace.cache import process_cache_stats
+
+    return pool.broadcast(process_cache_stats) if pool.parallel else []
+
+
 def _cmd_cluster(args: argparse.Namespace) -> int:
     from repro.cluster import ClusterMaster, TraceTaskSpec
     from repro.core.config import TraceReason
     from repro.faults import FaultPlan
+    from repro.hwtrace.cache import sum_cache_stats
 
     plan = None
     if args.faults:
@@ -186,6 +198,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         period_ns=args.period_ms * MSEC,
         max_repetitions=args.max_repetitions,
     ))
+    worker_cache_stats = []
     if args.jobs and args.jobs > 1:
         from repro.parallel import RunPool
 
@@ -193,6 +206,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             master.reconcile(
                 task, pool=pool, faults=plan, streaming=args.streaming
             )
+            worker_cache_stats = _cache_stats_snapshots(pool)
     else:
         master.reconcile(task, faults=plan, streaming=args.streaming)
     print(f"task {task.name}: {task.status.phase.value}")
@@ -218,7 +232,9 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     if stream is not None:
         print(_stream_stats_line(stream))
     # decode_cache_stats() is all-zero (never None) when caching is off
-    print(_cache_stats_line(master.decode_cache_stats()))
+    print(_cache_stats_line(
+        sum_cache_stats([master.decode_cache_stats(), *worker_cache_stats])
+    ))
     footprint = master.management_footprint()
     print(f"management pod: {footprint.cpu_cores:.1e} cores, "
           f"{footprint.memory_mb:.0f} MB")
@@ -249,11 +265,17 @@ def _cmd_chaos_sweep(args: argparse.Namespace) -> int:
     print(f"  mean coverage:  {sweep['mean_coverage_fraction']:.1%}")
     print(f"  bytes dropped:  {fmt_bytes(sweep['total_bytes_dropped'])}")
     if args.decode_cache:
-        from repro.hwtrace.cache import process_decode_cache
+        from repro.hwtrace.cache import process_cache_stats, sum_cache_stats
+        from repro.parallel import RunPool
 
-        # every run's master shares the process-wide cache, so hits
-        # accumulate across seeds — exactly the repetition premise
-        print("  " + _cache_stats_line(process_decode_cache().stats()))
+        # every run's master, and every persistent pool worker, keeps one
+        # process-wide cache, so hits accumulate across seeds — exactly
+        # the repetition premise
+        with RunPool(max_workers=args.jobs) as pool:
+            worker_cache_stats = _cache_stats_snapshots(pool)
+        print("  " + _cache_stats_line(
+            sum_cache_stats([process_cache_stats(), *worker_cache_stats])
+        ))
     if args.json:
         with open(args.json, "w") as handle:
             json.dump(sweep, handle, indent=2, sort_keys=True)
@@ -479,9 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cluster.add_argument(
         "--streaming", action="store_true",
-        help="decode through the online streaming-ingest pipeline "
-             "(bounded queue, backpressure, dead-letter quarantine); "
-             "end state is byte-identical to batch decode",
+        help="also report online streaming-ingest accounting (bounded "
+             "queue, backpressure, dead-letter quarantine); decode and "
+             "end state are identical to a batch reconcile",
     )
 
     chaos = sub.add_parser(
@@ -509,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--streaming", action="store_true",
-        help="reconcile every seeded run through the streaming-ingest "
+        help="account every seeded run through the streaming-ingest "
              "pipeline (results identical to batch decode)",
     )
     campaign = sub.add_parser(

@@ -29,6 +29,8 @@ import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.analysis.reconstruct import coverage_by_thread, thread_labels
 from repro.cluster import fleet as fleet_codes
 from repro.cluster.crd import TaskPhase, TraceTask, TraceTaskSpec
@@ -141,6 +143,10 @@ class SlotOutcome:
     functions: int = 0
     resyncs: int = 0
     bytes_skipped: int = 0
+    unresolved: int = 0
+    #: int64 body length of every PSB chunk of a canonical upload, or
+    #: None for anything else (what streaming ingest paces or quarantines)
+    chunk_lengths: Optional[np.ndarray] = None
     node_failures: int = 0
     quarantined: bool = False
     #: thread label -> merged coverage intervals (profiling campaigns)
@@ -300,6 +306,20 @@ def _run_slot_with_plan(
     return _run_slot(node, pod, slot_task, policy, injector)
 
 
+def _decode_outcome(outcome: SlotOutcome, binary, cache) -> SlotOutcome:
+    """Decode a completed slot's upload in place (:func:`upload_stats`)."""
+    if outcome.completed:
+        (
+            outcome.records,
+            outcome.functions,
+            outcome.resyncs,
+            outcome.bytes_skipped,
+            outcome.unresolved,
+            outcome.chunk_lengths,
+        ) = upload_stats(outcome.cr3, outcome.raw, binary, cache)
+    return outcome
+
+
 def _run_shard(payload) -> SlotOutcome:
     """Run one slot in a pool worker.
 
@@ -308,27 +328,17 @@ def _run_shard(payload) -> SlotOutcome:
     produces byte-identical trace output to the coordinator's pristine
     original), runs the slot loop, and decodes in-worker against the
     fork-inherited binary cache (:func:`upload_stats`: the upload's own
-    CR3 only).  Ships back the compact outcome only.
-    With ``decode`` False (streaming mode) the raw bytes come back
-    undecoded — the streaming ingestor owns the decode instead.
+    CR3 only).  Ships back the decoded outcome, raw bytes included.
     """
-    spec, slot_task, policy, plan, use_cache, decode = payload
+    spec, slot_task, policy, plan, use_cache = payload
     outcome = _run_slot_with_plan(
         slot_task, policy, plan, ClusterNode.from_spec(spec)
     )
-    if outcome.completed and decode:
-        (
-            outcome.records,
-            outcome.functions,
-            outcome.resyncs,
-            outcome.bytes_skipped,
-        ) = upload_stats(
-            outcome.cr3,
-            outcome.raw,
-            get_workload(slot_task.app).binary(),
-            process_decode_cache() if use_cache else None,
-        )
-    return outcome
+    return _decode_outcome(
+        outcome,
+        get_workload(slot_task.app).binary(),
+        process_decode_cache() if use_cache else None,
+    )
 
 
 @dataclass
@@ -526,7 +536,6 @@ class ClusterMaster:
         faults: Optional[FaultPlan],
         injector: Optional[FaultInjector],
         binary,
-        decode: bool = True,
     ) -> List[SlotOutcome]:
         """Run one round's slots — one pool task per slot when possible.
 
@@ -536,9 +545,8 @@ class ClusterMaster:
         object), and records each dispatched slot on its node for
         replay.  Anything else runs the identical slot loop in-process on
         the live nodes, so both paths produce the same outcomes.
-        Outcomes come back in slot order either way.  ``decode`` False
-        defers decode to the streaming ingestor: outcomes carry raw
-        bytes, stats zero.
+        Either way each completed slot decodes its own upload where the
+        bytes are, and outcomes come back in slot order.
         """
         use_cache = self.decode_cache is not None
         if pool is not None and all(
@@ -547,7 +555,7 @@ class ClusterMaster:
             outcomes = pool.map(_run_shard, [
                 (
                     self.nodes[st.node_name].to_spec(),
-                    st, policy, faults, use_cache, decode,
+                    st, policy, faults, use_cache,
                 )
                 for st in slot_tasks
             ])
@@ -561,16 +569,7 @@ class ClusterMaster:
             node = self.nodes[slot_task.node_name]
             pod = pods_by_uid[slot_task.pod_uid]
             outcome = _run_slot(node, pod, slot_task, policy, injector)
-            if outcome.completed and decode:
-                (
-                    outcome.records,
-                    outcome.functions,
-                    outcome.resyncs,
-                    outcome.bytes_skipped,
-                ) = upload_stats(
-                    outcome.cr3, outcome.raw, binary, self.decode_cache
-                )
-            outcomes.append(outcome)
+            outcomes.append(_decode_outcome(outcome, binary, self.decode_cache))
         return outcomes
 
     def reconcile(
@@ -586,19 +585,21 @@ class ClusterMaster:
 
         ``pool`` (optional) runs each node's tracing + decode work as
         one worker task; results are byte-identical to the sequential
-        path.  ``faults`` (optional) arms a seeded :class:`FaultPlan`
+        path.  Every completed slot decodes its own upload
+        (:func:`upload_stats`), pooled or not, streaming or not.
+        ``faults`` (optional) arms a seeded :class:`FaultPlan`
         against the run; the reconcile then *degrades* instead of
         failing — retrying in waves per ``retry_policy``, resampling
         replacement replicas, salvaging partial windows, and attaching a
         :class:`DegradationReport` with the honest loss accounting.
 
-        ``streaming`` True switches decode from the batch wave path to
-        the online ingestion pipeline: completed slots feed their
-        uploads through the bounded backpressured queue as rounds
-        finish, corrupt uploads quarantine and replay, and the ingest
-        accounting lands on ``task.status.stream``.  Coverage,
-        degradation, and decode-loss end state is byte-identical to the
-        batch path and across ``--jobs`` widths.
+        ``streaming`` True only adds the online ingest accounting:
+        completed slots' chunk lengths are paced through the bounded
+        backpressured queue as rounds finish, non-canonical uploads
+        quarantine and replay, and the result lands on
+        ``task.status.stream``.  Decode is the same either way, so
+        coverage, degradation, and decode-loss end state is
+        byte-identical to the batch path and across ``--jobs`` widths.
         """
         policy = retry_policy or RetryPolicy()
         deployment = self.deployments.get(task.spec.app)
@@ -654,8 +655,8 @@ class ClusterMaster:
         pods_by_uid = {pod.uid: pod for pod in deployment.pods}
         binary = self.binary_repository.fetch(task.spec.app)
         # workers regenerate the binary from the fork-inherited workload
-        # cache, so they can take slots and stream consumers only when
-        # the repository holds that memoized binary
+        # cache, so they can take slots only when the repository holds
+        # that memoized binary
         worker_pool = (
             pool
             if pool is not None
@@ -672,7 +673,6 @@ class ClusterMaster:
                 app=task.spec.app,
                 binary=binary,
                 decode_cache=self.decode_cache,
-                pool=worker_pool,
             )
 
         # (2+3) trace in rounds of node-disjoint slots: the initial
@@ -720,15 +720,15 @@ class ClusterMaster:
 
             round_outcomes = self._dispatch_round(
                 round_tasks, pods_by_uid, worker_pool, policy, faults,
-                injector, binary, decode=ingestor is None,
+                injector, binary,
             )
             if ingestor is not None:
-                # online ingestion: completed uploads enter the
-                # streaming pipeline as their round finishes, in slot
-                # order (round_outcomes is slot-sorted)
+                # online ingestion: decoded uploads enter the streaming
+                # pipeline as their round finishes, in slot order
+                # (round_outcomes is slot-sorted)
                 for outcome in round_outcomes:
                     if outcome.completed:
-                        ingestor.submit(outcome)
+                        ingestor.ingest(outcome)
             # index-ordered merge: scratch reports fold in slot order, so
             # the merged accounting is independent of worker placement
             failure_codes: List[int] = []
@@ -786,14 +786,11 @@ class ClusterMaster:
             (o.start_wave + o.attempts - 1 for o in outcomes), default=0
         )
 
-        # (4) upload raw traces (already mangled slot-side, so every
-        # decode path saw the same bytes) and persist structured rows
+        # (4) upload raw traces (already mangled and decoded slot-side)
+        # and persist structured rows
         task.status.phase = TaskPhase.DECODING
         if ingestor is not None:
-            # drain the pipeline: flush consumer batches, replay the
-            # dead-letter quarantine, and write each outcome's session
-            # stats in place — the accounting loop below then runs
-            # unchanged, so the end state matches batch byte for byte
+            # replay the dead-letter quarantine and close the accounting
             task.status.stream = ingestor.finish().to_dict()
         completed = [outcome for outcome in outcomes if outcome.completed]
         pod_coverage: Dict[str, Dict[str, list]] = {}
@@ -864,9 +861,9 @@ class ClusterMaster:
     def decode_cache_stats(self) -> Dict[str, object]:
         """Decode-cache counters (all-zero when caching is disabled).
 
-        Pool fan-out caveat: forked workers warm their own (inherited)
-        cache copies, so only decodes run in this process move these
-        counters.
+        This process's counters only: a pooled slot decodes through its
+        worker's own process cache, whose stats a broadcast of
+        :func:`~repro.hwtrace.cache.process_cache_stats` collects.
         """
         if self.decode_cache is None:
             return {

@@ -258,6 +258,25 @@ def process_decode_cache() -> DecodeCache:
     return _PROCESS_CACHE
 
 
+def process_cache_stats() -> Dict[str, object]:
+    """:meth:`DecodeCache.stats` of this process's shared cache.
+
+    Broadcast it over a worker pool to collect the workers' own caches.
+    """
+    return process_decode_cache().stats()
+
+
+def sum_cache_stats(snapshots: Sequence[Dict[str, object]]) -> Dict[str, object]:
+    """Several caches' :meth:`DecodeCache.stats` added up key by key.
+
+    The hit rate is recomputed from the summed hits and misses.
+    """
+    total = {key: sum(snapshot[key] for snapshot in snapshots) for key in snapshots[0]}
+    lookups = total["hits"] + total["misses"]
+    total["hit_rate"] = round(total["hits"] / lookups, 4) if lookups else 0.0
+    return total
+
+
 # ---------------------------------------------------------------------------
 # canonical chunk analysis (vectorized)
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ per-packet reference the equality tests compare against.
 
 from __future__ import annotations
 
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -148,15 +148,31 @@ def _address_table(binary: Binary) -> Tuple[np.ndarray, np.ndarray]:
     return table
 
 
-def _chunk_entry(block_ids: np.ndarray, function_ids: np.ndarray) -> ChunkEntry:
-    """Context-free entry of one chunk's resolved records (-1 = unresolved)."""
+def _chunk_entries(
+    block_ids: np.ndarray, function_ids: np.ndarray, counts: List[int]
+) -> List[ChunkEntry]:
+    """Context-free entries of consecutive chunks' records (-1 = unresolved).
+
+    ``counts`` gives each chunk's record count.  Unresolved records drop
+    in one pass over the whole batch; each entry then owns a copy of its
+    slice, so a cached entry never pins the batch's arrays.
+    """
     keep = block_ids >= 0
-    return ChunkEntry(
-        block_ids=block_ids[keep],
-        function_ids=function_ids[keep],
-        unresolved=int(block_ids.size - np.count_nonzero(keep)),
-        n_records=int(block_ids.size),
-    )
+    kept = counts
+    if not keep.all():
+        chunk_of = np.repeat(np.arange(len(counts)), counts)
+        kept = np.bincount(chunk_of[keep], minlength=len(counts)).tolist()
+        block_ids = block_ids[keep]
+        function_ids = function_ids[keep]
+    return [
+        ChunkEntry(
+            block_ids=block_ids[end - n_kept:end].copy(),
+            function_ids=function_ids[end - n_kept:end].copy(),
+            unresolved=n_records - n_kept,
+            n_records=n_records,
+        )
+        for end, n_kept, n_records in zip(accumulate(kept), kept, counts)
+    ]
 
 
 def encode_trace(segments: Sequence[TraceSegment]) -> bytes:
@@ -451,13 +467,7 @@ class SoftwareDecoder:
                 np.repeat(np.asarray(chunk_cr3s, dtype=np.int64), counts),
                 chunk_cr3s,
             )
-            boundaries = np.cumsum(counts)[:-1]
-            return [
-                _chunk_entry(blocks, functions)
-                for blocks, functions in zip(
-                    np.split(block_ids, boundaries), np.split(function_ids, boundaries)
-                )
-            ]
+            return _chunk_entries(block_ids, function_ids, counts)
 
         if not keys:
             found = []

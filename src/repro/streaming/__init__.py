@@ -1,13 +1,13 @@
 """Online streaming ingestion: bounded queue, backpressure, dead letters.
 
-The batch reconcile decodes uploads wave-by-wave; this package models the
-continuous datacenter path instead — finished tracing periods enqueue
-canonical PSB chunks into a bounded queue, competing consumers on the
-persistent worker pool decode them incrementally, credit-based
-backpressure throttles producers when decode lags, and corrupt uploads land
-in a dead-letter quarantine with replay support.  The end state is
-byte-identical to batch reconcile (see
-:class:`~repro.streaming.pipeline.StreamingIngestor`).
+The batch reconcile reports uploads once all rounds are done; this
+package models the continuous datacenter path instead — every slot
+decodes its own upload where the bytes are, finished tracing periods
+then enqueue their canonical PSB-chunk lengths into a bounded
+virtual-time queue, credit-based backpressure throttles producers when
+decode lags, and corrupt uploads land in a dead-letter quarantine with
+replay support.  Decode is shared with batch reconcile, so the end state
+is byte-identical (see :class:`~repro.streaming.pipeline.StreamingIngestor`).
 """
 
 from repro.streaming.deadletter import DeadLetter, DeadLetterQueue

@@ -1,12 +1,13 @@
 """Dead-letter quarantine for uploads that fail streaming ingestion.
 
 Instead of failing the pipeline in-band, a corrupt or truncated upload is
-parked here with its reason, and can be *replayed* later — through the
-resilient whole-stream decoder for trace uploads, or through whatever
-handler the caller supplies (the span collector reuses this queue for
-malformed trace uploads).  A replay handler that returns ``None`` leaves
-the entry quarantined with its attempt count bumped, so poison payloads
-never loop forever silently: they stay visible in the queue.
+parked here with its reason, and can be *replayed* later through
+whatever handler the caller supplies — the stats of the resilient
+whole-stream decode for trace uploads (the span collector reuses this
+queue for malformed trace uploads).  A replay handler that returns
+``None`` leaves the entry quarantined with its attempt count bumped, so
+poison payloads never loop forever silently: they stay visible in the
+queue.
 """
 
 from __future__ import annotations

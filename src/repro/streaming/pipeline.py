@@ -1,48 +1,37 @@
-"""The streaming ingestion pipeline: producers, consumers, accounting.
+"""The streaming ingestion pipeline: pacing and dead-letter accounting.
 
-:class:`StreamingIngestor` is the online counterpart of the batch
-reconcile's decode step.  Completed tracing slots *submit* their raw
-uploads as they finish; each canonical upload is split into PSB-chunk
-work units (:func:`repro.hwtrace.decoder.canonical_chunks`), paced as a
-whole through a bounded virtual-time queue under credit-based
+Every reconcile decodes a slot's upload where the bytes are — inside the
+slot, through :func:`upload_stats` — and :class:`StreamingIngestor` is
+the online view of those uploads.  Completed slots enter it as their
+round finishes; each canonical upload's PSB-chunk lengths are paced as
+a whole through a bounded virtual-time queue under credit-based
 backpressure (:class:`~repro.streaming.queue.VirtualDecodeQueue`), and
-decoded incrementally in :data:`BATCH_CHUNKS` batches — over the
-persistent worker pool when one is available (competing consumers),
-in-process otherwise, one batched cache lookup per batch either way.
-Non-canonical uploads (corrupt, truncated, foreign framing) are
-quarantined in a dead-letter queue and replayed through the resilient
-whole-stream decoder at the end.
+non-canonical uploads (corrupt, truncated, foreign framing) are
+quarantined in a dead-letter queue and replayed at the end from the
+resilient decode their slot already ran.
 
 Determinism contract — the property everything here is built around:
 
-* **End-state parity with batch.**  For every submitted slot outcome the
-  ingestor produces exactly the ``(records, functions, resyncs,
-  bytes_skipped)`` tuple the batch path's ``decode(raw,
-  resilient=True)`` produces for the same bytes.  Canonical uploads
-  decode chunk-by-chunk (the per-chunk results aggregate commutatively:
-  record counts sum, distinct function ids union), and a canonical
-  stream has zero resyncs and skipped bytes by construction; dead-letter
-  replays run the *identical* resilient decode call
-  (:func:`upload_stats`).  Coverage, degradation reports, and
-  decode-loss accounting downstream are therefore byte-identical.
+* **End-state parity with batch.**  There is one stats decoder,
+  :func:`upload_stats`, so a streaming reconcile's ``(records,
+  functions, resyncs, bytes_skipped)`` per upload are the batch
+  reconcile's by construction; the ingestor only adds
+  ``TraceTaskStatus.stream``.
 * **Width independence.**  Queue lag, backpressure engagements, and
   occupancy come from the virtual-time simulation (fixed
-  :data:`VIRTUAL_CONSUMERS`, integer ns), never from wall clocks or the
-  worker count, so streaming stats are identical across ``--jobs``
-  widths; real pool dispatch only changes wall-clock speed.
+  :data:`VIRTUAL_CONSUMERS`, integer ns) over chunk lengths, never from
+  wall clocks or the worker count, so streaming stats are identical
+  across ``--jobs`` widths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.hwtrace.cache import process_decode_cache
 from repro.hwtrace.decoder import SoftwareDecoder, canonical_chunks
-from repro.program.workloads import get_workload
 from repro.streaming.deadletter import DeadLetterQueue
 from repro.streaming.queue import VirtualDecodeQueue
 from repro.util.stats import percentile
@@ -67,84 +56,54 @@ CHUNK_OVERHEAD_NS = 10_000
 DECODE_NS_PER_BYTE = 30
 #: producer delay per enqueue while backpressure is engaged
 STALL_NS = 50_000
-#: chunk work units dispatched to the real consumers per flush
+#: stream-accounting batch size (``StreamStats.batches`` counts them)
 BATCH_CHUNKS = 64
 
 
-def upload_stats(cr3: int, raw: bytes, binary, cache) -> Tuple[int, int, int, int]:
-    """``(records, functions, resyncs, bytes_skipped)`` of one whole upload.
+def upload_stats(
+    cr3: int, raw: bytes, binary, cache
+) -> Tuple[int, int, int, int, int, Optional[np.ndarray]]:
+    """Session stats of one whole upload — the only reconcile decode.
 
-    The resilient decode every reconcile path runs on a slot's raw bytes.
-    The decoder maps exactly the upload's own CR3 — the binary is fetched
-    keyed by the traced process (§4) — so a corrupted PIP byte can never
-    land on another pod's mapping, and the result depends on the bytes
-    alone: not on which uploads the process decoded before, nor on the
-    worker a pooled decode ran in.
+    Returns ``(records, functions, resyncs, bytes_skipped, unresolved,
+    chunk_lengths)``.  The decoder maps exactly the upload's own CR3 —
+    the binary is fetched keyed by the traced process (§4) — so a foreign
+    CR3 chunk or a corrupted PIP byte can never land on another pod's
+    mapping, and the result depends on the bytes alone: not on which
+    uploads the process decoded before, nor on the worker it ran in.
+
+    A canonical upload decodes as one :meth:`SoftwareDecoder.decode_chunks`
+    batch (through ``cache`` when given) and reduces the chunk entries
+    straight to the stats — a canonical stream has no resyncs or skipped
+    bytes — with ``chunk_lengths`` the int64 body length of every chunk.
+    Anything else takes the resilient whole-stream decode, with
+    ``chunk_lengths`` ``None``.
     """
-    decoded = SoftwareDecoder({cr3: binary}, cache=cache).decode(raw, resilient=True)
-    return (
-        len(decoded),
-        len(decoded.function_histogram()),
-        decoded.resyncs,
-        decoded.bytes_skipped,
-    )
-
-
-def _consume_chunk_batch(payload) -> List[Tuple[object, int, Tuple[int, ...], int]]:
-    """Decode one consumer's batch of chunk work units in a pool worker.
-
-    ``payload`` is ``(app, use_cache, items)`` with items
-    ``(key, cr3, body)``.  Returns per upload key the kept record
-    count, the *distinct* function ids among kept records, and the
-    unresolved count — the commutative pieces session stats aggregate
-    from, small enough to ride the result pipe.  Chunks of the same key
-    fold together here (sums and one dedup per key) so the hot loop
-    never pays a per-chunk ``np.unique``.
-    """
-    app, use_cache, items = payload
-    binary = get_workload(app).binary()
-    decoder = SoftwareDecoder(
-        {cr3: binary for _key, cr3, _body in items},
-        cache=process_decode_cache() if use_cache else None,
-    )
-    entries = decoder.decode_chunks(
-        [cr3 for _key, cr3, _body in items], [body for _key, _cr3, body in items]
-    )
-    records: Dict[object, int] = {}
-    functions: Dict[object, List[np.ndarray]] = {}
-    unresolved: Dict[object, int] = {}
-    for (key, _cr3, _body), entry in zip(items, entries):
-        if key in records:
-            records[key] += entry.block_ids.size
-            unresolved[key] += entry.unresolved
-        else:
-            records[key] = entry.block_ids.size
-            functions[key] = []
-            unresolved[key] = entry.unresolved
-        if entry.function_ids.size:
-            functions[key].append(entry.function_ids)
-    return [
-        (
-            key,
-            int(records[key]),
-            tuple(
-                np.unique(np.concatenate(functions[key])).tolist()
-            ) if functions[key] else (),
-            unresolved[key],
+    decoder = SoftwareDecoder({cr3: binary}, cache=cache)
+    chunks = canonical_chunks(raw)
+    if chunks is None:
+        decoded = decoder.decode(raw, resilient=True)
+        return (
+            len(decoded),
+            len(decoded.function_histogram()),
+            decoded.resyncs,
+            decoded.bytes_skipped,
+            decoded.unresolved,
+            None,
         )
-        for key in records
-    ]
-
-
-def _replay_upload(payload) -> Tuple[int, int, int, int]:
-    """Resilient whole-stream decode of one dead-lettered upload.
-
-    ``payload`` is ``(app, use_cache, cr3, raw)``; returns
-    :func:`upload_stats` for the same bytes.
-    """
-    app, use_cache, cr3, raw = payload
-    cache = process_decode_cache() if use_cache else None
-    return upload_stats(cr3, raw, get_workload(app).binary(), cache)
+    cr3s, bodies = chunks
+    entries = decoder.decode_chunks(cr3s, bodies)
+    lengths = np.fromiter(map(len, bodies), np.int64, len(bodies))
+    # cached bodies share one entry: reduce over the distinct ones, and
+    # weigh unresolved counts by repetition only when any are non-zero
+    distinct = dict.fromkeys(entries)
+    unresolved = 0
+    if any(entry.unresolved for entry in distinct):
+        unresolved = sum(entry.unresolved for entry in entries)
+    functions = np.unique(np.concatenate([entry.function_ids for entry in distinct]))
+    # every canonical body is whole 8-byte event records
+    records = int(lengths.sum()) // 8 - unresolved
+    return (records, int(functions.size), 0, 0, unresolved, lengths)
 
 
 @dataclass
@@ -196,68 +155,23 @@ class StreamStats:
         }
 
 
-#: kept-record count of a decoded chunk entry
-_KEPT = attrgetter("block_ids.size")
-#: function ids of a decoded chunk entry's kept records
-_FUNCTIONS = attrgetter("function_ids")
-#: unresolved-record count of a decoded chunk entry
-_UNRESOLVED = attrgetter("unresolved")
-
-
-class _SessionAccumulator:
-    """Chunk-level stats folding into one upload's session tuple.
-
-    Function-id dedup is deferred to :meth:`as_stats` — the hot path
-    only appends the per-chunk id arrays (once per distinct entry of a
-    batch), and one ``np.unique`` over their concatenation at finish
-    replaces a per-chunk dedup (set union is commutative either way, so
-    batch and shard layout still cannot matter).
-    """
-
-    __slots__ = ("records", "function_arrays")
-
-    def __init__(self) -> None:
-        self.records = 0
-        self.function_arrays: List[np.ndarray] = []
-
-    def as_stats(self) -> Tuple[int, int, int, int]:
-        # a canonical stream decodes with zero resyncs / skipped bytes
-        functions = (
-            int(np.unique(np.concatenate(self.function_arrays)).size)
-            if self.function_arrays else 0
-        )
-        return (int(self.records), functions, 0, 0)
-
-
 class StreamingIngestor:
-    """Online decode of completed tracing slots (see module docstring).
+    """Online pacing and dead-letter accounting of completed slots.
 
-    Lifecycle: construct per reconcile, ``submit`` each completed slot
+    Lifecycle: construct per reconcile, hand over each completed slot
     outcome *in slot order* as its round finishes, then ``finish()`` —
-    which flushes pending consumer batches, replays the dead-letter
-    quarantine, writes every outcome's session stats in place, and
-    returns the :class:`StreamStats`.
+    which replays the dead-letter quarantine and returns the
+    :class:`StreamStats`.
 
-    ``pool`` (optional :class:`~repro.parallel.RunPool`) fans consumer
-    batches and replays across the persistent workers; pass it only when
-    ``binary`` is the app's memoized workload binary (workers regenerate
-    it from the fork-inherited cache).  The in-process path decodes with
-    ``decode_cache`` attached, mirroring the batch coordinator.
+    :meth:`ingest` takes an outcome its slot already decoded (what the
+    reconcile does); :meth:`submit` first decodes a raw outcome in place
+    with :func:`upload_stats` against ``binary`` and ``decode_cache``.
     """
 
-    def __init__(
-        self,
-        app: str,
-        binary,
-        decode_cache=None,
-        pool=None,
-    ):
+    def __init__(self, app: str, binary, decode_cache=None):
         self.app = app
         self._binary = binary
-        self._use_cache = decode_cache is not None
-        self._pool = pool if (pool is not None and pool.parallel) else None
-        self._decoder = SoftwareDecoder({}, cache=decode_cache)
-        self._known_cr3s: Set[int] = set()
+        self._cache = decode_cache
         self.queue = VirtualDecodeQueue(
             consumers=VIRTUAL_CONSUMERS,
             capacity=QUEUE_CAPACITY,
@@ -268,181 +182,88 @@ class StreamingIngestor:
         )
         self.dead_letters = DeadLetterQueue()
         self.stats = StreamStats()
-        #: chunks awaiting dispatch, as ``(key, cr3s, bodies)`` runs of
-        #: one upload each; never more than BATCH_CHUNKS chunks in total
-        self._pending: List[Tuple[object, List[int], List[bytes]]] = []
-        self._pending_chunks = 0
         self._outcomes: Dict[object, object] = {}
-        self._accumulators: Dict[object, _SessionAccumulator] = {}
-        self._final: Dict[object, Tuple[int, int, int, int]] = {}
         self._finished = False
 
-    # -- producer side -----------------------------------------------------
-
     def submit(self, outcome) -> None:
-        """Ingest one completed slot outcome's raw upload.
+        """Decode one completed slot outcome's raw upload, then ingest it.
 
         ``outcome`` is a :class:`~repro.cluster.master.SlotOutcome` (or
-        anything exposing ``slot``, ``cr3``, ``label``, ``raw`` and the
-        four session-stat fields); its stats are written at
-        :meth:`finish`.  The whole upload is paced through the virtual
-        queue in one pass, then handed to the consumers in
-        :data:`BATCH_CHUNKS` batches, which continue across uploads.
+        anything exposing ``slot``, ``cr3``, ``label`` and ``raw``); its
+        ``records`` / ``functions`` / ``resyncs`` / ``bytes_skipped`` /
+        ``unresolved`` / ``chunk_lengths`` are written in place with
+        exactly the values a batch reconcile computes.
         """
+        self._admit(outcome)
+        (
+            outcome.records,
+            outcome.functions,
+            outcome.resyncs,
+            outcome.bytes_skipped,
+            outcome.unresolved,
+            outcome.chunk_lengths,
+        ) = upload_stats(outcome.cr3, outcome.raw, self._binary, self._cache)
+        self._pace(outcome)
+
+    def ingest(self, outcome) -> None:
+        """Account one outcome its slot already decoded.
+
+        A canonical upload's ``chunk_lengths`` are paced as a whole
+        through the virtual queue; ``None`` marks a non-canonical upload,
+        which is quarantined.
+        """
+        self._admit(outcome)
+        self._pace(outcome)
+
+    def _admit(self, outcome) -> None:
         if self._finished:
             raise RuntimeError("ingestor already finished")
         key = outcome.slot
         if key in self._outcomes:
             raise ValueError(f"duplicate slot {key!r} submitted")
         self._outcomes[key] = outcome
-        self.stats.uploads += 1
+
+    def _pace(self, outcome) -> None:
+        stats = self.stats
+        stats.uploads += 1
         raw = outcome.raw
         if not raw:
-            self.stats.empty_uploads += 1
-            self._final[key] = (0, 0, 0, 0)
+            stats.empty_uploads += 1
             return
-        chunks = canonical_chunks(raw)
-        if chunks is None:
-            self.stats.dead_letters += 1
-            self.stats.dead_letter_bytes += len(raw)
+        lengths = outcome.chunk_lengths
+        if lengths is None:
+            stats.dead_letters += 1
+            stats.dead_letter_bytes += len(raw)
             self.dead_letters.quarantine(
-                key, raw, f"non-canonical upload from {outcome.label or key}"
+                outcome.slot, raw,
+                f"non-canonical upload from {outcome.label or outcome.slot}",
             )
             return
-        self._accumulators[key] = _SessionAccumulator()
-        cr3s, bodies = chunks
-        lengths = np.fromiter(map(len, bodies), np.int64, len(bodies))
         self.queue.enqueue(
             (lengths * DECODE_NS_PER_BYTE + CHUNK_OVERHEAD_NS).tolist()
         )
-        self.stats.chunks += len(bodies)
-        self.stats.chunk_bytes += int(lengths.sum())
-        if self._pool is None:
-            for cr3 in dict.fromkeys(cr3s):
-                if cr3 not in self._known_cr3s:
-                    self._decoder.add_binary(cr3, self._binary)
-                    self._known_cr3s.add(cr3)
-        first = 0
-        while first < len(bodies):
-            last = min(len(bodies), first + BATCH_CHUNKS - self._pending_chunks)
-            self._pending.append((key, cr3s[first:last], bodies[first:last]))
-            self._pending_chunks += last - first
-            first = last
-            if self._pending_chunks == BATCH_CHUNKS:
-                self._flush()
-
-    # -- consumer side -----------------------------------------------------
-
-    def _flush(self) -> None:
-        """Dispatch the pending chunk batch to the competing consumers."""
-        if not self._pending:
-            return
-        batch = self._pending
-        self._pending = []
-        self._pending_chunks = 0
-        self.stats.batches += 1
-        accumulators = self._accumulators
-        if self._pool is not None:
-            items = [
-                (key, cr3, body)
-                for key, cr3s, bodies in batch
-                for cr3, body in zip(cr3s, bodies)
-            ]
-            width = min(len(items), self._pool.max_workers)
-            shards = [items[offset::width] for offset in range(width)]
-            results = [
-                result
-                for shard_results in self._pool.map(
-                    _consume_chunk_batch,
-                    [(self.app, self._use_cache, shard) for shard in shards],
-                )
-                for result in shard_results
-            ]
-            # aggregation is commutative (sums and distinct-id unions),
-            # so shard layout cannot influence the session stats
-            for key, kept, function_ids, unresolved in results:
-                accumulator = accumulators[key]
-                accumulator.records += kept
-                if function_ids:
-                    accumulator.function_arrays.append(
-                        np.asarray(function_ids, dtype=np.int64)
-                    )
-                self.stats.unresolved_records += unresolved
-            return
-        cr3s: List[int] = []
-        bodies: List[bytes] = []
-        for _key, run_cr3s, run_bodies in batch:
-            cr3s += run_cr3s
-            bodies += run_bodies
-        entries = self._decoder.decode_chunks(cr3s, bodies)
-        first = 0
-        for key, run_cr3s, _run_bodies in batch:
-            last = first + len(run_cr3s)
-            chunk_entries = entries[first:last]
-            accumulator = accumulators[key]
-            accumulator.records += sum(map(_KEPT, chunk_entries))
-            # cached entries repeat: one id array per distinct entry
-            accumulator.function_arrays.extend(
-                map(_FUNCTIONS, dict.fromkeys(chunk_entries))
-            )
-            first = last
-        self.stats.unresolved_records += sum(map(_UNRESOLVED, entries))
-
-    def _replay_dead_letters(self) -> None:
-        """Resilient-decode quarantined uploads and record their stats."""
-        entries = self.dead_letters.entries
-        if not entries:
-            return
-        results_by_key: Dict[object, Tuple[int, int, int, int]] = {}
-        if self._pool is not None:
-            payloads = [
-                (self.app, self._use_cache, self._outcomes[e.key].cr3, e.payload)
-                for e in entries
-            ]
-            for entry, result in zip(
-                entries, self._pool.map(_replay_upload, payloads)
-            ):
-                results_by_key[entry.key] = tuple(result)
-        else:
-            for entry in entries:
-                results_by_key[entry.key] = upload_stats(
-                    self._outcomes[entry.key].cr3,
-                    entry.payload,
-                    self._binary,
-                    self._decoder.cache,
-                )
-        for entry, result in self.dead_letters.replay(
-            lambda e: results_by_key.get(e.key)
-        ):
-            self._final[entry.key] = result
-            self.stats.dead_letters_replayed += 1
-
-    # -- completion --------------------------------------------------------
+        stats.chunks += len(lengths)
+        stats.chunk_bytes += int(lengths.sum())
+        stats.unresolved_records += outcome.unresolved
 
     def finish(self) -> StreamStats:
-        """Flush, replay quarantine, write outcome stats, return stats.
+        """Replay the quarantine and return the final stats (idempotent).
 
-        Every submitted outcome's ``records`` / ``functions`` /
-        ``resyncs`` / ``bytes_skipped`` fields are written in place with
-        exactly the values the batch decode path computes, so the
-        reconcile's upload/accounting loop runs unchanged afterwards.
-        Idempotent.
+        A dead letter replays from the resilient decode its slot already
+        ran, so every quarantined upload is accepted with its own stats.
         """
         if self._finished:
             return self.stats
         self._finished = True
-        self._flush()
-        self._replay_dead_letters()
-        for key, accumulator in self._accumulators.items():
-            self._final[key] = accumulator.as_stats()
-        for key, outcome in self._outcomes.items():
-            (
-                outcome.records,
-                outcome.functions,
-                outcome.resyncs,
-                outcome.bytes_skipped,
-            ) = self._final[key]
         stats = self.stats
+        stats.batches = -(-stats.chunks // BATCH_CHUNKS)
+
+        def replay(entry):
+            outcome = self._outcomes[entry.key]
+            return (outcome.records, outcome.functions, outcome.resyncs,
+                    outcome.bytes_skipped)
+
+        stats.dead_letters_replayed += len(self.dead_letters.replay(replay))
         queue = self.queue
         stats.max_queue_depth = queue.max_depth
         stats.backpressure_engagements = queue.engagements

@@ -16,10 +16,9 @@ of chunk-decode jobs, fed by one producer that enqueues a job every
 All arithmetic is integer virtual nanoseconds — no wall clock anywhere —
 so queue depth, per-chunk lag, and makespan are pure functions of the
 service-time sequence and therefore identical across ``--jobs`` widths
-and across repeated runs.  The *real* decode work is dispatched
-separately (batched over the persistent worker pool); this simulation is
-what gives the streaming pipeline deterministic lag and occupancy
-figures to throttle against.
+and across repeated runs.  The *real* decode work runs separately,
+inside each tracing slot; this simulation is what gives the streaming
+pipeline deterministic lag and occupancy figures to throttle against.
 """
 
 from __future__ import annotations

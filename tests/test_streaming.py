@@ -22,11 +22,13 @@ from repro.hwtrace.decoder import (
     split_canonical_stream,
 )
 from repro.hwtrace.tracer import TraceSegment
+from repro.program.workloads import get_workload
 from repro.streaming import (
     DeadLetterQueue,
     StreamingIngestor,
     VirtualDecodeQueue,
 )
+from repro.streaming.pipeline import upload_stats
 
 
 def make_segment(path, *, cr3=0x1000, e0=0, e1=50, t0=100, truncate=None):
@@ -400,3 +402,29 @@ class TestIngestorContract:
         assert ingestor.finish() is stats  # idempotent
         with pytest.raises(RuntimeError):
             ingestor.submit(object())
+
+    def test_foreign_cr3_chunk_decodes_like_batch(self):
+        # a canonical upload holding one chunk of another process: the
+        # streaming submit must keep the own-CR3 rule of the batch decode
+        workload = get_workload("Search1")
+        binary = workload.binary()
+        raw = encode_trace([
+            make_segment(workload.path_model(), cr3=0x1000, e1=50),
+            make_segment(workload.path_model(), cr3=0x9999000, e1=40),
+        ])
+
+        class Outcome:
+            slot = 0
+            cr3 = 0x1000
+            label = "n/a"
+
+        outcome = Outcome()
+        outcome.raw = raw
+        ingestor = StreamingIngestor(app="Search1", binary=binary)
+        ingestor.submit(outcome)
+        stats = ingestor.finish()
+        session = (outcome.records, outcome.functions, outcome.resyncs,
+                   outcome.bytes_skipped)
+        assert session == upload_stats(0x1000, raw, binary, None)[:4]
+        assert session == (50, 4, 0, 0)
+        assert stats.unresolved_records == 40
