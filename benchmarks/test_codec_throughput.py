@@ -1,18 +1,25 @@
 """Codec throughput microbenchmark: columnar encode, object vs. columnar decode.
 
-Encodes a ~10 MB synthetic packet stream with the columnar encoder
-(``encode_trace``) and decodes it with both the per-packet object
-pipeline (``SoftwareDecoder.decode_objects``) and the vectorized
-columnar pipeline (``SoftwareDecoder.decode``), then writes MB/s for
-each to ``BENCH_codec.json`` at the repository root — the perf
+Encodes a ~10 MB synthetic packet stream of 4,096-event segments with
+the columnar encoder (``encode_trace``) and decodes it with both the
+per-packet object pipeline (``SoftwareDecoder.decode_objects``) and the
+vectorized columnar pipeline (``SoftwareDecoder.decode``), then writes
+MB/s for each to ``BENCH_codec.json`` at the repository root — the perf
 trajectory other PRs regress against.  The vectorized decode must beat
 the object decode by >= 10x on this stream.
+
+``encode_slot_mb_s`` times ``encode_trace`` on the segment shape a
+reconcile slot actually uploads — one segment per captured slice, half
+of them header-only, about one event on average — which the 4,096-event
+stream says nothing about.
 """
 
 from __future__ import annotations
 
 import time
 from pathlib import Path
+
+import numpy as np
 
 from conftest import emit
 from repro.hwtrace.decoder import SoftwareDecoder, encode_trace
@@ -26,6 +33,17 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 TARGET_STREAM_BYTES = 10 * 1000 * 1000
 EVENTS_PER_SEGMENT = 4096
 MIN_SPEEDUP = 10.0
+
+#: captured events per segment and their share, as counted over the 8
+#: uploads (17,588 segments) of a ``chaos`` reconcile of 8 Search1 nodes
+SLOT_EVENT_SHARES = {
+    0: 0.5029, 1: 0.1039, 2: 0.2195, 3: 0.1185, 4: 0.0392, 5: 0.0116,
+    6: 0.0030, 7: 0.0009, 8: 0.0003, 9: 0.0001, 10: 0.0001, 12: 0.0001,
+}
+SLOT_SEGMENTS = 100_000
+#: one segment in this many is truncated (31 of the 17,588 above)
+SLOT_TRUNCATE_EVERY = 500
+SLOT_REPEATS = 3
 
 
 def _build_segments():
@@ -50,7 +68,29 @@ def _build_segments():
         )
         for i in range(n_segments)
     ]
-    return binary, segments
+    return binary, path, segments
+
+
+def _build_slot_segments(path):
+    """Segments with the event-count mix of a real reconcile slot."""
+    rng = np.random.default_rng(11)
+    sizes = np.array(list(SLOT_EVENT_SHARES))
+    shares = np.array(list(SLOT_EVENT_SHARES.values()))
+    counts = rng.choice(sizes, size=SLOT_SEGMENTS, p=shares / shares.sum())
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    segments = []
+    for i, (start, count) in enumerate(zip(starts.tolist(), counts.tolist())):
+        truncated = i % SLOT_TRUNCATE_EVERY == SLOT_TRUNCATE_EVERY - 1
+        segments.append(TraceSegment(
+            core_id=i % 8, pid=1, tid=2 + i % 4, cr3=0x1000,
+            t_start=i * 1000, t_end=i * 1000 + 999,
+            event_start=start,
+            event_end=start + count + (2 if truncated else 0),
+            captured_event_end=start + count,
+            bytes_offered=1.0, bytes_accepted=1.0,
+            path_model=path,
+        ))
+    return segments
 
 
 def _timed(fn):
@@ -60,11 +100,18 @@ def _timed(fn):
 
 
 def test_codec_throughput():
-    binary, segments = _build_segments()
+    binary, path, segments = _build_segments()
 
     stream, t_encode_columnar = _timed(lambda: encode_trace(segments))
     megabytes = len(stream) / 1e6
     assert megabytes >= 9.5, f"stream too small: {megabytes:.1f} MB"
+
+    slot_segments = _build_slot_segments(path)
+    slot_stream, t_encode_slot = min(
+        (_timed(lambda: encode_trace(slot_segments)) for _ in range(SLOT_REPEATS)),
+        key=lambda timed: timed[1],
+    )
+    slot_megabytes = len(slot_stream) / 1e6
 
     decoder = SoftwareDecoder({0x1000: binary})
     decoder.decode(stream)  # warm numpy / allocator
@@ -79,6 +126,9 @@ def test_codec_throughput():
         "stream_mb": round(megabytes, 3),
         "records": len(decoded),
         "encode_columnar_mb_s": round(megabytes / t_encode_columnar, 2),
+        "slot_segments": len(slot_segments),
+        "slot_stream_mb": round(slot_megabytes, 3),
+        "encode_slot_mb_s": round(slot_megabytes / t_encode_slot, 2),
         "decode_object_mb_s": round(megabytes / t_decode_objects, 2),
         "decode_columnar_mb_s": round(megabytes / t_decode_columnar, 2),
         "decode_speedup": round(t_decode_objects / t_decode_columnar, 2),
@@ -96,6 +146,9 @@ def test_codec_throughput():
     emit(
         f"{'columnar':<20}{report['encode_columnar_mb_s']:>14.1f}"
         f"{report['decode_columnar_mb_s']:>14.1f}"
+    )
+    emit(
+        f"{'columnar, slot':<20}{report['encode_slot_mb_s']:>14.1f}{'-':>14}"
     )
     emit(f"speedup: decode {report['decode_speedup']:.1f}x")
 

@@ -296,30 +296,3 @@ def scan_stream_resilient(data: bytes) -> ScannedStream:
         bytes_skipped += next_psb - error[0]
         offset = next_psb
     return _assemble(kind_chunks, value_chunks, resyncs, bytes_skipped)
-
-
-def encode_event_records(block_ids: np.ndarray, addresses: np.ndarray) -> bytes:
-    """Serialize events as packed ``TNT TIP`` 8-byte records, vectorized.
-
-    Byte-identical to encoding one :class:`TntPacket` (4 representative
-    bits from the low block-id nibble) plus one :class:`TipPacket` per
-    event with the object API, without creating any packet objects.
-    """
-    n_events = int(block_ids.size)
-    if n_events == 0:
-        return b""
-    addr = np.ascontiguousarray(addresses, dtype=np.int64)
-    if int(addr.min()) < 0 or int(addr.max()) >= (1 << 48):
-        bad = addr[(addr < 0) | (addr >= (1 << 48))][0]
-        raise PacketError(f"address {int(bad):#x} out of 48-bit range")
-    records = np.empty((n_events, 8), dtype=np.uint8)
-    # TNT byte: payload bits 1..4 from the block id's low nibble, stop
-    # marker at bit 5, bit 0 clear — exactly TntPacket(bits).encode()
-    records[:, 0] = ((block_ids & 0xF) << 1) | 0x20
-    records[:, 1] = _TIP_HEADER
-    unsigned = addr.astype(np.uint64)
-    for byte_index in range(6):
-        records[:, 2 + byte_index] = (
-            (unsigned >> np.uint64(8 * byte_index)) & np.uint64(0xFF)
-        ).astype(np.uint8)
-    return records.tobytes()

@@ -93,8 +93,9 @@ class TraceSegment:
     def captured_block_ids(self) -> np.ndarray:
         """Block ids of the events this segment actually retained.
 
-        The columnar encoder consumes this directly (one array per
-        segment) instead of iterating events one by one.
+        The encoder gathers every segment of an upload at once through
+        :meth:`~repro.program.path.PathModel.range_events`; this is the
+        same range for one segment.
         """
         return self.path_model.events(self.event_start, self.captured_event_end)
 

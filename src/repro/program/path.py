@@ -22,7 +22,7 @@ trace-volume accounting multiplies back up, see
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -183,6 +183,29 @@ class PathModel:
             return self.walk
         lo = start % self.length
         return self._walk2[lo : lo + (end - start)]
+
+    def range_events(
+        self, starts: np.ndarray, ends: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`events` of many ranges at once: ``(block ids, counts)``.
+
+        The block ids are every range's :meth:`events`, concatenated in
+        order (whole-cycle ranges contribute one full cycle); ``counts``
+        holds each range's share.  One gather from the doubled walk, so
+        thousands of tiny ranges cost one numpy pass, not one each.
+        """
+        starts = np.asarray(starts, dtype=np.int64)
+        counts = np.asarray(ends, dtype=np.int64) - starts
+        if counts.size and int(counts.min()) < 0:
+            raise ValueError("end before start")
+        whole = counts >= self.length
+        counts[whole] = self.length
+        lows = starts % self.length
+        lows[whole] = 0
+        offsets = np.cumsum(counts) - counts
+        index = np.arange(int(counts.sum()))
+        index += np.repeat(lows - offsets, counts)
+        return self._walk2[index], counts
 
     def visit_counts(self, start: int, end: int) -> np.ndarray:
         """Per-block visit counts over event range [start, end)."""

@@ -1,5 +1,7 @@
 """Tests for the cluster layer: pods, nodes, CRDs, storage, master."""
 
+import hashlib
+
 import pytest
 
 from repro.cluster.crd import TaskPhase, TraceTask, TraceTaskSpec
@@ -10,6 +12,7 @@ from repro.cluster.storage import ObjectStore, StructuredStore
 from repro.core.config import TraceReason, TracingRequest
 from repro.kernel.system import SystemConfig
 from repro.program.workloads import get_workload
+from repro.util.identity import reset_identity_counters
 from repro.util.units import MSEC
 
 
@@ -147,6 +150,36 @@ class TestClusterMaster:
         rows = cluster.sessions_for(task)
         assert len(rows) == 3
         assert all(row["records"] > 0 for row in rows)
+
+    def test_reconcile_uploads_are_pinned(self):
+        # blake2b of every upload of a fault-free 2-node reconcile,
+        # recorded with the per-segment encoder: the encoder, the node
+        # simulation and the reconcile must all reproduce these bytes
+        reset_identity_counters()
+        master = ClusterMaster(seed=3)
+        master.add_nodes(2, base_seed=20)
+        master.deploy("Search1", replicas=2)
+        task = master.submit(
+            TraceTaskSpec(
+                app="Search1", reason=TraceReason.ANOMALY, period_ns=40 * MSEC
+            )
+        )
+        master.reconcile(task)
+        assert task.status.phase is TaskPhase.COMPLETE
+        uploads = {
+            key: master.object_store.get(key) for key in task.status.trace_keys
+        }
+        assert {key: len(raw) for key, raw in uploads.items()} == {
+            "traces/trace-task-0001/pod-00001": 144312,
+            "traces/trace-task-0001/pod-00002": 145624,
+        }
+        assert {
+            key: hashlib.blake2b(raw, digest_size=16).hexdigest()
+            for key, raw in uploads.items()
+        } == {
+            "traces/trace-task-0001/pod-00001": "0e485eff7a75a592abb4c945c0001bde",
+            "traces/trace-task-0001/pod-00002": "0956b01e22c85381cf93a5d50de35ec7",
+        }
 
     def test_reconcile_undeployed_app_fails(self, cluster):
         task = cluster.submit(TraceTaskSpec(app="ghost"))

@@ -7,6 +7,7 @@ policy, and the byte-level determinism of the degradation accounting
 across ``jobs=1`` vs ``jobs=N``.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -248,6 +249,31 @@ class TestCorruptedStream:
         assert (
             first.mangle(payload, "a/b#w1")[0]
             != second.mangle(payload, "a/b#w0")[0]
+        )
+
+
+    def test_mangled_bytes_are_pinned(self):
+        # recorded with the per-byte XOR loop; the chaos preset corrupts
+        # 5% of the upload, so positions repeat and flips must compose
+        payload = bytes(range(256)) * 64
+        injector = FaultInjector(FaultPlan.parse("chaos", seed=7))
+        mangled, dropped = injector.mangle(payload, "node-03/Search1#w1")
+        assert dropped == 0
+        assert len(mangled) == len(payload)
+        assert hashlib.blake2b(mangled, digest_size=16).hexdigest() == (
+            "254113812b74f9c2b70006a0d451fc25"
+        )
+        assert injector.report.events == [
+            "corrupted 819 bytes of node-03/Search1#w1"
+        ]
+
+    def test_repeated_positions_compose(self):
+        # 57 flips over 64 bytes: most positions are hit more than once
+        injector = FaultInjector(FaultPlan.parse("corrupt:0.9", seed=3))
+        mangled, _ = injector.mangle(bytes(range(64)), "a/b#w0")
+        assert mangled.hex() == (
+            "0001eb511053060cd8133a7d0c0d0ee81611f180e515f346a7891a171c1d1e1f"
+            "14b622e5c3252692282c642b852de22f309619569f271a373865c5dc3c273e51"
         )
 
 

@@ -29,6 +29,9 @@ from repro.hwtrace.packets import (
     parse_stream_resilient,
 )
 from repro.hwtrace.tracer import TraceSegment
+from repro.program.binary import FunctionCategory
+from repro.program.generator import BinaryShape, generate_binary
+from repro.program.path import PathModel
 
 
 def make_segment(path, *, cr3=0x1000, e0=0, e1=50, t0=100, truncate=None):
@@ -50,6 +53,64 @@ def segments(tiny_path):
         make_segment(tiny_path, cr3=0x1000, e0=7, e1=7, t0=10),
         make_segment(tiny_path, cr3=0x3000, e0=5, e1=60, t0=400),
     ]
+
+
+def _second_binary(name):
+    shape = BinaryShape(
+        n_functions=6,
+        blocks_per_function_mean=4.0,
+        category_weights={FunctionCategory.APP: 1.0},
+    )
+    return generate_binary(name, shape, seed=5)
+
+
+@pytest.fixture(scope="module")
+def second_path():
+    """A second binary, interleaved with ``tiny_path`` under another CR3."""
+    return PathModel(_second_binary("tinybin2"), seed=5, length=512, stride=1024)
+
+
+def slot_segments(path_a, path_b, n_segments=600, seed=2026):
+    """Segments shaped like one slot's upload.
+
+    A slot writes one segment per captured slice, so about half carry no
+    event at all and the rest a handful (1-12).  Two binaries/CR3s
+    interleave, a few segments are truncated (some to zero captured
+    events), two span at least a whole walk cycle, and the first event
+    indices sit just before the walk's wrap point.
+    """
+    rng = np.random.default_rng(seed)
+    cursors = {0x1000: path_a.length - 20, 0x2000: path_b.length - 3}
+    whole_cycle = {41: path_a, 302: path_b}
+    segments = []
+    t_start = 1_000
+    for index in range(n_segments):
+        path, cr3 = (path_b, 0x2000) if index % 3 == 1 else (path_a, 0x1000)
+        if index in whole_cycle:
+            path, cr3 = whole_cycle[index], (0x1000 if index == 41 else 0x2000)
+            n_events = path.length + int(rng.integers(60))
+        elif rng.random() < 0.5:
+            n_events = 0
+        else:
+            n_events = int(rng.integers(1, 13))
+        e0 = cursors[cr3]
+        e1 = e0 + n_events
+        captured = e1
+        if n_events and rng.random() < 0.12:
+            captured = e0 + int(rng.integers(n_events))
+        cursors[cr3] = e1
+        t_start += int(rng.integers(1, 5_000))
+        segments.append(TraceSegment(
+            core_id=index % 4, pid=cr3 >> 12, tid=index % 5, cr3=cr3,
+            t_start=t_start, t_end=t_start + 900,
+            event_start=e0, event_end=e1, captured_event_end=captured,
+            bytes_offered=1000.0, bytes_accepted=1000.0,
+            path_model=path,
+        ))
+    # the top of the TSC and CR3 ranges, so every header byte is exercised
+    segments[7].t_start = (1 << 56) - 1
+    segments[8].cr3 = (1 << 48) - 1
+    return segments
 
 
 def assert_traces_equal(a: DecodedTrace, b: DecodedTrace):
@@ -74,6 +135,77 @@ class TestGoldenEncode:
 
     def test_empty(self):
         assert encode_trace([]) == b""
+
+    def test_slot_shaped_upload(self, tiny_path, second_path):
+        # recorded with the per-segment encoder this one-pass encoder
+        # replaced: 600 mostly header-only segments, two CR3s
+        segments = slot_segments(tiny_path, second_path)
+        data = encode_trace(segments)
+        assert len(data) == 71638
+        digest = hashlib.blake2b(data, digest_size=16).hexdigest()
+        assert digest == "fa40675d5f28c193f81adf293d265764"
+
+
+class TestEncodeErrors:
+    """The first offending segment raises; within it, TSC > CR3 > address."""
+
+    @pytest.fixture(scope="class")
+    def bad_path(self):
+        binary = _second_binary("badaddr")
+        path = PathModel(binary, seed=5, length=512, stride=1024)
+        # every block address one past the 48-bit TIP range
+        binary._block_addresses = binary.block_addresses + (1 << 48)
+        return path
+
+    @staticmethod
+    def _message(segments):
+        with pytest.raises(PacketError) as excinfo:
+            encode_trace(segments)
+        assert excinfo.value.offset is None
+        return str(excinfo.value)
+
+    def test_tsc_beats_cr3_beats_address(self, bad_path):
+        bad_tsc = 1 << 56
+        bad_cr3 = 1 << 48
+        everything = make_segment(bad_path, t0=bad_tsc, cr3=bad_cr3, e1=5)
+        assert self._message([everything]) == f"timestamp {bad_tsc} out of range"
+        cr3_and_address = make_segment(bad_path, cr3=bad_cr3, e1=5)
+        assert self._message([cr3_and_address]) == (
+            f"CR3 {bad_cr3:#x} out of 48-bit range"
+        )
+        address = int(bad_path.binary.block_addresses[bad_path.events(0, 5)[0]])
+        assert self._message([make_segment(bad_path, e1=5)]) == (
+            f"address {address:#x} out of 48-bit range"
+        )
+
+    def test_negative_header_values(self, tiny_path):
+        assert self._message([make_segment(tiny_path, t0=-1)]) == (
+            "timestamp -1 out of range"
+        )
+        assert self._message([make_segment(tiny_path, cr3=-1)]) == (
+            f"CR3 {-1:#x} out of 48-bit range"
+        )
+
+    def test_earlier_segment_wins(self, tiny_path, bad_path):
+        good = make_segment(tiny_path, e1=5)
+        bad_tsc = make_segment(tiny_path, t0=1 << 56, e1=5)
+        bad_cr3 = make_segment(tiny_path, cr3=1 << 48, e1=5)
+        bad_address = make_segment(bad_path, e0=3, e1=4)
+        address = int(bad_path.binary.block_addresses[bad_path.events(3, 4)[0]])
+        address_message = f"address {address:#x} out of 48-bit range"
+        assert self._message([good, bad_address, bad_tsc]) == address_message
+        assert self._message([good, bad_address, bad_cr3]) == address_message
+        assert self._message([good, bad_cr3, bad_tsc]) == (
+            f"CR3 {1 << 48:#x} out of 48-bit range"
+        )
+        assert self._message([bad_tsc, bad_cr3, bad_address]) == (
+            f"timestamp {1 << 56} out of range"
+        )
+
+    def test_header_only_segment_skips_address_check(self, bad_path):
+        # no captured event, so no TIP: the bad binary is never consulted
+        header_only = make_segment(bad_path, e0=4, e1=9, truncate=4)
+        assert len(encode_trace([header_only])) == 32 + 2
 
 
 class TestGoldenDecode:

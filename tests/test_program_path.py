@@ -48,6 +48,25 @@ class TestRangeQueries:
         with pytest.raises(ValueError):
             tiny_path.events(10, 5)
 
+    def test_range_events_concatenates_events(self, tiny_path):
+        length = tiny_path.length
+        ranges = [
+            (0, 0), (5, 17), (length - 3, length + 4), (7, 7),
+            (3 * length + 11, 3 * length + 12), (2, 2 + length),
+            (9, 9 + 2 * length + 5), (length - 1, length),
+        ]
+        starts, ends = (np.array(column) for column in zip(*ranges))
+        block_ids, counts = tiny_path.range_events(starts, ends)
+        expected = [tiny_path.events(start, end) for start, end in ranges]
+        assert counts.tolist() == [part.size for part in expected]
+        assert np.array_equal(block_ids, np.concatenate(expected))
+
+    def test_range_events_empty_and_invalid(self, tiny_path):
+        block_ids, counts = tiny_path.range_events(np.array([]), np.array([]))
+        assert block_ids.size == 0 and counts.size == 0
+        with pytest.raises(ValueError):
+            tiny_path.range_events(np.array([0, 10]), np.array([4, 5]))
+
     def test_visit_counts_match_events(self, tiny_path, tiny_binary):
         counts = tiny_path.visit_counts(100, 400)
         manual = np.bincount(
