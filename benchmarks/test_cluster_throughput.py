@@ -56,7 +56,7 @@ CHURN_REPLICAS = 40
 
 
 def _scale_master(nodes: int) -> ClusterMaster:
-    master = ClusterMaster(seed=17, decode_cache=False)
+    master = ClusterMaster(seed=17)
     master.add_nodes(nodes, base_seed=1_000)
     master.deploy("Search1", replicas=nodes * PODS_PER_NODE)
     return master
@@ -85,7 +85,7 @@ def _canonical(value):
 def _parity_run(jobs: int) -> str:
     """One chaos reconcile; returns its canonical output fingerprint."""
     reset_identity_counters()
-    master = ClusterMaster(seed=7, decode_cache=False)
+    master = ClusterMaster(seed=7)
     master.add_nodes(PARITY_NODES, base_seed=100)
     master.deploy("Search1", replicas=PARITY_REPLICAS)
     task = master.submit(TraceTaskSpec(
@@ -157,7 +157,7 @@ def test_cluster_throughput():
 
     # -- churn survival --------------------------------------------------------
     reset_identity_counters()
-    master = ClusterMaster(seed=23, decode_cache=False)
+    master = ClusterMaster(seed=23)
     master.add_nodes(CHURN_NODES, base_seed=2_000)
     master.deploy("Search1", replicas=CHURN_REPLICAS)
     churn = ChurnModel(seed=5, kill_fraction=0.05)

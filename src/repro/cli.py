@@ -136,19 +136,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cache_stats_line(stats) -> str:
-    """One-line decode-cache summary for CLI output."""
-    line = (
-        f"decode cache: {stats['hits']} hits / {stats['misses']} misses "
-        f"({stats['hit_rate']:.1%} hit rate, "
-        f"{fmt_bytes(stats['bytes_saved'])} re-decode avoided)"
-    )
-    if stats["fallbacks"]:
-        # corrupt / non-canonical streams bypass the cache entirely
-        line += f", {stats['fallbacks']} fallbacks"
-    return line
-
-
 def _stream_stats_line(stream: dict) -> str:
     """One-line streaming-ingest summary for CLI output."""
     line = (
@@ -165,29 +152,17 @@ def _stream_stats_line(stream: dict) -> str:
     return line
 
 
-def _cache_stats_snapshots(pool) -> list:
-    """Decode-cache stats of ``pool``'s forked workers (empty in-process).
-
-    Pooled slots decode through each worker's own process cache, so the
-    CLI line sums these with the parent's counters.
-    """
-    from repro.hwtrace.cache import process_cache_stats
-
-    return pool.broadcast(process_cache_stats) if pool.parallel else []
-
-
 def _cmd_cluster(args: argparse.Namespace) -> int:
     from repro.cluster import ClusterMaster, TraceTaskSpec
     from repro.core.config import TraceReason
     from repro.faults import FaultPlan
-    from repro.hwtrace.cache import sum_cache_stats
 
     plan = None
     if args.faults:
         plan = FaultPlan.parse(args.faults, seed=args.fault_seed)
         if not plan:
             plan = None
-    master = ClusterMaster(seed=args.seed, decode_cache=args.decode_cache)
+    master = ClusterMaster(seed=args.seed)
     # lazy bulk registration: only traced nodes materialize, so --nodes
     # scales to the thousands without paying per-node kernel builds
     master.add_nodes(args.nodes)
@@ -198,7 +173,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         period_ns=args.period_ms * MSEC,
         max_repetitions=args.max_repetitions,
     ))
-    worker_cache_stats = []
     if args.jobs and args.jobs > 1:
         from repro.parallel import RunPool
 
@@ -206,7 +180,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             master.reconcile(
                 task, pool=pool, faults=plan, streaming=args.streaming
             )
-            worker_cache_stats = _cache_stats_snapshots(pool)
     else:
         master.reconcile(task, faults=plan, streaming=args.streaming)
     print(f"task {task.name}: {task.status.phase.value}")
@@ -231,10 +204,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     stream = task.status.stream
     if stream is not None:
         print(_stream_stats_line(stream))
-    # decode_cache_stats() is all-zero (never None) when caching is off
-    print(_cache_stats_line(
-        sum_cache_stats([master.decode_cache_stats(), *worker_cache_stats])
-    ))
     footprint = master.management_footprint()
     print(f"management pod: {footprint.cpu_cores:.1e} cores, "
           f"{footprint.memory_mb:.0f} MB")
@@ -254,7 +223,6 @@ def _cmd_chaos_sweep(args: argparse.Namespace) -> int:
         replicas=args.replicas,
         seed=args.seed,
         jobs=args.jobs,
-        decode_cache=args.decode_cache,
         streaming=args.streaming,
     )
     phases = ", ".join(
@@ -264,18 +232,6 @@ def _cmd_chaos_sweep(args: argparse.Namespace) -> int:
     print(f"  phases:         {phases}")
     print(f"  mean coverage:  {sweep['mean_coverage_fraction']:.1%}")
     print(f"  bytes dropped:  {fmt_bytes(sweep['total_bytes_dropped'])}")
-    if args.decode_cache:
-        from repro.hwtrace.cache import process_cache_stats, sum_cache_stats
-        from repro.parallel import RunPool
-
-        # every run's master, and every persistent pool worker, keeps one
-        # process-wide cache, so hits accumulate across seeds — exactly
-        # the repetition premise
-        with RunPool(max_workers=args.jobs) as pool:
-            worker_cache_stats = _cache_stats_snapshots(pool)
-        print("  " + _cache_stats_line(
-            sum_cache_stats([process_cache_stats(), *worker_cache_stats])
-        ))
     if args.json:
         with open(args.json, "w") as handle:
             json.dump(sweep, handle, indent=2, sort_keys=True)
@@ -496,10 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the task's DegradationReport JSON to this path",
     )
     cluster.add_argument(
-        "--decode-cache", action=argparse.BooleanOptionalAction, default=True,
-        help="repetition-aware decode cache for the reconcile decode",
-    )
-    cluster.add_argument(
         "--streaming", action="store_true",
         help="also report online streaming-ingest accounting (bounded "
              "queue, backpressure, dead-letter quarantine); decode and "
@@ -525,10 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "nodes run on")
     chaos.add_argument("--json", default="",
                        help="write the sweep report JSON to this path")
-    chaos.add_argument(
-        "--decode-cache", action=argparse.BooleanOptionalAction, default=True,
-        help="repetition-aware decode cache shared across the sweep's runs",
-    )
     chaos.add_argument(
         "--streaming", action="store_true",
         help="account every seeded run through the streaming-ingest "

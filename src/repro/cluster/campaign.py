@@ -127,10 +127,6 @@ class ProfilingCampaign:
             report[app] = progress.coverage_fraction(cycle)
         return report
 
-    def decode_cache_stats(self) -> Dict[str, object]:
-        """The master's decode-cache counters (all-zero when disabled)."""
-        return self.master.decode_cache_stats()
-
 
 # ---------------------------------------------------------------------------
 # replicated campaigns (parallel fan-out)

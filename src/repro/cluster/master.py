@@ -47,7 +47,6 @@ from repro.core.rco import CoverageMetric, Repetition, RepetitionAwareCoverageOp
 from repro.faults.injector import FaultInjector, TimedAssignment
 from repro.faults.plan import FaultPlan
 from repro.faults.report import DegradationReport
-from repro.hwtrace.cache import DecodeCache, process_decode_cache
 from repro.hwtrace.decoder import encode_trace
 from repro.kernel.system import SystemConfig
 from repro.parallel.pool import RunPool
@@ -306,7 +305,7 @@ def _run_slot_with_plan(
     return _run_slot(node, pod, slot_task, policy, injector)
 
 
-def _decode_outcome(outcome: SlotOutcome, binary, cache) -> SlotOutcome:
+def _decode_outcome(outcome: SlotOutcome, binary) -> SlotOutcome:
     """Decode a completed slot's upload in place (:func:`upload_stats`)."""
     if outcome.completed:
         (
@@ -316,7 +315,7 @@ def _decode_outcome(outcome: SlotOutcome, binary, cache) -> SlotOutcome:
             outcome.bytes_skipped,
             outcome.unresolved,
             outcome.chunk_lengths,
-        ) = upload_stats(outcome.cr3, outcome.raw, binary, cache)
+        ) = upload_stats(outcome.cr3, outcome.raw, binary)
     return outcome
 
 
@@ -330,15 +329,11 @@ def _run_shard(payload) -> SlotOutcome:
     fork-inherited binary cache (:func:`upload_stats`: the upload's own
     CR3 only).  Ships back the decoded outcome, raw bytes included.
     """
-    spec, slot_task, policy, plan, use_cache = payload
+    spec, slot_task, policy, plan = payload
     outcome = _run_slot_with_plan(
         slot_task, policy, plan, ClusterNode.from_spec(spec)
     )
-    return _decode_outcome(
-        outcome,
-        get_workload(slot_task.app).binary(),
-        process_decode_cache() if use_cache else None,
-    )
+    return _decode_outcome(outcome, get_workload(slot_task.app).binary())
 
 
 @dataclass
@@ -388,17 +383,9 @@ class ClusterMaster:
         seed: int = 0,
         decode_cache=True,
     ):
+        # ``decode_cache`` is accepted for existing callers and ignored:
+        # each slot's upload resolves in one pass (:func:`upload_stats`)
         self.exist_config = exist_config or ExistConfig()
-        #: repetition-aware decode cache shared by every task this master
-        #: reconciles: True -> the process-wide cache (shared across
-        #: masters and campaigns), a DecodeCache -> that instance,
-        #: False/None -> uncached decode
-        if decode_cache is True:
-            self.decode_cache: Optional[DecodeCache] = process_decode_cache()
-        elif isinstance(decode_cache, DecodeCache):
-            self.decode_cache = decode_cache
-        else:
-            self.decode_cache = None
         self.nodes: Dict[str, ClusterNode] = {}
         self.deployments: Dict[str, Deployment] = {}
         self.rco = RepetitionAwareCoverageOptimizer(self.exist_config, seed=seed)
@@ -548,14 +535,13 @@ class ClusterMaster:
         Either way each completed slot decodes its own upload where the
         bytes are, and outcomes come back in slot order.
         """
-        use_cache = self.decode_cache is not None
         if pool is not None and all(
             self.nodes[st.node_name].rebuildable for st in slot_tasks
         ):
             outcomes = pool.map(_run_shard, [
                 (
                     self.nodes[st.node_name].to_spec(),
-                    st, policy, faults, use_cache,
+                    st, policy, faults,
                 )
                 for st in slot_tasks
             ])
@@ -569,7 +555,7 @@ class ClusterMaster:
             node = self.nodes[slot_task.node_name]
             pod = pods_by_uid[slot_task.pod_uid]
             outcome = _run_slot(node, pod, slot_task, policy, injector)
-            outcomes.append(_decode_outcome(outcome, binary, self.decode_cache))
+            outcomes.append(_decode_outcome(outcome, binary))
         return outcomes
 
     def reconcile(
@@ -669,11 +655,7 @@ class ClusterMaster:
 
         ingestor: Optional[StreamingIngestor] = None
         if streaming:
-            ingestor = StreamingIngestor(
-                app=task.spec.app,
-                binary=binary,
-                decode_cache=self.decode_cache,
-            )
+            ingestor = StreamingIngestor(app=task.spec.app, binary=binary)
 
         # (2+3) trace in rounds of node-disjoint slots: the initial
         # selection, then refill rounds with RCO-resampled replacements
@@ -857,29 +839,6 @@ class ClusterMaster:
         return task
 
     # -- management accounting (Fig 17) -----------------------------------------------
-
-    def decode_cache_stats(self) -> Dict[str, object]:
-        """Decode-cache counters (all-zero when caching is disabled).
-
-        This process's counters only: a pooled slot decodes through its
-        worker's own process cache, whose stats a broadcast of
-        :func:`~repro.hwtrace.cache.process_cache_stats` collects.
-        """
-        if self.decode_cache is None:
-            return {
-                "entries": 0,
-                "current_bytes": 0,
-                "max_bytes": 0,
-                "hits": 0,
-                "misses": 0,
-                "hit_rate": 0.0,
-                "evictions": 0,
-                "insertions": 0,
-                "bytes_saved": 0,
-                "bytes_decoded": 0,
-                "fallbacks": 0,
-            }
-        return self.decode_cache.stats()
 
     def management_footprint(self) -> ManagementFootprint:
         """Current RCO management-pod resource usage."""

@@ -257,7 +257,6 @@ def run_chaos_scenario(
     pool=None,
     retry_policy=None,
     reset_identities: bool = True,
-    decode_cache=True,
     streaming: bool = False,
 ) -> Dict:
     """One seeded chaos reconcile on a fresh cluster; returns plain data.
@@ -271,14 +270,8 @@ def run_chaos_scenario(
     (identity counters are reset first unless ``reset_identities`` is
     False, so repeated in-process runs replay identically).
 
-    ``decode_cache`` (True, False, or a
-    :class:`~repro.hwtrace.cache.DecodeCache`) controls the master's
-    repetition-aware decode cache.  Cache counters stay out of the
-    returned dict — cached and uncached decodes are byte-identical, so
-    the dict remains comparable across cache settings and ``jobs``.
-
     ``streaming`` True reconciles through the online ingestion pipeline
-    instead of batch decode.  Like cache counters, the streaming-ingest accounting stays
+    instead of batch decode.  The streaming-ingest accounting stays
     out of the returned dict: streaming and batch runs must compare
     equal, which is exactly the parity the tests assert.
     """
@@ -294,7 +287,7 @@ def run_chaos_scenario(
         reset_identity_counters()
     plan = FaultPlan.parse(faults, seed=fault_seed)
     policy = retry_policy or RetryPolicy(restart_crashed_nodes=False)
-    master = ClusterMaster(seed=seed, decode_cache=decode_cache)
+    master = ClusterMaster(seed=seed)
     for index in range(nodes):
         master.add_node(ClusterNode(f"node-{index:02d}", seed=seed * 100 + index))
     master.deploy(app, replicas=replicas if replicas is not None else nodes)
@@ -339,7 +332,6 @@ def chaos_sweep(
     replicas: Optional[int] = None,
     seed: int = 11,
     jobs: int = 1,
-    decode_cache=True,
     streaming: bool = False,
 ) -> Dict:
     """Run the chaos scenario across fault seeds; aggregate the damage.
@@ -358,7 +350,6 @@ def chaos_sweep(
             replicas=replicas,
             seed=seed,
             jobs=jobs,
-            decode_cache=decode_cache,
             streaming=streaming,
         )
         for fault_seed in fault_seeds

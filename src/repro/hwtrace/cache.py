@@ -110,9 +110,10 @@ class DecodeCache:
 
     Keys are ``(binary fingerprint, body bytes)``; values are
     :class:`ChunkEntry` objects.  The cache is safe to share across
-    decoders, threads, tasks, and campaigns — sharing is the point: one process-wide instance (see
+    decoders and threads — sharing is the point: one instance (see
     :func:`process_decode_cache`) amortizes decode work across every
-    reconcile in the process.
+    decoder it is attached to.  The reconcile decode
+    (:func:`repro.streaming.pipeline.upload_stats`) attaches none.
     """
 
     def __init__(self, max_bytes: int = 256 * 1024 * 1024):
@@ -241,40 +242,16 @@ class DecodeCache:
         )
 
 
-#: the process-wide cache ClusterMaster shares across waves and campaigns
+#: the process-wide cache, for decoders that share one
 _PROCESS_CACHE: Optional[DecodeCache] = None
 
 
 def process_decode_cache() -> DecodeCache:
-    """The process-wide shared decode cache (created on first use).
-
-    Pool workers forked *after* the parent warmed this cache inherit its
-    entries through copy-on-write memory; entries a worker adds afterwards
-    stay local to that worker.
-    """
+    """The process-wide shared decode cache (created on first use)."""
     global _PROCESS_CACHE
     if _PROCESS_CACHE is None:
         _PROCESS_CACHE = DecodeCache()
     return _PROCESS_CACHE
-
-
-def process_cache_stats() -> Dict[str, object]:
-    """:meth:`DecodeCache.stats` of this process's shared cache.
-
-    Broadcast it over a worker pool to collect the workers' own caches.
-    """
-    return process_decode_cache().stats()
-
-
-def sum_cache_stats(snapshots: Sequence[Dict[str, object]]) -> Dict[str, object]:
-    """Several caches' :meth:`DecodeCache.stats` added up key by key.
-
-    The hit rate is recomputed from the summed hits and misses.
-    """
-    total = {key: sum(snapshot[key] for snapshot in snapshots) for key in snapshots[0]}
-    lookups = total["hits"] + total["misses"]
-    total["hit_rate"] = round(total["hits"] / lookups, 4) if lookups else 0.0
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +292,11 @@ class ChunkPlan:
     @property
     def all_canonical(self) -> bool:
         return bool(self.canonical_headers.all())
+
+    @property
+    def body_lengths(self) -> np.ndarray:
+        """Event-record bytes of each canonical chunk (header and OVF off)."""
+        return self.ends - self.starts - CHUNK_HEADER_BYTES - 2 * self.tail_ovf
 
 
 def find_psb_offsets(data: bytes, psb: bytes) -> np.ndarray:

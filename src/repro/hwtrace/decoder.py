@@ -92,31 +92,39 @@ _SEGMENT_FIELDS = tuple(
     )
 )
 
+#: header / body / OVF run of a canonical chunk: only the body is kept
+_RUN_IS_BODY = np.array([False, True, False])
+
 #: shared entry for canonical chunks with no event records
 _EMPTY_ENTRY = ChunkEntry(_EMPTY_I64, _EMPTY_I64, unresolved=0, n_records=0)
 
 
-def _canonical_split(data: bytes) -> Optional[Tuple[ChunkPlan, List[bytes], np.ndarray]]:
-    """``(plan, chunk bodies, uint64 record words)`` of a canonical upload.
+def _canonical_split(data: bytes) -> Optional[Tuple[ChunkPlan, np.ndarray]]:
+    """``(plan, uint64 record words)`` of a canonical upload, in one pass.
+
+    The chunk plan is built once.  Every chunk is a run of header bytes,
+    a run of body bytes and an optional 2-byte OVF run, and the runs
+    tile the upload, so one ``np.repeat`` over the run lengths masks the
+    body bytes and one boolean gather packs them into whole little-endian
+    event-record words — no per-chunk ``bytes`` object is made.  Each
+    word must then frame a ``TNT TIP`` record.
 
     ``None`` under the same conditions as :func:`split_canonical_stream`;
     the packet scan, whose error semantics are definitive, then owns it.
     """
     if not data:
         return None
-    plan = plan_chunks(data, np.frombuffer(data, dtype=np.uint8), PSB_BYTES)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    plan = plan_chunks(data, buf, PSB_BYTES)
     if plan is None or not plan.all_canonical:
         return None
-    bodies = [
-        data[start + CHUNK_HEADER_BYTES : end - (2 if tail else 0)]
-        for start, end, tail in zip(
-            plan.starts.tolist(), plan.ends.tolist(), plan.tail_ovf.tolist()
-        )
-    ]
-    joined = b"".join(bodies)
-    if len(joined) % 8:
-        return None
-    words = np.frombuffer(joined, dtype="<u8")
+    # canonical chunks hold whole records, so the bodies fill whole words
+    runs = np.empty((len(plan), 3), dtype=np.int64)
+    runs[:, 0] = CHUNK_HEADER_BYTES
+    runs[:, 1] = plan.body_lengths
+    runs[:, 2] = 2 * plan.tail_ovf
+    is_body = np.repeat(np.tile(_RUN_IS_BODY, len(plan)), runs.ravel())
+    words = buf[is_body].view("<u8")
     # little-endian word: byte0 = TNT (even, >= 4), byte1 = TIP header
     framed = (
         ((words & 0x01) == 0)
@@ -125,16 +133,14 @@ def _canonical_split(data: bytes) -> Optional[Tuple[ChunkPlan, List[bytes], np.n
     )
     if not framed.all():
         return None
-    return plan, bodies, words
+    return plan, words
 
 
-def canonical_chunks(data: bytes) -> Optional[Tuple[List[int], List[bytes]]]:
-    """:func:`split_canonical_stream` as two columns, ``(cr3s, bodies)``."""
-    split = _canonical_split(data)
-    if split is None:
-        return None
-    plan, bodies, _words = split
-    return plan.cr3s.tolist(), bodies
+def _chunk_bodies(data: bytes, plan: ChunkPlan) -> List[bytes]:
+    """Each canonical chunk's body: after its header, before any OVF."""
+    starts = (plan.starts + CHUNK_HEADER_BYTES).tolist()
+    ends = (plan.starts + CHUNK_HEADER_BYTES + plan.body_lengths).tolist()
+    return [data[start:end] for start, end in zip(starts, ends)]
 
 
 def split_canonical_stream(data: bytes) -> Optional[List[Tuple[int, bytes]]]:
@@ -148,8 +154,11 @@ def split_canonical_stream(data: bytes) -> Optional[List[Tuple[int, bytes]]]:
     malformed.  ``None`` signals that the bytes need the full resilient
     scan (or a dead-letter quarantine) instead of incremental decode.
     """
-    chunks = canonical_chunks(data)
-    return None if chunks is None else list(zip(*chunks))
+    split = _canonical_split(data)
+    if split is None:
+        return None
+    plan, _words = split
+    return list(zip(plan.cr3s.tolist(), _chunk_bodies(data, plan)))
 
 
 def _address_table(binary: Binary) -> Tuple[np.ndarray, np.ndarray]:
@@ -530,11 +539,11 @@ class SoftwareDecoder:
             if resilient:
                 return self._reconstruct(scan_stream_resilient(data))
             return self._reconstruct(scan_stream(data))
-        plan, bodies, words = split
+        plan, words = split
         if self.cache is None:
             block_ids, function_ids, kept, unresolved = self._resolve_records(plan, words)
         else:
-            entries = self.decode_chunks(plan.cr3s.tolist(), bodies)
+            entries = self.decode_chunks(plan.cr3s.tolist(), _chunk_bodies(data, plan))
             kept = np.fromiter(
                 (entry.block_ids.size for entry in entries), np.int64, len(entries)
             )
@@ -610,7 +619,7 @@ class SoftwareDecoder:
         Returns the kept block and function ids, the kept-record count
         per chunk, and the unresolved count.
         """
-        counts = (plan.ends - plan.starts - CHUNK_HEADER_BYTES - 2 * plan.tail_ovf) >> 3
+        counts = plan.body_lengths >> 3
         candidates = set(plan.cr3s.tolist())
         record_cr3s = np.repeat(plan.cr3s, counts) if len(candidates) > 1 else None
         block_ids, function_ids = self._resolve(

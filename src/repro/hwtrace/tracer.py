@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
-
 from repro.hwtrace.cost import CostLedger
 from repro.hwtrace.msr import CR3_FILTER_MASK, TRACE_EN_MASK, RtitMsrFile
 from repro.hwtrace.topa import ToPAOutput
@@ -89,15 +87,6 @@ class TraceSegment:
     @property
     def captured_events(self) -> int:
         return self.captured_event_end - self.event_start
-
-    def captured_block_ids(self) -> np.ndarray:
-        """Block ids of the events this segment actually retained.
-
-        The encoder gathers every segment of an upload at once through
-        :meth:`~repro.program.path.PathModel.range_events`; this is the
-        same range for one segment.
-        """
-        return self.path_model.events(self.event_start, self.captured_event_end)
 
 
 class CoreTracer:

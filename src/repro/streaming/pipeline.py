@@ -31,7 +31,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.hwtrace.decoder import SoftwareDecoder, canonical_chunks
+from repro.hwtrace.decoder import SoftwareDecoder, _canonical_split
 from repro.streaming.deadletter import DeadLetterQueue
 from repro.streaming.queue import VirtualDecodeQueue
 from repro.util.stats import percentile
@@ -61,7 +61,7 @@ BATCH_CHUNKS = 64
 
 
 def upload_stats(
-    cr3: int, raw: bytes, binary, cache
+    cr3: int, raw: bytes, binary
 ) -> Tuple[int, int, int, int, int, Optional[np.ndarray]]:
     """Session stats of one whole upload — the only reconcile decode.
 
@@ -72,16 +72,18 @@ def upload_stats(
     mapping, and the result depends on the bytes alone: not on which
     uploads the process decoded before, nor on the worker it ran in.
 
-    A canonical upload decodes as one :meth:`SoftwareDecoder.decode_chunks`
-    batch (through ``cache`` when given) and reduces the chunk entries
-    straight to the stats — a canonical stream has no resyncs or skipped
-    bytes — with ``chunk_lengths`` the int64 body length of every chunk.
+    A canonical upload resolves in one vectorized pass: its record words
+    are gathered at once and every address is looked up with one binary
+    search.  A canonical stream has no resyncs or skipped bytes, and
+    ``chunk_lengths`` holds the int64 body length of every PSB chunk.
+    No decode cache is consulted: real uploads are thousands of chunks of
+    about one event each, so a per-chunk lookup costs more than it saves.
     Anything else takes the resilient whole-stream decode, with
     ``chunk_lengths`` ``None``.
     """
-    decoder = SoftwareDecoder({cr3: binary}, cache=cache)
-    chunks = canonical_chunks(raw)
-    if chunks is None:
+    decoder = SoftwareDecoder({cr3: binary})
+    split = _canonical_split(raw)
+    if split is None:
         decoded = decoder.decode(raw, resilient=True)
         return (
             len(decoded),
@@ -91,19 +93,10 @@ def upload_stats(
             decoded.unresolved,
             None,
         )
-    cr3s, bodies = chunks
-    entries = decoder.decode_chunks(cr3s, bodies)
-    lengths = np.fromiter(map(len, bodies), np.int64, len(bodies))
-    # cached bodies share one entry: reduce over the distinct ones, and
-    # weigh unresolved counts by repetition only when any are non-zero
-    distinct = dict.fromkeys(entries)
-    unresolved = 0
-    if any(entry.unresolved for entry in distinct):
-        unresolved = sum(entry.unresolved for entry in entries)
-    functions = np.unique(np.concatenate([entry.function_ids for entry in distinct]))
-    # every canonical body is whole 8-byte event records
-    records = int(lengths.sum()) // 8 - unresolved
-    return (records, int(functions.size), 0, 0, unresolved, lengths)
+    plan, words = split
+    _block_ids, function_ids, _kept, unresolved = decoder._resolve_records(plan, words)
+    functions = np.unique(function_ids).size
+    return (words.size - unresolved, functions, 0, 0, unresolved, plan.body_lengths)
 
 
 @dataclass
@@ -165,13 +158,14 @@ class StreamingIngestor:
 
     :meth:`ingest` takes an outcome its slot already decoded (what the
     reconcile does); :meth:`submit` first decodes a raw outcome in place
-    with :func:`upload_stats` against ``binary`` and ``decode_cache``.
+    with :func:`upload_stats` against ``binary``.  ``decode_cache`` is
+    accepted for existing callers and ignored: :func:`upload_stats`
+    consults no cache.
     """
 
     def __init__(self, app: str, binary, decode_cache=None):
         self.app = app
         self._binary = binary
-        self._cache = decode_cache
         self.queue = VirtualDecodeQueue(
             consumers=VIRTUAL_CONSUMERS,
             capacity=QUEUE_CAPACITY,
@@ -202,7 +196,7 @@ class StreamingIngestor:
             outcome.bytes_skipped,
             outcome.unresolved,
             outcome.chunk_lengths,
-        ) = upload_stats(outcome.cr3, outcome.raw, self._binary, self._cache)
+        ) = upload_stats(outcome.cr3, outcome.raw, self._binary)
         self._pace(outcome)
 
     def ingest(self, outcome) -> None:

@@ -1,7 +1,5 @@
 """Tests for the command-line interface."""
 
-import re
-
 import pytest
 
 from repro.cli import build_parser, main
@@ -65,24 +63,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Complete" in out
         assert "management pod" in out
-
-    def test_cluster_cache_line_counts_pool_workers(self, capsys):
-        from repro.hwtrace.cache import process_decode_cache
-        from repro.parallel.workers import shutdown_process_pool
-
-        # fresh workers fork from a parent with zeroed counters, so every
-        # lookup on the line below happened in a worker
-        shutdown_process_pool()
-        process_decode_cache().clear()
-        assert main([
-            "cluster", "--nodes", "2", "--replicas", "2", "--period-ms", "80",
-            "--jobs", "2",
-        ]) == 0
-        out = capsys.readouterr().out
-        hits, misses = re.search(r"decode cache: (\d+) hits / (\d+) misses", out).groups()
-        assert int(hits) + int(misses) > 0
-        parent = process_decode_cache()
-        assert parent.hits + parent.misses == 0
 
 
 class TestProfile:

@@ -112,7 +112,7 @@ class TestLazyNodes:
 class TestShardedReconcileParity:
     def _run(self, jobs, faults=None):
         reset_identity_counters()
-        master = ClusterMaster(seed=7, decode_cache=False)
+        master = ClusterMaster(seed=7)
         master.add_nodes(8, base_seed=50)
         master.deploy("Search1", replicas=6)
         task = master.submit(TraceTaskSpec(
@@ -227,7 +227,7 @@ class TestChaosDecodeParity:
 
 class TestRetryPolicyEdges:
     def test_zero_max_waves_degrades_without_crash(self):
-        master = ClusterMaster(decode_cache=False)
+        master = ClusterMaster()
         master.add_nodes(2)
         master.deploy("Search1", replicas=2)
         task = master.submit(TraceTaskSpec(
@@ -340,7 +340,7 @@ class TestChurnModel:
         assert all(k not in master.nodes for k in killed)
 
     def test_reconcile_survives_churn(self):
-        master = ClusterMaster(seed=5, decode_cache=False)
+        master = ClusterMaster(seed=5)
         master.add_nodes(10)
         master.deploy("Search1", replicas=6)
         churn = ChurnModel(seed=1, kill_fraction=0.2)

@@ -239,39 +239,38 @@ class TestInvalidation:
 
 
 class TestClusterSmoke:
-    def test_two_replica_reconcile_hits_cache(self):
-        """Quick-lane smoke: a 2-replica task produces cache hits."""
+    def test_reconcile_ignores_decode_cache_keyword(self, monkeypatch):
+        """A 2-replica reconcile gives the same rows whatever ``decode_cache``
+        says, and never consults a cache: each upload resolves in one pass."""
         from repro.cluster import ClusterMaster, ClusterNode, TraceTaskSpec
         from repro.core.config import TraceReason
+        from repro.util.identity import reset_identity_counters
         from repro.util.units import MSEC
 
-        cache = DecodeCache()
-        master = ClusterMaster(seed=3, decode_cache=cache)
-        for index in range(2):
-            master.add_node(ClusterNode(f"node-{index:02d}", seed=index))
-        master.deploy("Search1", replicas=2)
-        task = master.submit(TraceTaskSpec(
-            app="Search1",
-            reason=TraceReason.ANOMALY,
-            period_ns=100 * MSEC,
-        ))
-        master.reconcile(task)
-        stats = master.decode_cache_stats()
-        assert stats is not None
-        assert stats["hits"] > 0
-        assert task.status.sessions_completed == 2
+        def consulted(*_args, **_kwargs):
+            raise AssertionError("the reconcile consulted a decode cache")
 
-    def test_disabled_cache_reports_zeroed_stats(self):
-        from repro.cluster import ClusterMaster
-
-        stats = ClusterMaster(decode_cache=False).decode_cache_stats()
-        assert stats["entries"] == 0
-        assert stats["hits"] == 0
-        assert stats["misses"] == 0
-        assert stats["hit_rate"] == 0.0
-        # same shape as an enabled cache so consumers need no null branch
-        enabled = ClusterMaster(decode_cache=True).decode_cache_stats()
-        assert set(stats) == set(enabled)
+        monkeypatch.setattr(DecodeCache, "get_or_resolve", consulted)
+        monkeypatch.setattr(DecodeCache, "note_fallback", consulted)
+        instance = DecodeCache()
+        rows = []
+        for setting in (True, False, instance):
+            reset_identity_counters()
+            master = ClusterMaster(seed=3, decode_cache=setting)
+            for index in range(2):
+                master.add_node(ClusterNode(f"node-{index:02d}", seed=index))
+            master.deploy("Search1", replicas=2)
+            task = master.submit(TraceTaskSpec(
+                app="Search1",
+                reason=TraceReason.ANOMALY,
+                period_ns=100 * MSEC,
+            ))
+            master.reconcile(task)
+            assert task.status.sessions_completed == 2
+            rows.append(master.sessions_for(task))
+        assert all(row["records"] > 0 for row in rows[0])
+        assert rows[0] == rows[1] == rows[2]
+        assert len(instance) == 0
 
     def test_process_cache_is_shared(self):
         assert process_decode_cache() is process_decode_cache()

@@ -7,6 +7,7 @@ widths — including under the chaos fault preset, where corrupt uploads
 flow through the dead-letter quarantine instead of the in-band decoder.
 """
 
+import hashlib
 import heapq
 import json
 
@@ -15,6 +16,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.crd import TaskPhase, TraceTaskSpec
+from repro.cluster.master import ClusterMaster
+from repro.core.config import TraceReason
 from repro.experiments.scenarios import run_chaos_scenario
 from repro.hwtrace.decoder import (
     SoftwareDecoder,
@@ -29,6 +33,8 @@ from repro.streaming import (
     VirtualDecodeQueue,
 )
 from repro.streaming.pipeline import upload_stats
+from repro.util.identity import reset_identity_counters
+from repro.util.units import MSEC
 
 
 def make_segment(path, *, cr3=0x1000, e0=0, e1=50, t0=100, truncate=None):
@@ -293,6 +299,154 @@ class TestSplitCanonicalStream:
         assert units is None
 
 
+OWN_CR3 = 0x1000
+FOREIGN_CR3 = 0x9999000
+#: 48-bit TIP address far above any generated binary's blocks
+UNKNOWN_ADDRESS = 0x7FFF_0000_0000
+
+#: one chunk of a slot-shaped upload: (kind, first event, events, OVF tail)
+chunk_specs = st.lists(
+    st.tuples(
+        st.sampled_from(["own", "own", "own", "foreign", "unknown"]),
+        st.integers(0, 4000),
+        st.one_of(st.just(0), st.integers(1, 12)),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def slot_upload(path, specs) -> bytes:
+    """A canonical upload of one chunk per spec, as a slot writes them."""
+    chunks = []
+    for index, (kind, start, count, ovf) in enumerate(specs):
+        end = start + count
+        raw = encode_trace([TraceSegment(
+            core_id=0, pid=1, tid=2,
+            cr3=FOREIGN_CR3 if kind == "foreign" else OWN_CR3,
+            t_start=100 * index, t_end=100 * index + 50,
+            event_start=start, event_end=end + ovf, captured_event_end=end,
+            bytes_offered=1000.0, bytes_accepted=1000.0,
+            path_model=path,
+        )])
+        if kind == "unknown":
+            # keep each record's TNT and TIP header bytes, move its address
+            words = np.frombuffer(raw, dtype="<u8", count=4 + count).copy()
+            records = np.arange(count, dtype=np.uint64)
+            words[4:] = (words[4:] & 0xFFFF) | ((UNKNOWN_ADDRESS + records) << 16)
+            raw = words.tobytes() + raw[8 * words.size:]
+        chunks.append(raw)
+    return b"".join(chunks)
+
+
+def chunk_oracle(cr3, raw, binary):
+    """Stats by the per-chunk reduction: one ``decode_chunks`` entry each."""
+    cr3s, bodies = zip(*split_canonical_stream(raw))
+    entries = SoftwareDecoder({cr3: binary}).decode_chunks(cr3s, bodies)
+    unresolved = sum(entry.unresolved for entry in entries)
+    functions = np.unique(np.concatenate([entry.function_ids for entry in entries]))
+    lengths = [len(body) for body in bodies]
+    stats = (sum(lengths) // 8 - unresolved, int(functions.size), 0, 0, unresolved)
+    return stats, lengths
+
+
+def resilient_stats(cr3, raw, binary):
+    decoded = SoftwareDecoder({cr3: binary}).decode(raw, resilient=True)
+    return (len(decoded), len(decoded.function_histogram()), decoded.resyncs,
+            decoded.bytes_skipped, decoded.unresolved)
+
+
+class TestUploadStats:
+    @given(specs=chunk_specs)
+    @settings(max_examples=150, deadline=None)
+    @example(specs=[("own", 0, 0, False)])
+    @example(specs=[("foreign", 5, 3, True)])
+    @example(specs=[("unknown", 7, 12, True), ("own", 9, 0, True)])
+    def test_one_pass_matches_per_chunk_oracle(self, tiny_path, specs):
+        raw = slot_upload(tiny_path, specs)
+        binary = tiny_path.binary
+        *stats, lengths = upload_stats(OWN_CR3, raw, binary)
+        expected, expected_lengths = chunk_oracle(OWN_CR3, raw, binary)
+        assert tuple(stats) == expected
+        assert lengths.dtype == np.int64
+        assert lengths.tolist() == expected_lengths
+        # the own-CR3 rule: foreign and unknown-address records never resolve
+        assert stats[4] == sum(
+            count for kind, _start, count, _ovf in specs if kind != "own"
+        )
+        assert tuple(stats) == resilient_stats(OWN_CR3, raw, binary)
+
+    def test_bad_record_framing_takes_resilient_path(self, tiny_path, tiny_binary):
+        raw = slot_upload(tiny_path, [("own", 0, 6, False), ("own", 20, 4, True)])
+        # an odd TNT byte in the first record: the chunk plan is canonical,
+        # the record framing is not
+        corrupt = raw[:32] + bytes([raw[32] | 1]) + raw[33:]
+        assert split_canonical_stream(corrupt) is None
+        *stats, lengths = upload_stats(OWN_CR3, corrupt, tiny_binary)
+        assert lengths is None
+        assert tuple(stats) == resilient_stats(OWN_CR3, corrupt, tiny_binary)
+
+    def test_bad_header_byte_takes_resilient_path(self, tiny_path, tiny_binary):
+        raw = slot_upload(tiny_path, [("own", 0, 6, False), ("own", 20, 4, False)])
+        corrupt = raw[:16] + b"\x00" + raw[17:]  # the first TSC opcode
+        *stats, lengths = upload_stats(OWN_CR3, corrupt, tiny_binary)
+        assert lengths is None
+        assert tuple(stats) == resilient_stats(OWN_CR3, corrupt, tiny_binary)
+        assert stats[2] == 1  # resynchronized at the second chunk
+
+    def test_truncated_chunk_takes_resilient_path(self, tiny_path, tiny_binary):
+        raw = slot_upload(tiny_path, [("own", 0, 6, False), ("own", 20, 4, False)])
+        truncated = raw[:-3]
+        *stats, lengths = upload_stats(OWN_CR3, truncated, tiny_binary)
+        assert lengths is None
+        assert tuple(stats) == resilient_stats(OWN_CR3, truncated, tiny_binary)
+        assert stats[3] > 0
+
+    def test_empty_upload(self, tiny_binary):
+        assert upload_stats(OWN_CR3, b"", tiny_binary) == (0, 0, 0, 0, 0, None)
+
+    def test_reconcile_stats_are_pinned(self):
+        # blake2b of every upload_stats tuple and chunk_lengths over the
+        # uploads of a fault-free 2-node reconcile, each decoded against
+        # both pods' CR3s, whole and with its last three bytes cut;
+        # recorded with the per-chunk decode (one decode_chunks entry per
+        # chunk through the decode cache)
+        reset_identity_counters()
+        master = ClusterMaster(seed=3)
+        master.add_nodes(2, base_seed=20)
+        master.deploy("Search1", replicas=2)
+        task = master.submit(TraceTaskSpec(
+            app="Search1", reason=TraceReason.ANOMALY, period_ns=40 * MSEC
+        ))
+        master.reconcile(task)
+        assert task.status.phase is TaskPhase.COMPLETE
+        pods = {pod.uid: pod for pod in master.deployments["Search1"].pods}
+        uploads = [
+            (pods[key.rsplit("/", 1)[1]].process.cr3, master.object_store.get(key))
+            for key in task.status.trace_keys
+        ]
+        binary = get_workload("Search1").binary()
+        digest = hashlib.blake2b(digest_size=16)
+        rows = []
+        for _own, raw in uploads:
+            for variant in (raw, raw[:-3]):
+                for cr3, _raw in uploads:
+                    *stats, lengths = upload_stats(cr3, variant, binary)
+                    rows.append(tuple(stats))
+                    digest.update(repr(tuple(stats)).encode())
+                    digest.update(
+                        b"none" if lengths is None else lengths.astype("<i8").tobytes()
+                    )
+        assert rows == [
+            (4007, 79, 0, 0, 0), (0, 0, 0, 0, 4007),
+            (4007, 79, 1, 5, 0), (0, 0, 1, 5, 4007),
+            (0, 0, 0, 0, 4003), (4003, 79, 0, 0, 0),
+            (0, 0, 1, 5, 4003), (4003, 79, 1, 5, 0),
+        ]
+        assert digest.hexdigest() == "f1d5f3098322de7f375a20c6650c7faf"
+
+
 class TestStreamingReconcileParity:
     def test_fault_free_parity_with_batch(self):
         batch = run_chaos_scenario(faults="none", fault_seed=0)
@@ -425,6 +579,6 @@ class TestIngestorContract:
         stats = ingestor.finish()
         session = (outcome.records, outcome.functions, outcome.resyncs,
                    outcome.bytes_skipped)
-        assert session == upload_stats(0x1000, raw, binary, None)[:4]
+        assert session == upload_stats(0x1000, raw, binary)[:4]
         assert session == (50, 4, 0, 0)
         assert stats.unresolved_records == 40
