@@ -79,15 +79,9 @@ class _FacilityHooks:
             return
         e0, e1 = result.event_range
         tracer.observe_slice(
-            pid=thread.pid,
-            tid=thread.tid,
-            cr3=thread.process.cr3,
-            t_start=start_ns,
-            t_end=self._facility.system.sim.now,
-            event_start=e0,
-            event_end=e1,
-            branches=result.branches,
-            path_model=path,
+            thread.pid, thread.tid, thread.process.cr3,
+            start_ns, self._facility.system.sim.now,
+            e0, e1, result.branches, path,
         )
 
 

@@ -303,15 +303,35 @@ def find_psb_offsets(data: bytes, psb: bytes) -> np.ndarray:
     """All non-overlapping PSB positions, in ``bytes.find`` order (int64).
 
     Matches the resynchronization search of the resilient scanner, so the
-    chunk boundaries equal the only positions a resync can land on.  One
-    ``bytes.split`` finds every match in C with the same left-to-right,
-    non-overlapping semantics; match ``k`` sits after the first ``k + 1``
-    pieces and ``k`` earlier matches.
+    chunk boundaries equal the only positions a resync can land on.  A
+    PSB is one byte pair repeated (``02 82`` eight times): one numpy mask
+    of where the pair sits, ANDed with itself at offsets 2, 4, ... up to
+    the PSB's length, marks every position a PSB starts at.  Inside a run
+    of more pairs than one PSB those positions overlap; only then does a
+    greedy pass keep the leftmost non-overlapping ones, as ``find`` does.
     """
-    pieces = data.split(psb)
-    lengths = np.fromiter(map(len, pieces), np.int64, len(pieces))[:-1]
-    lengths += len(psb)
-    return np.cumsum(lengths) - len(psb)
+    width = len(psb)
+    pair = psb[:2]
+    if width < 2 or psb != pair * (width // 2):
+        raise ValueError(f"PSB pattern {psb!r} is not a repeated byte pair")
+    buf = np.frombuffer(data, dtype=np.uint8)
+    positions = buf.size - width + 1
+    if positions <= 0:
+        return np.empty(0, dtype=np.int64)
+    is_pair = (buf[:-1] == pair[0]) & (buf[1:] == pair[1])
+    match = is_pair[:positions].copy()
+    for offset in range(2, width, 2):
+        match &= is_pair[offset : offset + positions]
+    starts = np.flatnonzero(match).astype(np.int64, copy=False)
+    if starts.size > 1 and (np.diff(starts) < width).any():
+        kept = []
+        free = 0
+        for start in starts.tolist():
+            if start >= free:
+                kept.append(start)
+                free = start + width
+        starts = np.array(kept, dtype=np.int64)
+    return starts
 
 
 def _gather_le(buf: np.ndarray, starts: np.ndarray, offset: int, width: int) -> np.ndarray:

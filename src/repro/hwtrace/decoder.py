@@ -620,8 +620,11 @@ class SoftwareDecoder:
         per chunk, and the unresolved count.
         """
         counts = plan.body_lengths >> 3
-        candidates = set(plan.cr3s.tolist())
-        record_cr3s = np.repeat(plan.cr3s, counts) if len(candidates) > 1 else None
+        cr3s = plan.cr3s
+        if (cr3s == cr3s[0]).all():
+            record_cr3s, candidates = None, [int(cr3s[0])]
+        else:
+            record_cr3s, candidates = np.repeat(cr3s, counts), np.unique(cr3s).tolist()
         block_ids, function_ids = self._resolve(
             (words >> _ADDRESS_SHIFT).astype(np.int64), record_cr3s, candidates
         )

@@ -167,18 +167,8 @@ class CoreTracer:
             fraction = accepted / offered
             captured_end = event_start + int(n_events * fraction)
         segment = TraceSegment(
-            core_id=self.core_id,
-            pid=pid,
-            tid=tid,
-            cr3=cr3,
-            t_start=t_start,
-            t_end=t_end,
-            event_start=event_start,
-            event_end=event_end,
-            captured_event_end=captured_end,
-            bytes_offered=offered,
-            bytes_accepted=accepted,
-            path_model=path_model,
+            self.core_id, pid, tid, cr3, t_start, t_end, event_start,
+            event_end, captured_end, offered, accepted, path_model,
         )
         self.segments.append(segment)
         return segment

@@ -41,28 +41,6 @@ class InterferenceModel:
     #: floor so pathological over-subscription cannot stall progress
     min_speed_factor: float = 0.25
 
-    def speed_factor(
-        self,
-        core: "LogicalCore",
-        llc_competitors: int,
-        workload_llc_pressure: float,
-    ) -> float:
-        """Effective execution speed of the thread on ``core``.
-
-        ``llc_competitors`` is the number of *other* busy logical cores in
-        the same LLC domain; ``workload_llc_pressure`` in [0, 1] is how
-        cache-sensitive the running workload is.
-        """
-        factor = 1.0
-        sibling = core.sibling
-        if sibling is not None and sibling.running is not None:
-            factor *= self.ht_sibling_penalty
-        if llc_competitors > 0 and workload_llc_pressure > 0.0:
-            factor /= 1.0 + (
-                self.llc_contention_coeff * workload_llc_pressure * llc_competitors
-            )
-        return max(factor, self.min_speed_factor)
-
 
 class LogicalCore:
     """One logical CPU (hardware thread).
@@ -145,21 +123,30 @@ class CpuTopology:
         """All logical cores sharing socket ``socket_id``'s LLC."""
         return self._socket_members[socket_id]
 
-    def busy_in_llc_domain(self, core: LogicalCore) -> int:
-        """Number of busy logical cores sharing ``core``'s LLC, excluding it."""
-        # a plain loop: this runs once per slice, and a generator frame
-        # per call costs more than the count itself
-        busy = 0
-        for other in self._socket_members[core.socket_id]:
-            if other.running is not None and other is not core:
-                busy += 1
-        return busy
-
     def speed_factor(self, core: LogicalCore, llc_pressure: float) -> float:
-        """Convenience wrapper over the interference model."""
-        return self.interference.speed_factor(
-            core, self.busy_in_llc_domain(core), llc_pressure
-        )
+        """Effective execution speed of the thread about to run on ``core``.
+
+        A busy HT sibling multiplies it by ``ht_sibling_penalty``; each
+        *other* busy logical core of the same LLC domain depresses it in
+        proportion to ``llc_pressure`` in [0, 1], how cache-sensitive the
+        running workload is.  One frame, with the busy count as a plain
+        loop: this runs once per slice.
+        """
+        model = self.interference
+        factor = 1.0
+        sibling = core.sibling
+        if sibling is not None and sibling.running is not None:
+            factor *= model.ht_sibling_penalty
+        if llc_pressure > 0.0:
+            competitors = 0
+            for other in self._socket_members[core.socket_id]:
+                if other.running is not None and other is not core:
+                    competitors += 1
+            if competitors:
+                factor /= 1.0 + (
+                    model.llc_contention_coeff * llc_pressure * competitors
+                )
+        return max(factor, model.min_speed_factor)
 
     def utilization(self, elapsed_ns: int) -> float:
         """Average core utilization over ``elapsed_ns`` (0..1)."""

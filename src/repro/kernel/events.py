@@ -2,21 +2,32 @@
 
 A minimal, fast event loop over integer-nanosecond virtual time.  Events
 are callbacks ordered by (time, sequence); the sequence number makes
-ordering fully deterministic when events share a timestamp.  Events can be
-cancelled in O(1) (lazy deletion on pop).
+ordering fully deterministic when events share a timestamp.
 
-Two structural choices make this the fastest loop Python allows:
+The heap holds plain ``(time, seq, item)`` tuples, so every sift
+comparison is a C-level int compare.  ``item`` is one of two kinds:
 
-* the heap holds plain ``(time, seq, event)`` tuples, so every sift
-  comparison heapq performs is a C-level int compare instead of a Python
-  ``Event.__lt__`` call — pushes and pops on deep queues cost a fraction
-  of an object heap;
-* every run method (:meth:`Simulator.run_until`,
-  :meth:`Simulator.run_until_stopped`, :meth:`Simulator.run_until_idle`)
-  drives one shared loop that pops ready events in a batched pass,
-  skipping tombstones inline without re-heapifying and deferring the
-  fired-event counter to the end of the batch, so driving a node costs
-  one Python frame per *run*, not two method calls per *event*.
+* a bare callable, posted by :meth:`Simulator.post`.  The scheduler's
+  own events (slice end, wake, dispatch, syscall return) are never
+  cancelled, so they carry no handle;
+* an :class:`Event`, returned by :meth:`Simulator.schedule` to callers
+  that may cancel it (timers, crash schedules).  Cancelling is O(1):
+  the entry is tombstoned and skipped when popped.
+
+Every run method (:meth:`Simulator.run_until`,
+:meth:`Simulator.run_until_stopped`, :meth:`Simulator.run_until_idle`)
+drives one shared loop that pops ready entries in a batched pass, tells
+the two kinds apart by class, skips tombstones inline and adds to the
+fired counter once per batch.
+
+:meth:`Simulator.follow` posts a callback's last act, and fires it at
+once instead when posting it would make it the very next event of the
+running batch: its time is within the batch's deadline, no
+:meth:`~Simulator.stop` or :meth:`~Simulator.halt` is pending, and the
+heap head is strictly later (an entry at the same nanosecond has the
+smaller sequence number, so it would fire first).  The outcome, ``now``
+and every count are then exactly those of the posted event; only the
+push and pop are saved.
 
 Cancelled entries are counted and the heap is compacted in place once
 tombstones outnumber live events, bounding memory for workloads that
@@ -27,7 +38,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
 #: compaction threshold: never compact heaps smaller than this (the
 #: rebuild would cost more than the garbage it reclaims)
@@ -38,7 +49,7 @@ _NO_LIMIT = 1 << 63
 
 
 class Event:
-    """A scheduled callback.  Returned by :meth:`Simulator.schedule`.
+    """A cancellable scheduled callback.  Returned by :meth:`Simulator.schedule`.
 
     Cancelling an event is cheap: the heap entry is tombstoned and skipped
     when popped.  An event fires at most once.
@@ -69,17 +80,19 @@ class Event:
         if sim is not None:
             sim._note_tombstone()
 
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else ("fired" if self.fired else "pending")
         return f"Event(t={self.time}, seq={self.seq}, {state})"
 
 
-_HeapEntry = Tuple[int, int, Event]
+#: a heap entry: ``(time, seq, callable or Event)``
+_HeapEntry = Tuple[int, int, Union[Callable[[], None], Event]]
+
+
+def _is_tombstone(entry: _HeapEntry) -> bool:
+    """Whether a heap entry is a cancelled :class:`Event`."""
+    item = entry[2]
+    return item.__class__ is Event and item.cancelled
 
 
 class Simulator:
@@ -100,11 +113,15 @@ class Simulator:
         self.halted = False
         #: set by :meth:`halt` or :meth:`stop` to end the running batch
         self._stop = False
+        #: deadline of the running batch, -1 between batches: only a
+        #: follow-up at or before it may fire inline
+        self._until: float = -1
 
     # -- scheduling -------------------------------------------------------
 
     def schedule(self, at: int, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` to run at absolute virtual time ``at``."""
+        """Schedule ``callback`` at absolute virtual time ``at``; return
+        its handle (use :meth:`post` when nobody will cancel it)."""
         if at < self.now:
             raise ValueError(f"cannot schedule at {at} < now {self.now}")
         self._seq += 1
@@ -117,6 +134,36 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         return self.schedule(self.now + delay, callback)
+
+    def post(self, at: int, callback: Callable[[], None]) -> None:
+        """Schedule ``callback`` at ``at`` with no handle: it cannot be
+        cancelled, and no :class:`Event` is built for it."""
+        if at < self.now:
+            raise ValueError(f"cannot schedule at {at} < now {self.now}")
+        self._seq += 1
+        heapq.heappush(self._heap, (at, self._seq, callback))
+
+    def follow(self, at: int, callback: Callable[[], None]) -> None:
+        """Post ``callback`` at ``at`` as the running callback's last act.
+
+        Fires it at once, with ``now = at``, when it would be the next
+        event of the running batch anyway: ``at`` is within the batch's
+        deadline, no stop or halt is pending, and the heap head is
+        strictly later than ``at``.  Otherwise it is posted.  Either way
+        it counts as one fired event.  The caller must do nothing after
+        this call, as it would not have run before a posted event.
+        """
+        heap = self._heap
+        if (
+            self.now <= at <= self._until
+            and not self._stop
+            and (not heap or heap[0][0] > at)
+        ):
+            self.now = at
+            self._events_fired += 1
+            callback()
+        else:
+            self.post(at, callback)
 
     # -- tombstone accounting ----------------------------------------------
 
@@ -131,7 +178,7 @@ class Simulator:
         heap = self._heap
         if len(heap) >= _COMPACT_MIN_SIZE and self._tombstones * 2 > len(heap):
             # in-place rebuild so aliases held by running loops stay valid
-            heap[:] = [entry for entry in heap if not entry[2].cancelled]
+            heap[:] = [entry for entry in heap if not _is_tombstone(entry)]
             heapq.heapify(heap)
             self._tombstones = 0
 
@@ -166,7 +213,7 @@ class Simulator:
     def peek_time(self) -> Optional[int]:
         """Time of the next pending event, or ``None`` if the queue is empty."""
         heap = self._heap
-        while heap and heap[0][2].cancelled:
+        while heap and _is_tombstone(heap[0]):
             heapq.heappop(heap)
             self._tombstones -= 1
         return heap[0][0] if heap else None
@@ -174,38 +221,47 @@ class Simulator:
     def _run(self, deadline: float, limit: int = _NO_LIMIT) -> Tuple[int, bool]:
         """The one batched pop loop behind every run method.
 
-        Fires ready events up to and including ``deadline`` straight off
-        the heap, skipping tombstones inline and adding to
-        :attr:`events_fired` once per batch.  A :meth:`halt` or
-        :meth:`stop` issued by a callback ends the batch after that
-        callback returns; so does firing ``limit`` events.  Returns
-        ``(fired, drained)``, where ``drained`` means the batch ended
-        because no event at or before ``deadline`` was left.
+        Fires ready entries up to and including ``deadline`` straight off
+        the heap, skipping tombstones inline and adding the popped count
+        to :attr:`events_fired` once per batch (inline follow-ups add
+        their own).  A :meth:`halt` or :meth:`stop` issued by a callback
+        ends the batch after that callback returns; so does popping
+        ``limit`` entries.  Returns ``(fired, drained)``: ``fired``
+        counts popped and inline fires, and ``drained`` means the batch
+        ended because no event at or before ``deadline`` was left.
         """
         if self.halted:
             return 0, False
         self._stop = False
+        self._until = deadline
         heap = self._heap
         pop = heapq.heappop
-        fired = 0
-        while heap:
-            head = heap[0]
-            if head[0] > deadline:
-                break
-            pop(heap)
-            event = head[2]
-            if event.cancelled:
-                self._tombstones -= 1
-                continue
-            self.now = head[0]
-            event.fired = True
-            fired += 1
-            event.callback()
-            if self._stop or fired >= limit:
-                self._events_fired += fired
-                return fired, False
-        self._events_fired += fired
-        return fired, True
+        event_class = Event
+        start = self._events_fired
+        popped = 0
+        drained = True
+        try:
+            while heap:
+                at, _, item = heap[0]
+                if at > deadline:
+                    break
+                pop(heap)
+                if item.__class__ is event_class:
+                    if item.cancelled:
+                        self._tombstones -= 1
+                        continue
+                    item.fired = True
+                    item = item.callback
+                self.now = at
+                popped += 1
+                item()
+                if self._stop or popped >= limit:
+                    drained = False
+                    break
+        finally:
+            self._until = -1
+            self._events_fired += popped
+        return self._events_fired - start, drained
 
     def run_until(self, deadline: int) -> int:
         """Run events up to and including ``deadline``.
@@ -233,7 +289,11 @@ class Simulator:
         return self._run(deadline)[0]
 
     def run_until_idle(self, max_events: int = 50_000_000) -> int:
-        """Run until no events remain.  Guards against runaway loops."""
+        """Run until no events remain.  Guards against runaway loops.
+
+        The guard counts heap pops, so the inline follow-ups of the last
+        popped event may take the returned count past ``max_events``.
+        """
         fired, _ = self._run(math.inf, max_events)
         if fired >= max_events and self.pending_count:
             raise RuntimeError(

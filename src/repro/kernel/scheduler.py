@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Protocol, Tuple
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Dict, List, Optional, Protocol, Set, Tuple
 
 from repro.kernel.cpu import CpuTopology, LogicalCore
 from repro.kernel.events import Simulator
@@ -75,48 +76,49 @@ class SchedulerConfig:
     wakeup_bonus: float = 0.5
 
 
-@dataclass(order=True)
-class _QueueEntry:
-    vruntime: float
-    tid: int
-    thread: Thread = field(compare=False)
-    valid: bool = field(default=True, compare=False)
-
-
 class _RunQueue:
-    """Min-vruntime queue with lazy deletion."""
+    """Min-vruntime queue of ``(vruntime, tid, thread)`` tuples.
+
+    A thread is queued at most once, so ``(vruntime, tid)`` keys are
+    unique and heapq's sift compares never reach the thread.
+    """
 
     def __init__(self) -> None:
-        self._heap: List[_QueueEntry] = []
-        self._entries: Dict[int, _QueueEntry] = {}
+        self._heap: List[Tuple[float, int, Thread]] = []
+        self._tids: Set[int] = set()
         self.min_vruntime: float = 0.0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._heap)
 
     def push(self, thread: Thread) -> None:
-        if thread.tid in self._entries:
+        if thread.tid in self._tids:
             raise RuntimeError(f"{thread} already enqueued")
-        entry = _QueueEntry(thread.vruntime, thread.tid, thread)
-        self._entries[thread.tid] = entry
-        heapq.heappush(self._heap, entry)
+        self._tids.add(thread.tid)
+        heapq.heappush(self._heap, (thread.vruntime, thread.tid, thread))
 
     def pop(self) -> Optional[Thread]:
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            if not entry.valid:
-                continue
-            del self._entries[entry.tid]
-            self.min_vruntime = max(self.min_vruntime, entry.vruntime)
-            return entry.thread
-        return None
+        if not self._heap:
+            return None
+        vruntime, tid, thread = heapq.heappop(self._heap)
+        self._tids.remove(tid)
+        if vruntime > self.min_vruntime:
+            self.min_vruntime = vruntime
+        return thread
 
-    def remove(self, thread: Thread) -> bool:
-        entry = self._entries.pop(thread.tid, None)
-        if entry is None:
-            return False
-        entry.valid = False
-        return True
+    def push_pop(self, thread: Thread) -> Thread:
+        """:meth:`push` then :meth:`pop` in one heap operation."""
+        if thread.tid in self._tids:
+            raise RuntimeError(f"{thread} already enqueued")
+        vruntime, tid, nxt = heapq.heappushpop(
+            self._heap, (thread.vruntime, thread.tid, thread)
+        )
+        if nxt is not thread:
+            self._tids.remove(tid)
+            self._tids.add(thread.tid)
+        if vruntime > self.min_vruntime:
+            self.min_vruntime = vruntime
+        return nxt
 
 
 class Scheduler:
@@ -241,7 +243,7 @@ class Scheduler:
         if core.running is None:
             # core is idle: dispatch immediately (as a fresh event so state
             # settles before the switch fires hooks)
-            self.sim.schedule_after(0, lambda c=core: self._dispatch(c))
+            self.sim.post(self.sim.now, partial(self._dispatch, core))
 
     # -- core dispatch loop ---------------------------------------------------
 
@@ -272,9 +274,7 @@ class Scheduler:
         """Account one switch and fire the tracepoint hooks."""
         core.context_switches += 1
         self.total_context_switches += 1
-        record = SchedSwitchRecord(
-            timestamp=self.sim.now, cpu_id=core.core_id, prev=prev, next=nxt
-        )
+        record = SchedSwitchRecord(self.sim.now, core.core_id, prev, nxt)
         hook_cost = self.tracepoints.fire(SCHED_SWITCH, record)
         cost = self.config.context_switch_cost_ns + hook_cost
         core.kernel_ns += cost
@@ -293,7 +293,7 @@ class Scheduler:
             if hook_cost:
                 nxt.tracing_overhead_ns += hook_cost
             # the incoming thread pays the switch by starting late
-            nxt._switch_penalty_ns = cost  # type: ignore[attr-defined]
+            nxt.switch_penalty_ns = cost
 
     def _start_slice(self, core: LogicalCore, thread: Thread) -> None:
         thread.state = ThreadState.RUNNING
@@ -332,12 +332,12 @@ class Scheduler:
             raise RuntimeError(
                 f"engine for {thread} made no progress (outcome={result.outcome})"
             )
-        penalty = getattr(thread, "_switch_penalty_ns", 0)
+        penalty = thread.switch_penalty_ns
         if penalty:
-            thread._switch_penalty_ns = 0  # type: ignore[attr-defined]
-        end = start + penalty + result.ran_ns
-        self.sim.schedule(
-            end, lambda c=core, t=thread, s=start, r=result: self._finish_slice(c, t, s, r)
+            thread.switch_penalty_ns = 0
+        self.sim.post(
+            start + penalty + result.ran_ns,
+            partial(self._finish_slice, core, thread, start, result),
         )
 
     def _finish_slice(
@@ -372,11 +372,7 @@ class Scheduler:
         thread.state = ThreadState.READY
         thread.current_core = None
         core.running = None
-        queue = self._queues[core.core_id]
-        queue.push(thread)
-        nxt = queue.pop()
-        if nxt is None:  # pragma: no cover - we just pushed
-            return
+        nxt = self._queues[core.core_id].push_pop(thread)
         if nxt is not thread:
             self._context_switch(core, prev=thread, nxt=nxt)
         self._start_slice(core, nxt)
@@ -389,12 +385,7 @@ class Scheduler:
         assert result.syscall is not None
         spec = self.syscalls.get(result.syscall)
         thread.syscall_count += 1
-        record = SyscallRecord(
-            timestamp=self.sim.now,
-            cpu_id=core.core_id,
-            thread=thread,
-            syscall=result.syscall,
-        )
+        record = SyscallRecord(self.sim.now, core.core_id, thread, result.syscall)
         probe_cost = self.tracepoints.fire(SYS_ENTER, record)
         kernel_cost = spec.kernel_ns + probe_cost
         core.kernel_ns += kernel_cost
@@ -402,35 +393,29 @@ class Scheduler:
         if probe_cost:
             thread.tracing_overhead_ns += probe_cost
 
+        # the core stays busy for the kernel part of the syscall, then
+        # moves on; that follow-up is this event's last act, so the
+        # simulator may fire it inline (see Simulator.follow)
+        core.busy_ns += kernel_cost
+        thread.current_core = None
+        core.running = None
+        sim = self.sim
         if spec.blocking:
             block_ns = self._sample_block(spec, result.block_ns)
-            wake_at = self.sim.now + kernel_cost + block_ns
             thread.state = ThreadState.BLOCKED
-            thread.current_core = None
-            core.running = None
-            self.sim.schedule(wake_at, lambda t=thread: self._wake(t))
-            # core stays busy for the kernel part of the syscall
-            core.busy_ns += kernel_cost
-            self.sim.schedule_after(
-                kernel_cost, lambda c=core, t=thread: self._switch_out(c, prev=t)
-            )
+            sim.post(sim.now + kernel_cost + block_ns, partial(self._wake, thread))
+            sim.follow(sim.now + kernel_cost, partial(self._switch_out, core, thread))
         else:
-            # non-blocking: charge kernel time, then continue on-core
-            core.busy_ns += kernel_cost
             thread.state = ThreadState.READY
-            thread.current_core = None
-            core.running = None
-            self.sim.schedule_after(
-                kernel_cost, lambda c=core, t=thread: self._resume_after_syscall(c, t)
+            sim.follow(
+                sim.now + kernel_cost, partial(self._resume_after_syscall, core, thread)
             )
 
     def _resume_after_syscall(self, core: LogicalCore, thread: Thread) -> None:
         if core.running is not None:  # pragma: no cover - defensive
             self._queues[core.core_id].push(thread)
             return
-        queue = self._queues[core.core_id]
-        queue.push(thread)
-        nxt = queue.pop()
+        nxt = self._queues[core.core_id].push_pop(thread)
         if nxt is not thread:
             self._context_switch(core, prev=thread, nxt=nxt)
         self._start_slice(core, nxt)

@@ -154,6 +154,9 @@ class Thread:
         self.last_core: Optional[int] = None
         #: virtual time when the thread finished (None while alive)
         self.done_at: Optional[int] = None
+        #: context-switch cost the next slice starts late by (set by the
+        #: switch that brings the thread on-core, cleared by the slice)
+        self.switch_penalty_ns: int = 0
 
         # -- accounting -----------------------------------------------------
         self.cpu_ns: int = 0

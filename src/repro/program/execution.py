@@ -147,12 +147,13 @@ class _ScriptedExecution:
             int(branches_after // stride),
         )
         return SliceResult(
-            ran_ns=ran_ns,
-            work_done=consumed_instr,
-            branches=int(branches_after) - int(branches_before),
-            outcome=outcome,
-            syscall=syscall,
-            event_range=event_range,
+            ran_ns,
+            consumed_instr,
+            int(branches_after) - int(branches_before),
+            outcome,
+            syscall,
+            0,
+            event_range,
         )
 
 

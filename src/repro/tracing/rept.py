@@ -122,10 +122,9 @@ class ReptScheme(TracingScheme):
         e0, e1 = result.event_range
         assert self.system is not None
         tracer.observe_slice(
-            pid=thread.pid, tid=thread.tid, cr3=thread.process.cr3,
-            t_start=start_ns, t_end=self.system.sim.now,
-            event_start=e0, event_end=e1,
-            branches=result.branches, path_model=path,
+            thread.pid, thread.tid, thread.process.cr3,
+            start_ns, self.system.sim.now,
+            e0, e1, result.branches, path,
         )
 
     def artifacts(self) -> SchemeArtifacts:

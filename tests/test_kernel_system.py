@@ -4,6 +4,7 @@ import heapq
 
 import pytest
 
+from repro.kernel.events import Event
 from repro.kernel.system import KernelSystem, SystemConfig
 from repro.kernel.task import Process, ThreadState
 from repro.program.execution import ProgramExecution
@@ -92,19 +93,28 @@ class TestFacilityMemoryLedger:
 
 
 def _reference_step(sim) -> bool:
-    """The per-event ``Simulator.step`` the old loop drove."""
+    """The per-event ``Simulator.step`` the old loop drove.
+
+    Heap entries are ``(at, seq, item)``: ``item`` is a cancellable
+    :class:`Event` or a handle-free callable.  No batch is running here,
+    so every ``Simulator.follow`` posts: this loop pops each event that
+    the batched loop may fire inline.
+    """
     if sim.halted:
         return False
+    assert sim._until < 0, "the reference must run outside any batch"
     heap = sim._heap
     while heap:
-        at, _, event = heapq.heappop(heap)
-        if event.cancelled:
-            sim._tombstones -= 1
-            continue
+        at, _, item = heapq.heappop(heap)
+        if isinstance(item, Event):
+            if item.cancelled:
+                sim._tombstones -= 1
+                continue
+            item.fired = True
+            item = item.callback
         sim.now = at
-        event.fired = True
         sim._events_fired += 1
-        event.callback()
+        item()
         return True
     return False
 
@@ -236,7 +246,10 @@ class TestRunUntilDoneMatchesReference:
         system, targets = _job_system(tiny_path, [1e6])
         litter(system)
         system.run_until_done(targets, deadline_ns=5 * SEC)
-        live = sum(1 for entry in system.sim._heap if not entry[2].cancelled)
+        live = sum(
+            1 for entry in system.sim._heap
+            if not (isinstance(entry[2], Event) and entry[2].cancelled)
+        )
         assert system.sim.pending_count == live == pending
 
     @pytest.mark.parametrize("works", [(1e6, 3e5), (3e5, 1e6)])

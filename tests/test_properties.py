@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -211,6 +212,56 @@ def test_find_psb_offsets_on_overlong_run_and_prefix():
     # 17 pairs after a one-byte prefix hold two PSBs, not ten overlapping ones
     data = b"\x00" + b"\x02\x82" * 17
     assert find_psb_offsets(data, PSB_BYTES).tolist() == [1, 17] == _find_loop(data, PSB_BYTES)
+
+
+def _split_offsets(data: bytes, psb: bytes):
+    """PSB positions from ``bytes.split`` (leftmost, non-overlapping)."""
+    offsets, position = [], 0
+    for piece in data.split(psb)[:-1]:
+        position += len(piece)
+        offsets.append(position)
+        position += len(psb)
+    return offsets
+
+
+# overlapping ``02 82`` runs of 18, 20 and 34 bytes, a PSB at the very end,
+# data shorter than one PSB, and no data at all
+psb_edge_pieces = st.one_of(
+    st.sampled_from([b"\x02\x82" * 9, b"\x02\x82" * 10, b"\x02\x82" * 17]),
+    st.binary(max_size=15),
+    st.just(PSB_BYTES),
+)
+
+
+@given(st.lists(psb_edge_pieces, max_size=8).map(b"".join), st.booleans())
+def test_find_psb_offsets_matches_split(data, psb_at_end):
+    if psb_at_end:
+        data += PSB_BYTES
+    offsets = find_psb_offsets(data, PSB_BYTES)
+    assert offsets.dtype == np.int64
+    assert offsets.tolist() == _split_offsets(data, PSB_BYTES)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"",
+        b"\x02\x82" * 7,
+        b"\x02\x82" * 7 + b"\x02",
+        b"\x02\x82" * 9,
+        b"\x02\x82" * 10,
+        b"\x02\x82" * 17,
+        b"\x01" + b"\x02\x82" * 9 + b"\x00" + PSB_BYTES,
+        b"\x19" * 20 + PSB_BYTES,
+    ],
+)
+def test_find_psb_offsets_edge_cases(data):
+    assert find_psb_offsets(data, PSB_BYTES).tolist() == _split_offsets(data, PSB_BYTES)
+
+
+def test_find_psb_offsets_rejects_other_patterns():
+    with pytest.raises(ValueError):
+        find_psb_offsets(b"abcabc", b"abc")
 
 
 # ---------------------------------------------------------------------------
