@@ -7,12 +7,8 @@ against the committed baselines in ``benchmarks/baselines/`` and fails
 when any *throughput* metric regressed by more than the threshold.
 
 Throughput metrics are recognized by suffix: ``*_mb_s`` and ``*_per_s``
-(higher is better).  Parallelism ratios (``*_speedup``) gate too, with
-one carve-out: when both the baseline and the fresh report were produced
-on a single-core machine (``env.cpu_count == 1``), speedup gates are
-skipped — a one-core box can only measure pool *overhead*, and that is
-already captured by the absolute throughput metrics.  Raw sizes/counts
-are reported but never gate.
+(higher is better); ratios named ``*_speedup`` gate the same way.  Raw
+sizes/counts are reported but never gate.
 
 Usage (what the CI full lane runs after regenerating the benches)::
 
@@ -29,10 +25,8 @@ import os
 import sys
 from pathlib import Path
 
-#: metric-name suffixes gated as higher-is-better throughput
-THROUGHPUT_SUFFIXES = ("_mb_s", "_per_s")
-#: parallelism ratios — gated unless both reports come from one core
-SPEEDUP_SUFFIXES = ("_speedup",)
+#: metric-name suffixes gated as higher-is-better throughput or ratio
+GATED_SUFFIXES = ("_mb_s", "_per_s", "_speedup")
 
 DEFAULT_THRESHOLD = 0.25
 
@@ -55,19 +49,12 @@ def load_report(path: Path) -> dict:
     return report
 
 
-def gated_metrics(metrics: dict, include_speedups: bool = True) -> dict:
-    suffixes = THROUGHPUT_SUFFIXES + (
-        SPEEDUP_SUFFIXES if include_speedups else ()
-    )
+def gated_metrics(metrics: dict) -> dict:
     return {
         key: value
         for key, value in metrics.items()
-        if key.endswith(suffixes) and isinstance(value, (int, float))
+        if key.endswith(GATED_SUFFIXES) and isinstance(value, (int, float))
     }
-
-
-def _single_core(report: dict) -> bool:
-    return report.get("env", {}).get("cpu_count") == 1
 
 
 def check_pair(fresh_path: Path, baseline_path: Path, threshold: float):
@@ -89,16 +76,8 @@ def check_pair(fresh_path: Path, baseline_path: Path, threshold: float):
     baseline = load_report(baseline_path)
     failures = []
     rows = []
-    include_speedups = not (_single_core(fresh) and _single_core(baseline))
-    if not include_speedups and gated_metrics(
-        baseline["metrics"], include_speedups=True
-    ) != gated_metrics(baseline["metrics"], include_speedups=False):
-        print(
-            "  [skip] *_speedup gates: baseline and report are both "
-            "single-core (parallelism unmeasurable)"
-        )
-    fresh_metrics = gated_metrics(fresh["metrics"], include_speedups)
-    baseline_metrics = gated_metrics(baseline["metrics"], include_speedups)
+    fresh_metrics = gated_metrics(fresh["metrics"])
+    baseline_metrics = gated_metrics(baseline["metrics"])
     for key in sorted(baseline_metrics):
         base = baseline_metrics[key]
         if base <= 0:

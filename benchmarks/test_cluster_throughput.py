@@ -3,8 +3,10 @@
 Three measurements, recorded to ``BENCH_cluster.json`` (uniform schema
 via :mod:`repro.util.bench`):
 
-* **reconcile throughput at 100 / 1k / 5k nodes** — wall clock of one
-  full ``ClusterMaster.reconcile`` over a lazily-registered fleet with
+* **reconcile throughput at 100 / 1k / 5k nodes** — median wall clock
+  of ``RECONCILE_REPEATS`` full ``ClusterMaster.reconcile`` calls
+  (:func:`repro.util.bench.measure`), each on a fresh lazily-registered
+  fleet with
   two pods per node, the traced repetition count capped so the tracing
   work is constant while the coordinator's per-pod bookkeeping (RCO
   sampling, FleetIndex phase/coverage columns, upload merge) scales
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from pathlib import Path
 
 from conftest import emit
@@ -33,13 +34,14 @@ from repro.core.config import TraceReason
 from repro.faults.plan import FaultPlan
 from repro.parallel.pool import RunPool
 from repro.parallel.workers import shutdown_process_pool
-from repro.util.bench import write_bench
+from repro.util.bench import measure, write_bench
 from repro.util.identity import reset_identity_counters
 from repro.util.units import MSEC
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 SCALES = (100, 1_000, 5_000)
+RECONCILE_REPEATS = 3
 PODS_PER_NODE = 2
 #: traced repetitions per reconcile — fixed across scales so the wall
 #: clock isolates the coordinator's per-pod/per-node bookkeeping
@@ -122,11 +124,16 @@ def test_cluster_throughput():
     nodes_per_s = {}
     per_node_cost = {}
     for nodes in SCALES:
-        reset_identity_counters()
-        master = _scale_master(nodes)
-        start = time.perf_counter()
-        task = _reconcile_once(master)
-        elapsed = time.perf_counter() - start
+        def fresh_master(nodes=nodes):
+            reset_identity_counters()
+            return _scale_master(nodes)
+
+        timing = measure(
+            lambda master: (master, _reconcile_once(master)),
+            RECONCILE_REPEATS,
+            setup=fresh_master,
+        )
+        (master, task), elapsed = timing.result, timing.median
         assert task.finished, f"{nodes}-node reconcile did not finish"
         assert task.status.sessions_completed == TRACED_REPETITIONS
         nodes_per_s[nodes] = nodes / elapsed

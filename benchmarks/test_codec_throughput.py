@@ -12,11 +12,13 @@ the object decode by >= 10x on this stream.
 reconcile slot actually uploads — one segment per captured slice, half
 of them header-only, about one event on average — which the 4,096-event
 stream says nothing about.
+
+Every timing is the median of ``REPEATS`` runs
+(:func:`repro.util.bench.measure`).
 """
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,7 @@ from repro.hwtrace.tracer import TraceSegment
 from repro.program.binary import FunctionCategory
 from repro.program.generator import BinaryShape, generate_binary
 from repro.program.path import PathModel
-from repro.util.bench import write_bench
+from repro.util.bench import measure, write_bench
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TARGET_STREAM_BYTES = 10 * 1000 * 1000
@@ -43,7 +45,7 @@ SLOT_EVENT_SHARES = {
 SLOT_SEGMENTS = 100_000
 #: one segment in this many is truncated (31 of the 17,588 above)
 SLOT_TRUNCATE_EVERY = 500
-SLOT_REPEATS = 3
+REPEATS = 3
 
 
 def _build_segments():
@@ -93,32 +95,25 @@ def _build_slot_segments(path):
     return segments
 
 
-def _timed(fn):
-    start = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - start
-
-
 def test_codec_throughput():
     binary, path, segments = _build_segments()
 
-    stream, t_encode_columnar = _timed(lambda: encode_trace(segments))
+    encode = measure(lambda: encode_trace(segments), REPEATS)
+    stream, t_encode_columnar = encode.result, encode.median
     megabytes = len(stream) / 1e6
     assert megabytes >= 9.5, f"stream too small: {megabytes:.1f} MB"
 
     slot_segments = _build_slot_segments(path)
-    slot_stream, t_encode_slot = min(
-        (_timed(lambda: encode_trace(slot_segments)) for _ in range(SLOT_REPEATS)),
-        key=lambda timed: timed[1],
-    )
+    encode_slot = measure(lambda: encode_trace(slot_segments), REPEATS)
+    slot_stream, t_encode_slot = encode_slot.result, encode_slot.median
     slot_megabytes = len(slot_stream) / 1e6
 
     decoder = SoftwareDecoder({0x1000: binary})
     decoder.decode(stream)  # warm numpy / allocator
-    decoded, t_decode_columnar = _timed(lambda: decoder.decode(stream))
-    reference, t_decode_objects = _timed(
-        lambda: decoder.decode_objects(stream)
-    )
+    decode = measure(lambda: decoder.decode(stream), REPEATS)
+    decode_objects = measure(lambda: decoder.decode_objects(stream), REPEATS)
+    decoded, t_decode_columnar = decode.result, decode.median
+    reference, t_decode_objects = decode_objects.result, decode_objects.median
     assert len(decoded) == len(reference)
     assert decoded.block_sequence()[:1000] == reference.block_sequence()[:1000]
 

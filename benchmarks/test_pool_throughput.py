@@ -12,7 +12,9 @@ Three measurements, recorded to ``BENCH_pool.json`` (uniform schema via
   no real work).  This is the gated throughput metric.
 * **scenario matrix parity** — the 8-way (workload × scheme × seed)
   grid with ``jobs=1`` in-process vs ``jobs=2`` on the pre-warmed
-  persistent pool.  Results must be byte-identical; with the pool warm,
+  persistent pool, each leg timed as the median of ``MATRIX_REPEATS``
+  runs (:func:`repro.util.bench.measure`).  Results must be
+  byte-identical; with the pool warm,
   parallel overhead must be gone (speedup >= 0.98 even on one CPU) and
   a real speedup is asserted only when the machine has the cores.
 """
@@ -32,12 +34,13 @@ from repro.parallel.workers import (
     process_pool,
     shutdown_process_pool,
 )
-from repro.util.bench import write_bench
+from repro.util.bench import measure, write_bench
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 POOL_WIDTH = 2
 DISPATCH_TASKS = 2_000
 MATRIX_JOBS = 2
+MATRIX_REPEATS = 3
 MIN_MATRIX_SPEEDUP = 0.98  # overhead bar: holds even on one CPU
 MIN_PARALLEL_SPEEDUP = 1.2  # asserted only with >= MATRIX_JOBS cores
 
@@ -99,17 +102,13 @@ def test_pool_throughput():
     # timed region — that is the whole point of a persistent pool
     process_pool(MATRIX_JOBS).map(_noop, range(MATRIX_JOBS * 4))
 
-    t_serial = float("inf")
-    t_parallel = float("inf")
-    serial = parallel = None
-    for _ in range(2):
-        start = time.perf_counter()
-        serial = run_matrix(cells, jobs=1)
-        t_serial = min(t_serial, time.perf_counter() - start)
-        with RunPool(max_workers=MATRIX_JOBS) as shared:
-            start = time.perf_counter()
-            parallel = run_matrix(cells, pool=shared)
-            t_parallel = min(t_parallel, time.perf_counter() - start)
+    serial_timing = measure(lambda: run_matrix(cells, jobs=1), MATRIX_REPEATS)
+    with RunPool(max_workers=MATRIX_JOBS) as shared:
+        parallel_timing = measure(
+            lambda: run_matrix(cells, pool=shared), MATRIX_REPEATS
+        )
+    serial, t_serial = serial_timing.result, serial_timing.median
+    parallel, t_parallel = parallel_timing.result, parallel_timing.median
 
     serial_json = json.dumps([r.to_dict() for r in serial], sort_keys=True)
     parallel_json = json.dumps([r.to_dict() for r in parallel], sort_keys=True)
@@ -129,8 +128,13 @@ def test_pool_throughput():
         "respawns": respawns,
         "matrix_cells": len(cells),
         "matrix_jobs": MATRIX_JOBS,
+        "matrix_repeats": MATRIX_REPEATS,
         "matrix_serial_s": round(t_serial, 3),
+        "matrix_serial_q1_s": round(serial_timing.q1, 3),
+        "matrix_serial_q3_s": round(serial_timing.q3, 3),
         "matrix_parallel_s": round(t_parallel, 3),
+        "matrix_parallel_q1_s": round(parallel_timing.q1, 3),
+        "matrix_parallel_q3_s": round(parallel_timing.q3, 3),
         "matrix_speedup": round(matrix_speedup, 3),
         "matrix_identical": serial_json == parallel_json,
         "cpu_count": os.cpu_count(),

@@ -9,13 +9,14 @@ Two measurements, both recorded to ``BENCH_sim.json`` (uniform schema via
   the path the scheduler's own events take).  Best of five;
   ``check_regression.py`` gates it against the committed baseline.
 * **8-way scenario matrix** — the same (workload x scheme x seed) grid
-  run with ``jobs=1`` and ``jobs=4``.  Results must be byte-identical;
-  wall-clock speedup is always recorded, and the >= 3x bar is asserted
-  only on machines that actually have >= 4 CPUs (a single-core container
-  cannot exhibit process-level parallelism).  The serial leg's
-  ``matrix_cells_per_s`` (cells over serial wall) is the whole-node
-  simulator's single-core speed — slice scheduling, syscall picks and
-  run-to-completion — and ``check_regression.py`` gates it.
+  run with ``jobs=1`` and ``jobs=4``, each leg timed as the median of
+  ``MATRIX_REPEATS`` runs (:func:`repro.util.bench.measure`).  Results
+  must be byte-identical; the speedup (median serial over median
+  parallel wall) is always recorded and gated, and the >= 3x bar is
+  asserted only on machines that actually have >= 4 CPUs.  The serial
+  leg's ``matrix_cells_per_s`` (cells over median serial wall) is the
+  whole-node simulator's single-core speed — slice scheduling, syscall
+  picks and run-to-completion — and ``check_regression.py`` gates it.
 """
 
 from __future__ import annotations
@@ -28,12 +29,13 @@ from pathlib import Path
 from conftest import emit
 from repro.kernel.events import Simulator
 from repro.parallel.matrix import grid, run_matrix, warmup_for
-from repro.util.bench import write_bench
+from repro.util.bench import measure, write_bench
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 LOOP_EVENTS = 200_000
 MIN_MATRIX_SPEEDUP = 3.0
 MATRIX_JOBS = 4
+MATRIX_REPEATS = 3
 
 
 def _dispatch_rate(n=LOOP_EVENTS):
@@ -74,12 +76,12 @@ def test_sim_throughput():
     # workers would inherit for free
     for warm in warmup_for(cells):
         warm()
-    start = time.perf_counter()
-    serial = run_matrix(cells, jobs=1)
-    t_serial = time.perf_counter() - start
-    start = time.perf_counter()
-    parallel = run_matrix(cells, jobs=MATRIX_JOBS)
-    t_parallel = time.perf_counter() - start
+    serial_timing = measure(lambda: run_matrix(cells, jobs=1), MATRIX_REPEATS)
+    parallel_timing = measure(
+        lambda: run_matrix(cells, jobs=MATRIX_JOBS), MATRIX_REPEATS
+    )
+    serial, t_serial = serial_timing.result, serial_timing.median
+    parallel, t_parallel = parallel_timing.result, parallel_timing.median
 
     serial_json = json.dumps([r.to_dict() for r in serial], sort_keys=True)
     parallel_json = json.dumps([r.to_dict() for r in parallel], sort_keys=True)
@@ -93,9 +95,14 @@ def test_sim_throughput():
         "events_per_s": round(events_per_s, 1),
         "matrix_cells": len(cells),
         "matrix_jobs": MATRIX_JOBS,
+        "matrix_repeats": MATRIX_REPEATS,
         "matrix_serial_s": round(t_serial, 3),
+        "matrix_serial_q1_s": round(serial_timing.q1, 3),
+        "matrix_serial_q3_s": round(serial_timing.q3, 3),
         "matrix_cells_per_s": round(len(cells) / t_serial, 3),
         "matrix_parallel_s": round(t_parallel, 3),
+        "matrix_parallel_q1_s": round(parallel_timing.q1, 3),
+        "matrix_parallel_q3_s": round(parallel_timing.q3, 3),
         "matrix_speedup": round(matrix_speedup, 3),
         "matrix_identical": serial_json == parallel_json,
         "cpu_count": os.cpu_count(),

@@ -23,9 +23,7 @@ from repro.analysis.casestudy import (
     function_category_report,
     memory_width_report,
 )
-from repro.analysis.export import to_chrome_trace, to_folded_stacks
 from repro.analysis.metrics import IpcSample, detect_ipc_anomalies, ipc_timeline
-from repro.analysis.optimize import Optimization, evaluate_optimization, propose_optimizations
 from repro.analysis.reconstruct import (
     ReconstructionResult,
     coverage_by_thread,
@@ -33,7 +31,7 @@ from repro.analysis.reconstruct import (
     thread_labels,
 )
 from repro.analysis.report import build_session_report
-from repro.analysis.tables import format_percent, format_table
+from repro.analysis.tables import format_table
 
 __all__ = [
     "reconstruct",
@@ -51,14 +49,8 @@ __all__ = [
     "WidthReport",
     "BlockingAnomaly",
     "format_table",
-    "format_percent",
-    "to_chrome_trace",
-    "to_folded_stacks",
     "IpcSample",
     "detect_ipc_anomalies",
     "ipc_timeline",
-    "Optimization",
-    "evaluate_optimization",
-    "propose_optimizations",
     "build_session_report",
 ]

@@ -98,10 +98,6 @@ class WidthReport:
         """Share of ``access_class`` accesses that are ``width`` bytes."""
         return self.mixes.get(access_class, {}).get(width, 0.0)
 
-    def quad_width_share(self, access_class: str = "read_only") -> float:
-        """The ML signature the paper calls out: 4-byte access share."""
-        return self.share(access_class, 4)
-
 
 def memory_width_report(
     app: str, decoded: DecodedTrace, binary: Binary

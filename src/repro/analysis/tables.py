@@ -5,11 +5,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 
-def format_percent(value: float, digits: int = 1) -> str:
-    """0.0123 -> '1.2%'."""
-    return f"{value * 100:.{digits}f}%"
-
-
 def format_table(
     rows: Sequence[Sequence[object]],
     headers: Optional[Sequence[str]] = None,

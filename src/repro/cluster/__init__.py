@@ -11,10 +11,8 @@ KernelSystem` plus an EXIST facility and host pods
 (:mod:`repro.cluster.node`, :mod:`repro.cluster.pod`).
 """
 
-from repro.cluster.autoscale import Autoscaler, AutoscalePolicy, ChurnModel
-from repro.cluster.campaign import ProfilingCampaign
+from repro.cluster.autoscale import ChurnModel
 from repro.cluster.crd import TaskPhase, TraceTask, TraceTaskSpec, TraceTaskStatus
-from repro.cluster.detector import AnomalyEvent, AnomalyTrigger, MetricMonitor
 from repro.cluster.fleet import FleetIndex
 from repro.cluster.master import ClusterMaster, Deployment, RetryPolicy
 from repro.cluster.node import ClusterNode, NodeSpec, PodPlacement
@@ -28,8 +26,6 @@ __all__ = [
     "NodeSpec",
     "PodPlacement",
     "FleetIndex",
-    "Autoscaler",
-    "AutoscalePolicy",
     "ChurnModel",
     "TraceTask",
     "TraceTaskSpec",
@@ -40,8 +36,4 @@ __all__ = [
     "ClusterMaster",
     "Deployment",
     "RetryPolicy",
-    "AnomalyTrigger",
-    "MetricMonitor",
-    "AnomalyEvent",
-    "ProfilingCampaign",
 ]

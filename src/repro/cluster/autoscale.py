@@ -1,98 +1,23 @@
-"""Node churn and autoscaling for the sharded control plane.
+"""Seeded node churn between reconciles.
 
 Datacenter fleets are not static: nodes drain for maintenance, crash out
-of the pool, and get replaced by the autoscaler.  The sharded master
-tolerates this because nodes are cheap — lazy :class:`ClusterNode`
-registration costs microseconds and the consistent-hash ring moves only
-~1/n of the slot keys per width change — so the control-plane question
-is purely *policy*: when to grow, when to shrink, and whether a
-reconcile survives the churn happening underneath it.
-
-Two pieces:
-
-* :class:`ChurnModel` — a seeded perturbation source that removes and
-  replaces nodes between reconciles, the way maintenance drains and
-  spot reclaims do.  Same seed, same churn sequence, so churn-survival
-  runs are reproducible.
-* :class:`Autoscaler` — a pod-pressure policy: keep the fleet sized so
-  average pods-per-node sits inside a target band, clamped to
-  ``[min_nodes, max_nodes]``.  Scaling out registers lazy nodes
-  (nothing materializes until a reconcile traces them); scaling in
-  drains the emptiest nodes first and reschedules their replicas.
+of the pool, and get replaced.  The master tolerates this because nodes
+are cheap — lazy :class:`ClusterNode` registration costs microseconds —
+so the control-plane question is whether a reconcile survives the churn
+happening underneath it.  :class:`ChurnModel` is a seeded perturbation
+source that removes and replaces nodes between reconciles, the way
+maintenance drains and spot reclaims do.  Same seed, same churn
+sequence, so churn-survival runs are reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, List
 
 from repro.util.rng import RngFactory
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.master import ClusterMaster
-
-
-@dataclass(frozen=True)
-class AutoscalePolicy:
-    """Pod-pressure scaling band for the worker fleet."""
-
-    #: scale out when average pods-per-node exceeds this
-    max_pods_per_node: float = 8.0
-    #: scale in when average pods-per-node falls below this
-    min_pods_per_node: float = 2.0
-    min_nodes: int = 1
-    max_nodes: int = 100_000
-    #: cap on nodes added or drained per evaluation step
-    max_step: int = 256
-
-
-class Autoscaler:
-    """Drives a master's fleet size toward the policy band."""
-
-    def __init__(self, policy: AutoscalePolicy, prefix: str = "node"):
-        self.policy = policy
-        self.prefix = prefix
-
-    def desired_delta(self, master: "ClusterMaster") -> int:
-        """Nodes to add (positive) or drain (negative) right now."""
-        policy = self.policy
-        n_nodes = len(master.nodes)
-        n_pods = sum(len(d.pods) for d in master.deployments.values())
-        if n_nodes == 0:
-            return policy.min_nodes if n_pods or policy.min_nodes else 0
-        pressure = n_pods / n_nodes
-        target = n_nodes
-        if pressure > policy.max_pods_per_node:
-            # grow to the smallest fleet back inside the band
-            target = -(-n_pods // int(max(1, policy.max_pods_per_node)))
-        elif pressure < policy.min_pods_per_node:
-            # shrink, but never below what the band can absorb
-            floor = max(1, int(policy.min_pods_per_node))
-            target = max(1, -(-n_pods // floor)) if n_pods else policy.min_nodes
-        target = min(max(target, policy.min_nodes), policy.max_nodes)
-        delta = target - n_nodes
-        return max(-self.policy.max_step, min(self.policy.max_step, delta))
-
-    def step(self, master: "ClusterMaster") -> int:
-        """Apply one evaluation; returns the node delta actually applied.
-
-        Scale-in drains the nodes with the fewest pods first (cheapest
-        reschedule) and never drains a node below ``min_nodes``.
-        """
-        delta = self.desired_delta(master)
-        if delta > 0:
-            master.add_nodes(delta, prefix=self.prefix)
-        elif delta < 0:
-            load = {name: 0 for name in master.nodes}
-            for deployment in master.deployments.values():
-                for pod in deployment.pods:
-                    if pod.node_name in load:
-                        load[pod.node_name] += 1
-            # emptiest first; name-ordered within a load tier (stable)
-            victims = sorted(load, key=lambda name: (load[name], name))
-            for name in victims[: -delta]:
-                master.remove_node(name, reschedule=True)
-        return delta
 
 
 class ChurnModel:

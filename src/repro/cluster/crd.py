@@ -46,34 +46,6 @@ class TraceTaskSpec:
     max_repetitions: Optional[int] = None
     requester: str = "oncall"
 
-    def to_manifest(self) -> Dict:
-        """Kubernetes-style manifest dict (round-trips with from_manifest)."""
-        return {
-            "apiVersion": "exist.repro/v1",
-            "kind": "TraceTask",
-            "spec": {
-                "app": self.app,
-                "reason": self.reason.value,
-                "periodNs": self.period_ns,
-                "maxRepetitions": self.max_repetitions,
-                "requester": self.requester,
-            },
-        }
-
-    @classmethod
-    def from_manifest(cls, manifest: Dict) -> "TraceTaskSpec":
-        if manifest.get("kind") != "TraceTask":
-            raise ValueError(f"not a TraceTask manifest: {manifest.get('kind')!r}")
-        spec = manifest["spec"]
-        return cls(
-            app=spec["app"],
-            reason=TraceReason(spec.get("reason", "user")),
-            period_ns=spec.get("periodNs"),
-            max_repetitions=spec.get("maxRepetitions"),
-            requester=spec.get("requester", "oncall"),
-        )
-
-
 @dataclass
 class TraceTaskStatus:
     """What the controller maintains (the CRD ``status`` block)."""

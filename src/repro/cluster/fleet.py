@@ -140,10 +140,6 @@ class FleetIndex:
         """Pods that delivered their full tracing window."""
         return int((self.phase == ACHIEVED).sum())
 
-    def completed_rows(self) -> np.ndarray:
-        """Rows that produced an uploadable trace (achieved or salvaged)."""
-        return np.flatnonzero((self.phase == ACHIEVED) | (self.phase == SALVAGED))
-
     def quarantined_nodes(self) -> List[str]:
         """Names of nodes quarantined this reconcile (sorted)."""
         return [
@@ -157,17 +153,3 @@ class FleetIndex:
         blocked_nodes = self.node_quarantined | self.node_used
         mask = self.attempted | blocked_nodes[self.node_codes]
         return set(self.uids[mask])
-
-    def phase_histogram(self) -> Dict[str, int]:
-        """Debug/benchmark rollup of slot phases."""
-        names = {
-            UNSELECTED: "unselected", SELECTED: "selected",
-            TRACING: "tracing", ACHIEVED: "achieved",
-            SALVAGED: "salvaged", ABANDONED: "abandoned",
-            START_FAILED: "start_failed",
-        }
-        codes, counts = np.unique(self.phase, return_counts=True)
-        return {
-            names[int(code)]: int(count)
-            for code, count in zip(codes, counts)
-        }

@@ -148,7 +148,7 @@ class SlotOutcome:
     chunk_lengths: Optional[np.ndarray] = None
     node_failures: int = 0
     quarantined: bool = False
-    #: thread label -> merged coverage intervals (profiling campaigns)
+    #: thread label -> merged coverage intervals
     coverage: Dict[str, list] = field(default_factory=dict)
     #: this slot's degradation deltas + chronological notes
     report: DegradationReport = field(default_factory=DegradationReport)
@@ -400,9 +400,8 @@ class ClusterMaster:
         #: thereby resurrect) a drained node's name
         self._name_floor: Dict[str, int] = {}
         #: task name -> pod uid -> {thread label: coverage intervals},
-        #: recorded at reconcile time (profiling campaigns read this
-        #: instead of reaching into node facilities, which may have run
-        #: inside a pool worker)
+        #: recorded at reconcile time (read this instead of reaching into
+        #: node facilities, which may have run inside a pool worker)
         self.task_coverage: Dict[str, Dict[str, Dict[str, list]]] = {}
 
     # -- cluster assembly --------------------------------------------------------
@@ -432,8 +431,8 @@ class ClusterMaster:
         actually traces them, so registering thousands costs microseconds
         per node.  Names continue after the highest index *ever used*
         for the prefix (monotone across removals), which is what node
-        churn and autoscaling rely on: a replacement never resurrects a
-        drained node's name.
+        churn relies on: a replacement never resurrects a drained node's
+        name.
         """
         start = self._name_floor.get(prefix, 0)
         created = []

@@ -303,10 +303,6 @@ class ClusterNode:
         self.placements.append(placement)
         return pod
 
-    def pods_of(self, app: str) -> List[Pod]:
-        """All pods of ``app`` hosted on this node."""
-        return [pod for pod in self.pods if pod.app == app]
-
     # -- tracing ----------------------------------------------------------------
 
     def trace_pod(

@@ -42,10 +42,6 @@ class ObjectStore:
         """Sorted object keys, optionally filtered by prefix."""
         return sorted(k for k in self._objects if k.startswith(prefix))
 
-    def delete(self, key: str) -> None:
-        """Remove an object; absent keys are ignored."""
-        self._objects.pop(key, None)
-
     @property
     def total_bytes(self) -> int:
         return sum(len(v) for v in self._objects.values())
@@ -87,11 +83,6 @@ class BinaryRepository:
     def apps(self) -> List[str]:
         """Applications with at least one registered binary."""
         return sorted(self._latest)
-
-    def versions(self, app: str) -> List[str]:
-        """Registered versions of one application."""
-        return sorted(v for (a, v) in self._binaries if a == app)
-
 
 class StructuredStore:
     """ODPS-like append-only tables with predicate queries."""

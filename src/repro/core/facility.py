@@ -224,11 +224,3 @@ class ExistFacility:
         """CPU the facility spent on tracing control (excl. hooks charged
         to application threads)."""
         return (self.otc.control_ns if self.otc is not None else 0)
-
-    @property
-    def memory_reserved_bytes(self) -> int:
-        return self.uma.buffers.reserved_bytes
-
-    def total_bytes_captured(self) -> float:
-        """Sum of captured trace bytes across archived sessions."""
-        return sum(c.bytes_captured for c in self.completed)

@@ -4,7 +4,7 @@ Cluster-level orchestration of intra-service tracing:
 
 * :class:`TemporalDecider` — picks each application's tracing period from
   a weighted complexity score (manager-defined priority, binary size,
-  past stability issues), adjusted by a pre-measured reference overhead;
+  past stability issues);
 * :class:`SpatialSampler` — picks which repetitions (replicas) to trace:
   all of them for anomalies, a density/priority-weighted sample for
   profiling, never below the deployment threshold;
@@ -20,7 +20,7 @@ repetition captured of the program's behaviour cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -109,28 +109,15 @@ class TemporalDecider:
         self,
         config: ExistConfig,
         weights: Tuple[float, float, float] = (0.5, 0.3, 0.2),
-        overhead_threshold: float = 0.01,
     ):
         self.config = config
         self.weights = weights
-        #: per-mille target: shrink periods if reference overhead exceeds it
-        self.overhead_threshold = overhead_threshold
-        #: pre-measured reference monitoring overheads per application
-        self.reference_overhead: Dict[str, float] = {}
-
-    def record_reference_overhead(self, app: str, overhead: float) -> None:
-        """Store a measured overhead fraction from a calibration trace."""
-        self.reference_overhead[app] = max(0.0, float(overhead))
 
     def period_for(self, profile: WorkloadProfile) -> int:
         """Tracing period: complex programs need longer coverage windows."""
         score = profile.complexity_score(self.weights)
         span = self.config.period_max_ns - self.config.period_min_ns
         period = self.config.period_min_ns + int(score * span)
-        overhead = self.reference_overhead.get(profile.name)
-        if overhead is not None and overhead > self.overhead_threshold:
-            # jointly decide: proportionally shorten to respect the budget
-            period = int(period * self.overhead_threshold / overhead)
         return self.config.clamp_period(period)
 
 

@@ -49,13 +49,6 @@ class CoresetPlan:
     def total_bytes(self) -> int:
         return sum(self.buffer_bytes.values())
 
-    @property
-    def sampling_ratio(self) -> float:
-        if not self.mapped_cores:
-            return 0.0
-        return len(self.traced_cores) / len(self.mapped_cores)
-
-
 def core_utilizations(system: KernelSystem) -> Dict[int, float]:
     """Current per-core utilization estimate (busy fraction since boot)."""
     now = max(system.sim.now, 1)
@@ -240,11 +233,6 @@ class BufferManager:
                 self._reserved.pop(core_id, None)
             else:
                 self._reserved[core_id] = remaining
-
-    @property
-    def reserved_bytes(self) -> int:
-        return sum(self._reserved.values())
-
 
 class UsageAwareMemoryAllocator:
     """Facade tying the sampler and buffer manager together."""

@@ -399,35 +399,3 @@ def throughput_table(
         table[workload] = _normalize(schemes, [r.throughput_rps for r in row])
     return table
 
-
-def run_service_campaign(
-    workload: str = "ecommerce",
-    n_requests: int = 100_000,
-    utilization: float = 0.7,
-    scenario: str = "steady",
-    inflation: float = 1.0,
-    traced_service: Optional[str] = None,
-    seed: int = 7,
-    jobs: int = 1,
-    partition_requests: int = 8192,
-) -> Dict[str, object]:
-    """Cluster-level counterpart of :func:`run_traced_execution`: drive a
-    sharded million-RPC campaign (see :mod:`repro.services.workloads`)
-    and return the merged report.  ``inflation`` is the node-level
-    overhead measured by the kernel experiments, amplified here through
-    cluster queueing — the two levels composed the way the paper's
-    testbed composes them.
-    """
-    from repro.services.workloads import CampaignSpec, run_campaign
-
-    spec = CampaignSpec(
-        workload=workload,
-        n_requests=n_requests,
-        utilization=utilization,
-        scenario=scenario,
-        inflation=inflation,
-        traced_service=traced_service,
-        seed=seed,
-        partition_requests=partition_requests,
-    )
-    return run_campaign(spec, jobs=jobs)

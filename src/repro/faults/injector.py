@@ -1,9 +1,8 @@
 """FaultInjector: arms a :class:`FaultPlan` against a reconciling cluster.
 
 The master drives reconciliation in *waves* (initial attempt + retries).
-Before each wave's tracing window the injector is given the wave's
-participants — ``(node, pod, session, label)`` tuples sorted by node
-name — and it:
+Before each wave's tracing window the injector picks the wave's timed
+fault victims and then arms each traced slot:
 
 * schedules node crashes and pod kills at ``at_fraction`` of the window
   (timed faults are one-shot: a crash spec fires in one wave only, so
@@ -26,7 +25,7 @@ replays identically, including across ``jobs=1`` vs ``jobs=N``.
 from __future__ import annotations
 
 from fnmatch import fnmatch
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,9 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import ClusterNode
     from repro.cluster.pod import Pod
     from repro.core.otc import TracingSession
-
-#: one wave participant: (node, pod, session, logical label)
-Participant = Tuple["ClusterNode", "Pod", "TracingSession", str]
 
 #: one coordinator-assigned timed fault: (kind, pod_uid, at_fraction);
 #: ``pod_uid`` is empty for node-scoped faults (crash)
@@ -59,35 +55,10 @@ class FaultInjector:
         self._rngs = RngFactory(plan.seed)
         #: indices of one-shot (timed) specs that already fired
         self._consumed: set = set()
-        #: nodes whose OTC currently carries our sched tap
-        self._tapped: List["ClusterNode"] = []
 
-    # -- wave lifecycle ----------------------------------------------------------
-
-    def begin_wave(
-        self, wave: int, participants: Sequence[Participant], window_ns: int
-    ) -> None:
-        """Arm all faults for one tracing wave (before ``run_for``)."""
-        for index, spec in enumerate(self.plan.specs):
-            if spec.kind is FaultKind.NODE_CRASH:
-                self._arm_crashes(index, spec, participants, window_ns)
-            elif spec.kind is FaultKind.POD_KILL:
-                self._arm_pod_kills(index, spec, participants, window_ns)
-            elif spec.kind is FaultKind.BUFFER_EXHAUST:
-                self._squeeze_buffers(spec, participants)
-        self._tap_sched(wave, participants)
-
-    def end_wave(self) -> None:
-        """Disarm the sched-channel taps installed by :meth:`begin_wave`."""
-        for node in self._tapped:
-            otc = node.facility.otc
-            if otc is not None:
-                otc.sched_fault = None
-        self._tapped.clear()
-
-    # -- sharded slot lifecycle ---------------------------------------------------
+    # -- slot lifecycle -----------------------------------------------------------
     #
-    # The sharded control plane splits the injector's job in two.  The
+    # The control plane splits the injector's job in two.  The
     # *coordinator* picks timed-fault victims (a global choice: one rng
     # draw over all candidate slots) via :meth:`assign_timed`; the *slot
     # runners* — possibly in pool workers, each with its own injector
@@ -105,10 +76,10 @@ class FaultInjector:
         """Pick timed-fault victims for one dispatch round.
 
         ``slots`` are ``(node_name, pod_uid, label)`` triples in slot
-        order.  Victim choice consumes the same one-shot spec indices and
-        rng streams as :meth:`begin_wave` would, and emits the same
-        schedule notes; returns ``{node_name: [TimedAssignment, ...]}``
-        for the slot runners to arm locally.
+        order.  Victim choice consumes each one-shot spec index once,
+        draws from the spec's rng stream and emits the schedule notes;
+        returns ``{node_name: [TimedAssignment, ...]}`` for the slot
+        runners to arm locally.
         """
         assignments: dict = {}
         for index, spec in enumerate(self.plan.specs):
@@ -190,75 +161,8 @@ class FaultInjector:
         otc = node.facility.otc
         if otc is not None:
             otc.sched_fault = None
-        self._tapped = [n for n in self._tapped if n is not node]
-
-    # -- timed faults ------------------------------------------------------------
-
-    def _arm_crashes(
-        self,
-        index: int,
-        spec: FaultSpec,
-        participants: Sequence[Participant],
-        window_ns: int,
-    ) -> None:
-        if index in self._consumed:
-            return
-        nodes = {}
-        for node, _, _, _ in participants:
-            if node.alive and fnmatch(node.name, spec.target):
-                nodes[node.name] = node
-        candidates = [nodes[name] for name in sorted(nodes)]
-        count = min(int(spec.magnitude), len(candidates))
-        if count <= 0 or not candidates:
-            return
-        self._consumed.add(index)
-        rng = self._rngs.stream("crash", index)
-        picked = rng.choice(len(candidates), size=count, replace=False)
-        for i in sorted(int(p) for p in picked):
-            node = candidates[i]
-            at_ns = node.now + int(spec.at_fraction * window_ns)
-            node.schedule_crash(at_ns)
-            self.report.note(
-                f"crash scheduled on {node.name} at +{spec.at_fraction:g} window"
-            )
-
-    def _arm_pod_kills(
-        self,
-        index: int,
-        spec: FaultSpec,
-        participants: Sequence[Participant],
-        window_ns: int,
-    ) -> None:
-        if index in self._consumed:
-            return
-        candidates = [
-            p
-            for p in participants
-            if p[0].alive and fnmatch(p[0].name, spec.target)
-        ]
-        count = min(int(spec.magnitude), len(candidates))
-        if count <= 0 or not candidates:
-            return
-        self._consumed.add(index)
-        rng = self._rngs.stream("pod-kill", index)
-        picked = rng.choice(len(candidates), size=count, replace=False)
-        for i in sorted(int(p) for p in picked):
-            node, pod, session, label = candidates[i]
-            at_ns = node.now + int(spec.at_fraction * window_ns)
-            node.schedule_pod_kill(pod, session, at_ns)
-            self.report.note(
-                f"pod kill scheduled for {label} at +{spec.at_fraction:g} window"
-            )
 
     # -- buffer pressure ---------------------------------------------------------
-
-    def _squeeze_buffers(
-        self, spec: FaultSpec, participants: Sequence[Participant]
-    ) -> None:
-        for node, _, session, label in participants:
-            if not fnmatch(node.name, spec.target):
-                continue
-            self._squeeze_session(spec, node, session, label, self.report)
 
     def _squeeze_session(
         self,
@@ -285,14 +189,6 @@ class FaultInjector:
 
     # -- sched side channel -------------------------------------------------------
 
-    def _tap_sched(self, wave: int, participants: Sequence[Participant]) -> None:
-        seen = set()
-        for node, _, _, _ in participants:
-            if node.name in seen:
-                continue
-            seen.add(node.name)
-            self._tap_node(node, wave, self.report)
-
     def _tap_node(
         self, node: "ClusterNode", wave: int, report: DegradationReport
     ) -> None:
@@ -317,7 +213,6 @@ class FaultInjector:
             return five_tuple
 
         otc.sched_fault = fault
-        self._tapped.append(node)
 
     # -- data-path mangling -------------------------------------------------------
 
@@ -361,11 +256,3 @@ class FaultInjector:
         if dropped:
             report.bytes_dropped += dropped
         return data, dropped
-
-    # -- queries -----------------------------------------------------------------
-
-    def mangles_data(self) -> bool:
-        """Whether the plan touches uploaded bytes at all."""
-        return bool(
-            self.plan.specs_of(FaultKind.TRUNCATE, FaultKind.CORRUPT)
-        )

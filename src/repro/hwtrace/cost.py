@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.util.units import MIB
-
 
 @dataclass(frozen=True)
 class CostModel:
@@ -25,8 +23,6 @@ class CostModel:
 
     #: one serializing WRMSR to an RTIT register
     wrmsr_ns: int = 1_200
-    #: one RDMSR
-    rdmsr_ns: int = 400
     #: one user<->kernel mode switch (EXIST avoids these by staying in
     #: kernel mode; conventional controllers pay them per control action)
     mode_switch_ns: int = 400
@@ -53,10 +49,6 @@ class CostModel:
     drain_interference_tax: float = 0.012
     #: arming/cancelling a high-resolution timer
     hrt_ns: int = 500
-
-    def drain_cost(self, n_bytes: float) -> int:
-        """Cost of draining ``n_bytes`` of trace data."""
-        return int(n_bytes / MIB * self.drain_per_mib_ns)
 
     def pt_tax(self, branch_per_instr: float, nominal_ips: float) -> float:
         """CPU fraction lost to packet generation while PT is enabled.
@@ -89,10 +81,6 @@ class CostLedger:
     def charge_wrmsr(self, n: int = 1) -> int:
         """Charge ``n`` serializing WRMSR operations."""
         return self.charge("wrmsr", self.model.wrmsr_ns * n, n)
-
-    def charge_rdmsr(self, n: int = 1) -> int:
-        """Charge ``n`` RDMSR operations."""
-        return self.charge("rdmsr", self.model.rdmsr_ns * n, n)
 
     def charge_mode_switch(self, n: int = 1) -> int:
         """Charge ``n`` user/kernel mode switches."""

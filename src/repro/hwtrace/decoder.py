@@ -460,12 +460,6 @@ class DecodedTrace:
             )
         return counts.astype(np.int64)
 
-    def time_span(self) -> Optional[tuple]:
-        """(first, last) record timestamp, or None when empty."""
-        if self.timestamps.size == 0:
-            return None
-        return (int(self.timestamps.min()), int(self.timestamps.max()))
-
     def __len__(self) -> int:
         return int(self.block_ids.size)
 

@@ -46,16 +46,6 @@ class CtlBits(enum.IntFlag):
     DIS_RETC = 1 << 11
     BRANCH_EN = 1 << 13
 
-    @classmethod
-    def exist_default(cls) -> "CtlBits":
-        """The configuration the paper's §4 sets: COFI tracing with
-        cycle-accurate packets, CR3 filtering and ToPA output."""
-        return (
-            cls.BRANCH_EN | cls.CYC_EN | cls.TSC_EN | cls.CR3_FILTER
-            | cls.TOPA | cls.USER | cls.OS
-        )
-
-
 #: plain-int masks of the bits read on every slice; testing an int
 #: against an ``IntFlag`` member would build a flag object per test
 TRACE_EN_MASK = int(CtlBits.TRACE_EN)
@@ -85,17 +75,8 @@ class RtitMsrFile:
         self.hot_switching = hot_switching
         self._values: Dict[int, int] = {addr: 0 for addr in _RTIT_ADDRESSES}
         self.write_count = 0
-        self.read_count = 0
 
     # -- raw access ----------------------------------------------------------
-
-    def read(self, address: int) -> int:
-        """RDMSR: read a register (charged to the ledger)."""
-        if address not in _RTIT_ADDRESSES:
-            raise ValueError(f"unknown RTIT MSR {address:#x}")
-        self.read_count += 1
-        self._ledger.charge_rdmsr()
-        return self._values[address]
 
     def write(self, address: int, value: int) -> None:
         """WRMSR: write a register, enforcing the TraceEn rules."""

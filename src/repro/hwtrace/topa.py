@@ -119,10 +119,6 @@ class ToPAOutput:
                 self.overflowed = True
         return removed
 
-    @property
-    def free_bytes(self) -> int:
-        return self.capacity - self.written
-
     def reset(self) -> None:
         """Rearm for a new tracing period (after a dump)."""
         self.written = 0

@@ -119,10 +119,6 @@ class CpuTopology:
         """The logical core with id ``core_id``."""
         return self.cores[core_id]
 
-    def socket_cores(self, socket_id: int) -> List[LogicalCore]:
-        """All logical cores sharing socket ``socket_id``'s LLC."""
-        return self._socket_members[socket_id]
-
     def speed_factor(self, core: LogicalCore, llc_pressure: float) -> float:
         """Effective execution speed of the thread about to run on ``core``.
 

@@ -14,11 +14,10 @@ comparison is a C-level int compare.  ``item`` is one of two kinds:
   that may cancel it (timers, crash schedules).  Cancelling is O(1):
   the entry is tombstoned and skipped when popped.
 
-Every run method (:meth:`Simulator.run_until`,
-:meth:`Simulator.run_until_stopped`, :meth:`Simulator.run_until_idle`)
-drives one shared loop that pops ready entries in a batched pass, tells
-the two kinds apart by class, skips tombstones inline and adds to the
-fired counter once per batch.
+Both run methods (:meth:`Simulator.run_until` and
+:meth:`Simulator.run_until_stopped`) drive one shared loop that pops
+ready entries in a batched pass, tells the two kinds apart by class,
+skips tombstones inline and adds to the fired counter once per batch.
 
 :meth:`Simulator.follow` posts a callback's last act, and fires it at
 once instead when posting it would make it the very next event of the
@@ -37,15 +36,11 @@ cancel heavily (re-armed timers).
 from __future__ import annotations
 
 import heapq
-import math
 from typing import Callable, List, Optional, Tuple, Union
 
 #: compaction threshold: never compact heaps smaller than this (the
 #: rebuild would cost more than the garbage it reclaims)
 _COMPACT_MIN_SIZE = 64
-
-#: event cap of a batch that only a deadline, halt or stop may end
-_NO_LIMIT = 1 << 63
 
 
 class Event:
@@ -195,10 +190,6 @@ class Simulator:
         self.halted = True
         self._stop = True
 
-    def resume(self) -> None:
-        """Lift a halt (a repaired node); queued events become runnable."""
-        self.halted = False
-
     def stop(self) -> None:
         """End the running batch once the current callback returns.
 
@@ -218,17 +209,17 @@ class Simulator:
             self._tombstones -= 1
         return heap[0][0] if heap else None
 
-    def _run(self, deadline: float, limit: int = _NO_LIMIT) -> Tuple[int, bool]:
+    def _run(self, deadline: float) -> Tuple[int, bool]:
         """The one batched pop loop behind every run method.
 
         Fires ready entries up to and including ``deadline`` straight off
         the heap, skipping tombstones inline and adding the popped count
         to :attr:`events_fired` once per batch (inline follow-ups add
         their own).  A :meth:`halt` or :meth:`stop` issued by a callback
-        ends the batch after that callback returns; so does popping
-        ``limit`` entries.  Returns ``(fired, drained)``: ``fired``
-        counts popped and inline fires, and ``drained`` means the batch
-        ended because no event at or before ``deadline`` was left.
+        ends the batch after that callback returns.  Returns ``(fired,
+        drained)``: ``fired`` counts popped and inline fires, and
+        ``drained`` means the batch ended because no event at or before
+        ``deadline`` was left.
         """
         if self.halted:
             return 0, False
@@ -255,7 +246,7 @@ class Simulator:
                 self.now = at
                 popped += 1
                 item()
-                if self._stop or popped >= limit:
+                if self._stop:
                     drained = False
                     break
         finally:
@@ -287,19 +278,6 @@ class Simulator:
         Returns the number of events fired.
         """
         return self._run(deadline)[0]
-
-    def run_until_idle(self, max_events: int = 50_000_000) -> int:
-        """Run until no events remain.  Guards against runaway loops.
-
-        The guard counts heap pops, so the inline follow-ups of the last
-        popped event may take the returned count past ``max_events``.
-        """
-        fired, _ = self._run(math.inf, max_events)
-        if fired >= max_events and self.pending_count:
-            raise RuntimeError(
-                f"simulation exceeded {max_events} events; likely a livelock"
-            )
-        return fired
 
     @property
     def events_fired(self) -> int:

@@ -438,17 +438,3 @@ class Scheduler:
             thread.vruntime, self._queues[core.core_id].min_vruntime - bonus
         )
         self._enqueue(core, thread)
-
-    # -- queries --------------------------------------------------------------
-
-    def runnable_count(self) -> int:
-        """Threads currently READY or RUNNING (for liveness checks)."""
-        return sum(
-            1
-            for t in self._threads
-            if t.state in (ThreadState.READY, ThreadState.RUNNING)
-        )
-
-    def all_done(self) -> bool:
-        """True when every admitted thread has finished."""
-        return all(t.state is ThreadState.DONE for t in self._threads)

@@ -36,22 +36,6 @@ class SystemConfig:
     interference: InterferenceModel = field(default_factory=InterferenceModel)
 
     @classmethod
-    def icelake_node(cls, seed: int = 42) -> "SystemConfig":
-        """The paper's offline evaluation node (2x 32-core Xeon 8369B)."""
-        return cls(
-            sockets=2, cores_per_socket=32, threads_per_core=2,
-            memory_mb=1024 * 1024, cpu_freq_ghz=2.9, seed=seed,
-        )
-
-    @classmethod
-    def skylake_node(cls, seed: int = 42) -> "SystemConfig":
-        """The paper's online evaluation node (2x 24-core Xeon 8163)."""
-        return cls(
-            sockets=2, cores_per_socket=24, threads_per_core=2,
-            memory_mb=384 * 1024, cpu_freq_ghz=2.5, seed=seed,
-        )
-
-    @classmethod
     def small_node(cls, logical_cores: int = 8, seed: int = 42) -> "SystemConfig":
         """A reduced node for fast experiments (default 4 phys x 2 HT)."""
         if logical_cores % 2:

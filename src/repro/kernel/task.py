@@ -124,11 +124,6 @@ class Process:
         self.threads.append(thread)
         return thread
 
-    @property
-    def alive_threads(self) -> List["Thread"]:
-        return [t for t in self.threads if t.state is not ThreadState.DONE]
-
-
 class Thread:
     """A schedulable entity with CFS-style accounting."""
 

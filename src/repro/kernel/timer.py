@@ -20,7 +20,7 @@ class HighResolutionTimer:
     >>> fired = []
     >>> t = HighResolutionTimer(sim, lambda: fired.append(sim.now))
     >>> t.arm_after(100)
-    >>> _ = sim.run_until_idle()
+    >>> _ = sim.run_until(1_000)
     >>> fired
     [100]
     """
@@ -30,15 +30,6 @@ class HighResolutionTimer:
         self._callback = callback
         self._event: Optional[Event] = None
         self.fire_count = 0
-
-    @property
-    def armed(self) -> bool:
-        """True while a pending expiry exists."""
-        return (
-            self._event is not None
-            and not self._event.cancelled
-            and not self._event.fired
-        )
 
     def arm_at(self, deadline: int) -> None:
         """Arm (or re-arm) the timer to fire at absolute time ``deadline``."""

@@ -243,10 +243,6 @@ class TracepointRegistry:
         """Copy of the hooks attached to ``tracepoint``."""
         return list(self._hooks.get(tracepoint, ()))
 
-    def has_hooks(self, tracepoint: str) -> bool:
-        """Whether any hook is attached to ``tracepoint``."""
-        return bool(self._hooks.get(tracepoint))
-
     def fire(self, tracepoint: str, record: object) -> int:
         """Invoke all hooks of ``tracepoint``; return total cost in ns."""
         hooks = self._hooks.get(tracepoint)

@@ -1,7 +1,7 @@
 """Parallel run harness: process pools and experiment fan-out.
 
-Experiments and cluster campaigns are embarrassingly parallel across
-(scenario, scheme, seed) cells and replicas — each cell builds a fresh
+Experiments and cluster reconciles are embarrassingly parallel across
+(scenario, scheme, seed) cells and traced slots — each cell builds a fresh
 simulated node and shares nothing with its siblings.  :class:`RunPool`
 provides fork-based process parallelism with deterministic fallback to
 in-process execution, and :func:`run_matrix` fans a grid of cells out

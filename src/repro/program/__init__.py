@@ -20,9 +20,7 @@ from repro.program.workloads import (
     WORKLOADS,
     WorkloadKind,
     WorkloadProfile,
-    compute_workloads,
     get_workload,
-    online_workloads,
     realworld_workloads,
 )
 
@@ -41,7 +39,5 @@ __all__ = [
     "WorkloadKind",
     "WORKLOADS",
     "get_workload",
-    "compute_workloads",
-    "online_workloads",
     "realworld_workloads",
 ]

@@ -160,10 +160,7 @@ class Binary:
         self.functions: List[Function] = list(functions)
         self.blocks: List[BasicBlock] = list(blocks)
         self.base_address = base_address
-        self._by_address: Dict[int, BasicBlock] = {
-            block.address: block for block in self.blocks
-        }
-        if len(self._by_address) != len(self.blocks):
+        if len({block.address for block in self.blocks}) != len(self.blocks):
             raise ValueError("duplicate block addresses in binary")
         for block in self.blocks:
             if block.block_id != self.blocks[block.block_id].block_id:
@@ -211,26 +208,6 @@ class Binary:
         """The basic block with id ``block_id``."""
         return self.blocks[block_id]
 
-    def block_at(self, address: int) -> BasicBlock:
-        """Resolve an exact block start address (decoder entry point)."""
-        try:
-            return self._by_address[address]
-        except KeyError:
-            raise KeyError(
-                f"address {address:#x} is not a block start in {self.name}"
-            ) from None
-
-    def function_of_block(self, block_id: int) -> Function:
-        """The function containing block ``block_id``."""
-        return self.functions[self.blocks[block_id].function_id]
-
-    def function_by_name(self, name: str) -> Function:
-        """Look up a function by its symbol name."""
-        for function in self.functions:
-            if function.name == name:
-                return function
-        raise KeyError(f"no function {name!r} in {self.name}")
-
     @property
     def n_blocks(self) -> int:
         return len(self.blocks)
@@ -238,13 +215,6 @@ class Binary:
     @property
     def n_functions(self) -> int:
         return len(self.functions)
-
-    def category_mix(self) -> Dict[FunctionCategory, int]:
-        """Static function count per category (not execution-weighted)."""
-        mix: Dict[FunctionCategory, int] = {}
-        for function in self.functions:
-            mix[function.category] = mix.get(function.category, 0) + 1
-        return mix
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

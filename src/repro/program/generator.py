@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -260,23 +260,3 @@ def generate_binary_cached(name: str, shape: BinaryShape, seed: int = 0) -> Bina
         _BINARY_CACHE.popitem(last=False)
     return binary
 
-
-def execution_weighted_categories(
-    binary: Binary, block_visit_counts: Sequence[int]
-) -> Dict[FunctionCategory, float]:
-    """Instruction-weighted category shares for a visit-count vector.
-
-    Helper shared by tests and the case-study analysis: multiplies visit
-    counts by per-block instruction counts and aggregates per category.
-    """
-    totals: Dict[FunctionCategory, float] = {}
-    for block_id, visits in enumerate(block_visit_counts):
-        if not visits:
-            continue
-        block = binary.block(block_id)
-        category = binary.functions[block.function_id].category
-        totals[category] = totals.get(category, 0.0) + visits * block.n_instructions
-    grand = sum(totals.values())
-    if grand <= 0:
-        return {}
-    return {c: v / grand for c, v in totals.items()}

@@ -237,17 +237,3 @@ class PathModel:
     def sample_block(self, event_index: int) -> int:
         """Block executing at a given absolute event index (for samplers)."""
         return int(self.walk[event_index % self.length])
-
-    # -- volume model ---------------------------------------------------------
-
-    def packet_bytes_per_event(
-        self, tnt_bytes_per_branch: float, tip_bytes: float
-    ) -> float:
-        """Average *real* trace bytes one symbolic event represents.
-
-        The stride's worth of real branches behind each event splits into
-        conditional branches (TNT bits, ~6 per byte) and indirect branches
-        (standalone TIP packets) according to the walk's measured mix.
-        """
-        ind = self.indirect_fraction
-        return self.stride * ((1.0 - ind) * tnt_bytes_per_branch + ind * tip_bytes)

@@ -487,16 +487,6 @@ def get_workload(name: str) -> WorkloadProfile:
         ) from None
 
 
-def compute_workloads() -> List[WorkloadProfile]:
-    """The ten SPEC-like compute profiles."""
-    return [p for p in WORKLOADS.values() if p.kind is WorkloadKind.COMPUTE]
-
-
-def online_workloads() -> List[WorkloadProfile]:
-    """The three online benchmark profiles (mc/ng/ms)."""
-    return [p for p in WORKLOADS.values() if p.kind is WorkloadKind.ONLINE]
-
-
 def realworld_workloads(include_case_study: bool = False) -> List[WorkloadProfile]:
     """The five evaluated cloud services (plus the §5.4-only apps)."""
     names = ["Search1", "Search2", "Cache", "Pred", "Agent"]

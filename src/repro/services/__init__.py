@@ -3,8 +3,8 @@
 The paper's end-to-end experiments (Figures 3b and 16) measure how a
 single traced service's overhead amplifies through a request chain under
 load.  This package provides the substrate: a service dependency graph
-with per-service worker pools (:mod:`repro.services.graph`), open- and
-closed-loop load generation (:mod:`repro.services.loadgen`), a
+with per-service worker pools (:mod:`repro.services.graph`), open-loop
+load generation (:mod:`repro.services.loadgen`), a
 discrete-event queueing simulator producing per-request spans and
 latency percentiles (:mod:`repro.services.latency`), Zipkin-style
 span records for the inter-service side of Figure 1
@@ -22,7 +22,7 @@ from repro.services.collector import (
 from repro.services.engine import CallProgram, SpanLog, run_vectorized
 from repro.services.graph import CallEdge, ServiceGraph, ServiceSpec
 from repro.services.latency import LatencyReport, QueueingSimulator
-from repro.services.loadgen import ClosedLoopClients, PoissonArrivals
+from repro.services.loadgen import PoissonArrivals
 from repro.services.rpc import RequestTrace, Span, span_id_for
 from repro.services.workloads import (
     SCENARIO_PRESETS,
@@ -44,7 +44,6 @@ __all__ = [
     "ServiceSpec",
     "CallEdge",
     "PoissonArrivals",
-    "ClosedLoopClients",
     "QueueingSimulator",
     "LatencyReport",
     "Span",

@@ -1,23 +1,22 @@
-"""Zipkin-style inter-service trace collection and culprit location.
+"""Zipkin-style inter-service trace collection.
 
 The paper's Figure 1/2 story has two levels: RPC-level tracing (Zipkin /
 Dapper) finds the *culprit service*; intra-service tracing (EXIST) then
 explains it.  This module provides the first level over the queueing
 simulator's spans: a collector aggregating request traces into
-per-service latency statistics and a culprit ranking, so the examples and
-tests can run the full two-level diagnosis.
+per-service latency statistics and before/after comparisons, so the
+examples can run the full two-level diagnosis.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.services.rpc import RequestTrace
-from repro.streaming.deadletter import DeadLetterQueue
 from repro.util.stats import percentile
 
 
@@ -31,11 +30,6 @@ class ServiceStats:
     mean_ns: float
     p50_ns: float
     p99_ns: float
-
-    @property
-    def mean_ms(self) -> float:
-        return self.mean_ns / 1e6
-
 
 def service_stats_from_log(span_log) -> Dict[str, ServiceStats]:
     """Columnar :class:`ServiceStats` straight from a ``SpanLog``.
@@ -98,31 +92,6 @@ class ZipkinCollector:
             )
         return stats
 
-    def culprit_ranking(self) -> List[str]:
-        """Services ranked by total span time (the RPC-level suspect list).
-
-        The paper's Figure 1: distributed tracing locates the culprit
-        *service*; what happens inside it needs intra-service tracing.
-        """
-        stats = self.service_stats()
-        return sorted(stats, key=lambda s: -stats[s].total_ns)
-
-    def slow_requests(self, threshold_ns: int) -> List[RequestTrace]:
-        """Requests whose end-to-end response time exceeds the threshold."""
-        return [
-            t for t in self.traces if t.response_time_ns > threshold_ns
-        ]
-
-    def culprit_of_slow_requests(self, threshold_ns: int) -> Optional[str]:
-        """Most common per-request critical service among slow requests."""
-        slow = self.slow_requests(threshold_ns)
-        if not slow:
-            return None
-        votes: Dict[str, int] = defaultdict(int)
-        for trace in slow:
-            votes[trace.critical_service()] += 1
-        return max(votes, key=lambda s: votes[s])
-
     def compare(self, other: "ZipkinCollector") -> Dict[str, float]:
         """Per-service mean-latency ratio vs another collection.
 
@@ -137,121 +106,3 @@ class ZipkinCollector:
             if service in theirs and theirs[service].mean_ns > 0
         }
 
-
-class StreamingCollector:
-    """Online ingest front-end for a :class:`ZipkinCollector`.
-
-    Agents upload request traces as ``(source, sequence, trace)`` — one
-    monotone sequence per source agent.  The collector delivers each
-    source's traces to the wrapped batch collector *in sequence order*
-    regardless of arrival order: early arrivals are held in a reorder
-    buffer until their predecessors land, duplicate ``(source,
-    sequence)`` uploads are counted and dropped, and malformed traces
-    (no spans, or a span that ends before it starts) are quarantined in
-    a dead-letter queue *without* consuming their sequence slot — later
-    sequences from that source wait until the payload is repaired and
-    :meth:`replay` re-offers it.  The mechanics mirror the trace-upload
-    pipeline (:mod:`repro.streaming`): same dead-letter queue type, same
-    quarantine-then-replay contract.
-    """
-
-    def __init__(self, collector: Optional[ZipkinCollector] = None):
-        self.collector = collector or ZipkinCollector()
-        #: per-source next expected sequence number
-        self._next_seq: Dict[str, int] = defaultdict(int)
-        #: per-source reorder buffer: sequence -> early-arrived trace
-        self._held: Dict[str, Dict[int, RequestTrace]] = defaultdict(dict)
-        #: per-source sequences ever accepted (duplicate detection)
-        self._seen: Dict[str, Set[int]] = defaultdict(set)
-        self.dead_letters = DeadLetterQueue()
-        self.delivered = 0
-        self.duplicates = 0
-        self.out_of_order = 0
-
-    @staticmethod
-    def _validate(trace: RequestTrace) -> Optional[str]:
-        """Reason the trace is malformed, or ``None`` when well-formed."""
-        if not trace.spans:
-            return "trace has no spans"
-        for span in trace.spans:
-            if span.end_ns < span.start_ns:
-                return (
-                    f"span {span.service!r} ends before it starts "
-                    f"({span.end_ns} < {span.start_ns})"
-                )
-        return None
-
-    def _drain(self, source: str) -> None:
-        """Deliver the source's now-contiguous held traces in order."""
-        held = self._held[source]
-        while self._next_seq[source] in held:
-            sequence = self._next_seq[source]
-            self.collector.collect([held.pop(sequence)])
-            self.delivered += 1
-            self._next_seq[source] = sequence + 1
-
-    def offer(self, source: str, sequence: int, trace: RequestTrace) -> str:
-        """Ingest one upload; returns what happened to it.
-
-        One of ``"delivered"`` (in order, handed to the batch
-        collector — possibly unblocking held successors),
-        ``"held"`` (arrived early, parked in the reorder buffer),
-        ``"duplicate"`` (sequence already accepted, dropped), or
-        ``"quarantined"`` (malformed, parked in the dead-letter queue).
-        """
-        if sequence in self._seen[source]:
-            self.duplicates += 1
-            return "duplicate"
-        reason = self._validate(trace)
-        if reason is not None:
-            # the sequence slot stays unconsumed: successors wait until
-            # the payload is repaired and replayed
-            self._seen[source].add(sequence)
-            self.dead_letters.quarantine((source, sequence), trace, reason)
-            return "quarantined"
-        self._seen[source].add(sequence)
-        if sequence == self._next_seq[source]:
-            self.collector.collect([trace])
-            self.delivered += 1
-            self._next_seq[source] = sequence + 1
-            self._drain(source)
-            return "delivered"
-        self.out_of_order += 1
-        self._held[source][sequence] = trace
-        return "held"
-
-    def replay(self) -> int:
-        """Re-offer every quarantined upload; returns deliveries unblocked.
-
-        An entry whose payload now validates (it was repaired in place,
-        or quarantined spuriously) takes its original sequence slot —
-        delivering immediately when due, or joining the reorder buffer —
-        and any successors it was blocking drain.  Entries that still
-        fail validation stay quarantined with their attempt count
-        bumped.
-        """
-        before = self.delivered
-
-        def handler(entry) -> Optional[str]:
-            if self._validate(entry.payload) is not None:
-                return None
-            source, sequence = entry.key
-            if sequence == self._next_seq[source]:
-                self.collector.collect([entry.payload])
-                self.delivered += 1
-                self._next_seq[source] = sequence + 1
-                self._drain(source)
-                return "delivered"
-            self._held[source][sequence] = entry.payload
-            return "held"
-
-        self.dead_letters.replay(handler)
-        return self.delivered - before
-
-    @property
-    def pending(self) -> int:
-        """Uploads held in reorder buffers (not yet deliverable)."""
-        return sum(len(held) for held in self._held.values())
-
-    def __len__(self) -> int:
-        return len(self.collector)

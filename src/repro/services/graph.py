@@ -102,11 +102,6 @@ class ServiceGraph:
             raise ValueError("inflation below 1.0 would model a speedup")
         self.services[service].tracing_inflation = inflation
 
-    def clear_tracing(self) -> None:
-        """Remove every service's tracing inflation."""
-        for spec in self.services.values():
-            spec.tracing_inflation = 1.0
-
     def call_order(self) -> List[str]:
         """Services in request-flow (topological) order from the root."""
         order: List[str] = []

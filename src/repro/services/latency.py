@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from repro.services.engine import run_vectorized
 from repro.services.graph import ServiceGraph
 from repro.services.loadgen import PoissonArrivals
 from repro.services.rpc import RequestTrace
-from repro.util.stats import percentiles
 from repro.util.units import SEC
 
 
@@ -51,12 +50,6 @@ class LatencyReport:
     def percentile(self, pct: float) -> float:
         """The ``pct``-th percentile of response times (ns)."""
         return float(np.percentile(self.response_times_ns, pct))
-
-    def tail_percentiles(
-        self, pcts: Tuple[float, ...] = (50, 75, 90, 99, 99.9)
-    ) -> Dict[float, float]:
-        """Several response-time percentiles at once (ns)."""
-        return percentiles(self.response_times_ns.tolist(), pcts)
 
     @property
     def throughput_rps(self) -> float:

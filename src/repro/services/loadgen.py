@@ -36,21 +36,3 @@ class PoissonArrivals:
         gaps = rng.exponential(SEC / self.rate_rps, size=n_requests)
         return np.cumsum(gaps).astype(np.int64)
 
-
-@dataclass
-class ClosedLoopClients:
-    """``concurrency`` clients that each issue the next request on reply.
-
-    Models memtier/ab-style benchmarking (10 concurrent clients in the
-    paper's online-benchmark setup).  Arrivals are generated lazily by the
-    simulator since they depend on completions; this class just carries
-    the parameters.
-    """
-
-    concurrency: int = 10
-    think_time_ns: int = 0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.concurrency < 1:
-            raise ValueError("need at least one client")

@@ -8,7 +8,7 @@ then digs into — the paper's motivating two-level observability story.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 
 def span_id_for(request_id: int, call_index: int) -> str:
@@ -53,21 +53,3 @@ class RequestTrace:
 
     request_id: int
     spans: List[Span] = field(default_factory=list)
-
-    @property
-    def response_time_ns(self) -> int:
-        if not self.spans:
-            return 0
-        return max(s.end_ns for s in self.spans) - min(s.start_ns for s in self.spans)
-
-    def span_of(self, service: str) -> List[Span]:
-        """All spans of one service within this request."""
-        return [s for s in self.spans if s.service == service]
-
-    def critical_service(self) -> str:
-        """Service with the largest summed *self* time (the RPC-level
-        culprit; inclusive durations would always blame the root)."""
-        totals: Dict[str, int] = {}
-        for span in self.spans:
-            totals[span.service] = totals.get(span.service, 0) + span.self_time_ns
-        return max(totals, key=lambda s: totals[s])

@@ -252,14 +252,6 @@ class CheckResult:
     #: is only judged against these)
     analyzed_paths: List[str] = field(default_factory=list)
 
-    def by_rule(self) -> Dict[str, int]:
-        """Violation counts per rule id, sorted by rule."""
-        counts: Dict[str, int] = {}
-        for violation in self.violations:
-            counts[violation.rule] = counts.get(violation.rule, 0) + 1
-        return dict(sorted(counts.items()))
-
-
 def run_check(paths: Sequence[str], root: Optional[Path] = None) -> CheckResult:
     """Analyze ``paths`` (files or directories) with every registered rule.
 

@@ -9,11 +9,9 @@ seeded generators (see :mod:`repro.util.rng`) so that every experiment in
 from repro.util.rng import RngFactory, derive_seed
 from repro.util.stats import (
     OnlineStats,
-    cdf_points,
     geometric_mean,
     normalized_l1_distance,
     percentile,
-    percentiles,
 )
 from repro.util.units import (
     GIB,
@@ -25,8 +23,6 @@ from repro.util.units import (
     USEC,
     fmt_bytes,
     fmt_time,
-    ns_to_s,
-    s_to_ns,
 )
 
 __all__ = [
@@ -39,14 +35,10 @@ __all__ = [
     "GIB",
     "fmt_bytes",
     "fmt_time",
-    "ns_to_s",
-    "s_to_ns",
     "RngFactory",
     "derive_seed",
     "OnlineStats",
     "percentile",
-    "percentiles",
-    "cdf_points",
     "geometric_mean",
     "normalized_l1_distance",
 ]

@@ -1,4 +1,4 @@
-"""Uniform benchmark-report writer.
+"""Uniform benchmark-report writer and repeated-timing helper.
 
 Every benchmark that records a perf trajectory (``BENCH_codec.json``,
 ``BENCH_sim.json``) writes the same schema so regressions can be diffed
@@ -10,6 +10,10 @@ mechanically across PRs::
       "env":       {"python": ..., "platform": ..., "cpu_count": ...},
       "timestamp": "2026-01-01T00:00:00+00:00"
     }
+
+A gated timing is the median of several runs (:func:`measure`), not one
+shot: on a shared host a single run spreads wider than the regression
+gate's threshold.
 """
 
 from __future__ import annotations
@@ -17,9 +21,43 @@ from __future__ import annotations
 import json
 import os
 import platform
+import time
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, Mapping, Union
+from typing import Callable, Dict, Mapping, NamedTuple, Optional, Union
+
+import numpy as np
+
+
+class Measurement(NamedTuple):
+    """Wall-clock seconds of repeated calls, and the last call's result."""
+
+    median: float
+    q1: float
+    q3: float
+    result: object
+
+
+def measure(
+    fn: Callable[..., object],
+    repeats: int,
+    setup: Optional[Callable[[], object]] = None,
+) -> Measurement:
+    """Call ``fn`` ``repeats`` times; the median and quartiles of its time.
+
+    With ``setup``, each call is ``fn(setup())`` and only ``fn`` is timed.
+    """
+    if repeats < 1:
+        raise ValueError("measure needs at least one repeat")
+    seconds = []
+    result = None
+    for _ in range(repeats):
+        args = () if setup is None else (setup(),)
+        start = time.perf_counter()
+        result = fn(*args)
+        seconds.append(time.perf_counter() - start)
+    q1, median, q3 = np.percentile(seconds, [25, 50, 75])
+    return Measurement(float(median), float(q1), float(q3), result)
 
 
 def bench_env() -> Dict[str, object]:

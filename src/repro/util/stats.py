@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -19,27 +19,6 @@ def percentile(samples: Sequence[float], pct: float) -> float:
     if not 0.0 <= pct <= 100.0:
         raise ValueError(f"percentile must be in [0, 100], got {pct}")
     return float(np.percentile(np.asarray(samples, dtype=float), pct))
-
-
-def percentiles(samples: Sequence[float], pcts: Iterable[float]) -> Dict[float, float]:
-    """Return a dict of several percentiles of ``samples`` at once."""
-    arr = np.asarray(samples, dtype=float)
-    if arr.size == 0:
-        raise ValueError("percentiles of empty sample set")
-    return {p: float(np.percentile(arr, p)) for p in pcts}
-
-
-def cdf_points(samples: Sequence[float]) -> List[Tuple[float, float]]:
-    """Return the empirical CDF of ``samples`` as (value, fraction<=value).
-
-    >>> cdf_points([3.0, 1.0, 2.0])
-    [(1.0, 0.3333333333333333), (2.0, 0.6666666666666666), (3.0, 1.0)]
-    """
-    arr = sorted(float(x) for x in samples)
-    n = len(arr)
-    if n == 0:
-        return []
-    return [(v, (i + 1) / n) for i, v in enumerate(arr)]
 
 
 def geometric_mean(values: Sequence[float]) -> float:

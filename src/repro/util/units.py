@@ -21,16 +21,6 @@ MIB: int = 1024 * 1024
 GIB: int = 1024 * 1024 * 1024
 
 
-def s_to_ns(seconds: float) -> int:
-    """Convert (possibly fractional) seconds to integer nanoseconds."""
-    return int(round(seconds * SEC))
-
-
-def ns_to_s(ns: int) -> float:
-    """Convert integer nanoseconds to float seconds."""
-    return ns / SEC
-
-
 def fmt_time(ns: int) -> str:
     """Render a nanosecond duration with a human-friendly unit.
 

@@ -72,10 +72,8 @@ class TestWidthReport:
         cache_decoded, cache_binary = decoded_for("Cache")
         pred = memory_width_report("Pred", pred_decoded, pred_binary)
         cache = memory_width_report("Cache", cache_decoded, cache_binary)
-        assert pred.quad_width_share("read_only") > 0.4
-        assert pred.quad_width_share("read_only") > cache.quad_width_share(
-            "read_only"
-        ) + 0.15
+        assert pred.share("read_only", 4) > 0.4
+        assert pred.share("read_only", 4) > cache.share("read_only", 4) + 0.15
 
 
 class TestBlockingAnomalies:

@@ -1,12 +1,8 @@
-"""Tests for trace exporters and IPC metrics."""
-
-import json
+"""Tests for the CYC-style IPC timeline metrics."""
 
 import pytest
 
-from repro.analysis.export import to_chrome_trace, to_folded_stacks
 from repro.analysis.metrics import detect_ipc_anomalies, ipc_timeline
-from repro.analysis.reconstruct import reconstruct
 from repro.experiments.scenarios import run_traced_execution
 from repro.hwtrace.tracer import TraceSegment
 from repro.util.units import MSEC
@@ -22,71 +18,8 @@ def make_segment(path, *, t0=0, t1=1000, e0=0, e1=50, captured=None):
 
 
 @pytest.fixture(scope="module")
-def decoded_run():
-    run = run_traced_execution("de", "EXIST", cpuset=[0, 1], seed=21)
-    result = reconstruct(run.artifacts.segments, [run.target])
-    return run, result
-
-
-class TestChromeTrace:
-    def test_valid_json_with_events(self, decoded_run):
-        run, result = decoded_run
-        payload = to_chrome_trace(
-            result.decoded, run.target.binary, run.artifacts.sched_records
-        )
-        doc = json.loads(payload)
-        assert "traceEvents" in doc
-        phases = {event["ph"] for event in doc["traceEvents"]}
-        assert "X" in phases  # function durations
-        assert "M" in phases  # metadata
-
-    def test_timestamps_microseconds(self, decoded_run):
-        run, result = decoded_run
-        doc = json.loads(to_chrome_trace(result.decoded, run.target.binary))
-        xs = [e for e in doc["traceEvents"] if e["ph"] == "X"]
-        first_record = result.decoded.records[0]
-        assert xs[0]["ts"] == pytest.approx(first_record.timestamp / 1000.0)
-
-    def test_sched_records_become_instants(self, decoded_run):
-        run, result = decoded_run
-        records = [(1000, 2, 10, 20, "sched_in")]
-        doc = json.loads(
-            to_chrome_trace(result.decoded, run.target.binary, records)
-        )
-        instants = [e for e in doc["traceEvents"] if e["ph"] == "i"]
-        assert len(instants) == 1
-        assert instants[0]["args"]["cpu"] == 2
-
-    def test_run_merging_reduces_event_count(self, decoded_run):
-        run, result = decoded_run
-        doc = json.loads(to_chrome_trace(result.decoded, run.target.binary))
-        xs = [e for e in doc["traceEvents"] if e["ph"] == "X"]
-        assert len(xs) < len(result.decoded.records)
-        assert sum(e["args"]["events"] for e in xs) == len(result.decoded.records)
-
-
-class TestFoldedStacks:
-    def test_format(self, decoded_run):
-        run, result = decoded_run
-        folded = to_folded_stacks(result.decoded, run.target.binary)
-        lines = folded.strip().splitlines()
-        assert lines
-        for line in lines:
-            stack, count = line.rsplit(" ", 1)
-            assert stack.startswith("de;de::")
-            assert int(count) > 0
-
-    def test_sorted_by_weight(self, decoded_run):
-        run, result = decoded_run
-        folded = to_folded_stacks(result.decoded, run.target.binary)
-        counts = [int(line.rsplit(" ", 1)[1]) for line in folded.strip().splitlines()]
-        assert counts == sorted(counts, reverse=True)
-
-    def test_empty_trace(self, decoded_run):
-        run, _ = decoded_run
-        from repro.hwtrace.decoder import DecodedTrace
-
-        assert to_folded_stacks(DecodedTrace(), run.target.binary) == ""
+def traced_run():
+    return run_traced_execution("de", "EXIST", cpuset=[0, 1], seed=21)
 
 
 class TestIpcTimeline:
@@ -123,8 +56,8 @@ class TestIpcTimeline:
         with pytest.raises(ValueError):
             ipc_timeline([make_segment(tiny_path)], branch_per_instr=0)
 
-    def test_real_run_plausible_ipc(self, decoded_run):
-        run, _ = decoded_run
+    def test_real_run_plausible_ipc(self, traced_run):
+        run = traced_run
         profile_bpi = 0.15  # de's branch density
         samples = ipc_timeline(
             run.artifacts.segments, branch_per_instr=profile_bpi
@@ -133,29 +66,3 @@ class TestIpcTimeline:
         mean_ipc = sum(s.ipc for s in samples) / len(samples)
         # de runs ~3 instr/ns on a 2.9 GHz model -> IPC near 1
         assert 0.3 < mean_ipc < 3.0
-
-
-class TestPerfScript:
-    def test_format(self, decoded_run):
-        from repro.analysis.export import to_perf_script
-
-        run, result = decoded_run
-        text = to_perf_script(result.decoded, run.target.binary, limit=50)
-        lines = text.strip().splitlines()
-        assert len(lines) == 50
-        assert "branches:" in lines[0]
-        assert "de::" in lines[0]
-
-    def test_limit_none_renders_all(self, decoded_run):
-        from repro.analysis.export import to_perf_script
-
-        run, result = decoded_run
-        text = to_perf_script(result.decoded, run.target.binary)
-        assert len(text.strip().splitlines()) == len(result.decoded.records)
-
-    def test_empty(self, decoded_run):
-        from repro.analysis.export import to_perf_script
-        from repro.hwtrace.decoder import DecodedTrace
-
-        run, _ = decoded_run
-        assert to_perf_script(DecodedTrace(), run.target.binary) == ""

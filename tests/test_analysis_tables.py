@@ -1,14 +1,6 @@
 """Tests for table rendering."""
 
-from repro.analysis.tables import format_percent, format_table
-
-
-class TestFormatPercent:
-    def test_basic(self):
-        assert format_percent(0.0123) == "1.2%"
-
-    def test_digits(self):
-        assert format_percent(0.0123, digits=2) == "1.23%"
+from repro.analysis.tables import format_table
 
 
 class TestFormatTable:

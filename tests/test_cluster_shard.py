@@ -1,18 +1,18 @@
 """Tests for the pooled control plane: fleet index, lazy nodes, node
-spec rebuilds, worker-slot replay, pool parity, churn, and autoscaling."""
+spec rebuilds, worker-slot replay, pool parity, and churn."""
 
 import json
 
 import numpy as np
 import pytest
 
-from repro.cluster.autoscale import Autoscaler, AutoscalePolicy, ChurnModel
-from repro.cluster.campaign import ProfilingCampaign
+from repro.cluster.autoscale import ChurnModel
 from repro.cluster.crd import TaskPhase, TraceTaskSpec
 from repro.cluster.fleet import ABANDONED, ACHIEVED, SELECTED, FleetIndex
 from repro.cluster.master import ClusterMaster, RetryPolicy
 from repro.cluster.node import ClusterNode
 from repro.core.config import TraceReason, TracingRequest
+from repro.core.rco import augment_traces, merge_intervals
 from repro.faults.plan import FaultPlan
 from repro.parallel.pool import RunPool
 from repro.parallel.workers import shutdown_process_pool
@@ -53,11 +53,6 @@ class TestFleetIndex:
         fleet.resolve(0, ACHIEVED, 1)
         fleet.resolve(1, ABANDONED, 2)
         assert fleet.achieved() == 1
-        assert list(fleet.completed_rows()) == [0]
-        histogram = fleet.phase_histogram()
-        assert histogram["achieved"] == 1
-        assert histogram["abandoned"] == 1
-        assert histogram["unselected"] == 3
 
 
 class TestLazyNodes:
@@ -164,15 +159,26 @@ class TestWorkerSlotReplay:
     worker left off instead of re-tracing from t=0."""
 
     def _campaign_coverage(self, pool):
+        """Four profiling rounds of one app; merged coverage after each."""
         reset_identity_counters()
         master = ClusterMaster(seed=3)
         master.add_nodes(2, base_seed=30)
         master.deploy("Search1", replicas=2)
-        campaign = ProfilingCampaign(master, ["Search1"], period_ns=40 * MSEC)
-        coverage = []
+        cycle = master.deployments["Search1"].profile.path_model().length
+        merged, coverage = [], []
         for _ in range(4):
-            campaign.run_round(pool=pool)
-            coverage.append(campaign.coverage_report()["Search1"])
+            task = master.submit(TraceTaskSpec(
+                app="Search1",
+                reason=TraceReason.PROFILING,
+                period_ns=40 * MSEC,
+                requester="profiling-campaign",
+            ))
+            master.reconcile(task, pool=pool)
+            for per_thread in master.task_coverage.get(task.name, {}).values():
+                for intervals in per_thread.values():
+                    merged.extend(intervals)
+            merged = merge_intervals(merged)
+            coverage.append(augment_traces([merged]).coverage_of_cycle(cycle))
         return coverage
 
     def test_campaign_coverage_independent_of_jobs(self):
@@ -271,50 +277,6 @@ class TestManagementFootprintScale:
         master.deploy("Search1", replicas=20)
         after = master.management_footprint().memory_bytes
         assert after > before
-
-
-class TestAutoscaler:
-    def test_scale_out_under_pressure(self):
-        master = ClusterMaster()
-        master.add_nodes(2)
-        master.deploy("Cache", replicas=40)
-        scaler = Autoscaler(AutoscalePolicy(max_pods_per_node=8))
-        delta = scaler.step(master)
-        assert delta > 0
-        assert len(master.nodes) == 2 + delta
-        pressure = 40 / len(master.nodes)
-        assert pressure <= 8
-
-    def test_scale_in_when_idle(self):
-        master = ClusterMaster()
-        master.add_nodes(30)
-        master.deploy("Cache", replicas=6)
-        scaler = Autoscaler(
-            AutoscalePolicy(min_pods_per_node=2.0, min_nodes=2)
-        )
-        delta = scaler.step(master)
-        assert delta < 0
-        assert len(master.nodes) >= 2
-        # evicted replicas were rescheduled, not lost
-        assert master.deployments["Cache"].replicas == 6
-
-    def test_band_is_stable(self):
-        master = ClusterMaster()
-        master.add_nodes(10)
-        master.deploy("Cache", replicas=40)
-        scaler = Autoscaler(AutoscalePolicy(
-            max_pods_per_node=8, min_pods_per_node=2
-        ))
-        assert scaler.desired_delta(master) == 0
-
-    def test_max_step_clamps(self):
-        master = ClusterMaster()
-        master.add_nodes(1)
-        master.deploy("Cache", replicas=10_000)
-        scaler = Autoscaler(AutoscalePolicy(
-            max_pods_per_node=2, max_step=16
-        ))
-        assert scaler.step(master) == 16
 
 
 class TestChurnModel:

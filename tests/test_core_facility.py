@@ -60,7 +60,6 @@ class TestRequestHandling:
         completed = facility.completed[0]
         assert completed.target_name == "mc"
         assert completed.bytes_captured > 0
-        assert facility.total_bytes_captured() == completed.bytes_captured
 
     def test_memory_released_after_session(self, system, facility):
         get_workload("mc").spawn(system, cpuset=[0, 1], seed=6)
@@ -68,7 +67,6 @@ class TestRequestHandling:
         assert system.facility_memory_bytes > 0
         system.run_for(150 * MSEC)
         assert system.facility_memory_bytes == 0
-        assert facility.memory_reserved_bytes == 0
 
     def test_period_defaults_from_temporal_decider(self, system, facility):
         get_workload("Search1").spawn(system, cpuset=[0, 1, 2, 3], seed=6)

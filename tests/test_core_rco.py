@@ -56,20 +56,6 @@ class TestTemporalDecider:
             period = decider.period_for(get_workload(name))
             assert 100 * MSEC <= period <= 2 * SEC
 
-    def test_reference_overhead_shrinks_period(self):
-        decider = TemporalDecider(ExistConfig())
-        base = decider.period_for(get_workload("Search1"))
-        decider.record_reference_overhead("Search1", 0.05)  # 5% >> 1% target
-        shortened = decider.period_for(get_workload("Search1"))
-        assert shortened < base
-
-    def test_overhead_below_threshold_no_change(self):
-        decider = TemporalDecider(ExistConfig())
-        base = decider.period_for(get_workload("Search1"))
-        decider.record_reference_overhead("Search1", 0.005)
-        assert decider.period_for(get_workload("Search1")) == base
-
-
 def make_reps(n, priority=5):
     return [
         Repetition(app="app", node=f"node-{i}", pod_uid=f"pod-{i}", priority=priority)

@@ -31,7 +31,6 @@ class TestCoresetSamplerCpuSet:
         plan = CoresetSampler(config).plan(system, target)
         assert plan.traced_cores == (0, 1, 2, 3)
         assert plan.mapped_cores == (0, 1, 2, 3)
-        assert plan.sampling_ratio == 1.0
 
     def test_equal_buffers_from_budget(self, system, config):
         target = get_workload("Search1").spawn(system, cpuset=[0, 1, 2, 3])
@@ -120,7 +119,7 @@ class TestBufferManager:
         target = get_workload("Search1").spawn(system, cpuset=[0, 1])
         plan = CoresetSampler(config).plan(system, target)
         manager.allocate(system, plan)
-        assert manager.reserved_bytes == plan.total_bytes
+        assert system.facility_memory_bytes == plan.total_bytes
 
 
 class TestCoreUtilizations:

@@ -138,6 +138,16 @@ def _traced_node(seed=3, period_ms=100, name="node-00"):
     return node, pod, session
 
 
+def _arm(injector, node, pod, session, wave=0, window=100 * MSEC):
+    """Arm one slot as a reconcile wave does: the coordinator picks the
+    timed victims, then the slot arms them plus its node-local faults."""
+    label = f"{node.name}/Search1#w{wave}"
+    assigned = injector.assign_timed([(node.name, pod.uid, label)], window)
+    injector.arm_slot(
+        node, pod, session, label, wave, window, assigned.get(node.name, ())
+    )
+
+
 class TestNodeCrash:
     def test_crash_mid_period_aborts_session_and_halts_clock(self):
         node, _, session = _traced_node()
@@ -169,16 +179,15 @@ class TestNodeCrash:
         node, pod, session = _traced_node()
         injector = FaultInjector(FaultPlan.parse("crash@0.5", seed=0))
         window = 100 * MSEC
-        participants = [(node, pod, session, "node-00/Search1#w0")]
-        injector.begin_wave(0, participants, window)
+        _arm(injector, node, pod, session, 0, window)
         node.run_for(window)
-        injector.end_wave()
+        injector.disarm_slot(node)
         assert not node.alive
         node.restart()
         # the spec already fired; a retry wave must not crash the node again
-        injector.begin_wave(1, participants, window)
+        _arm(injector, node, pod, session, 1, window)
         node.run_for(window)
-        injector.end_wave()
+        injector.disarm_slot(node)
         assert node.alive
 
 
@@ -204,12 +213,10 @@ class TestBufferExhaustion:
     def test_injector_squeeze_counts_buffers(self):
         node, pod, session = _traced_node()
         injector = FaultInjector(FaultPlan.parse("exhaust:0.97", seed=0))
-        injector.begin_wave(
-            0, [(node, pod, session, "node-00/Search1#w0")], 100 * MSEC
-        )
+        _arm(injector, node, pod, session)
         assert injector.report.buffers_exhausted > 0
         node.run_for(150 * MSEC)
-        injector.end_wave()
+        injector.disarm_slot(node)
         assert session.stopped
 
 
@@ -281,22 +288,18 @@ class TestSchedSideChannel:
     def test_drop_tap_removes_records_and_accounts(self):
         node, pod, session = _traced_node()
         injector = FaultInjector(FaultPlan.parse("sched-drop:0.9", seed=0))
-        injector.begin_wave(
-            0, [(node, pod, session, "node-00/Search1#w0")], 100 * MSEC
-        )
+        _arm(injector, node, pod, session)
         node.run_for(150 * MSEC)
-        injector.end_wave()
+        injector.disarm_slot(node)
         assert injector.report.sched_records_dropped > 0
         assert node.facility.otc.sched_fault is None  # tap removed
 
     def test_delay_tap_shifts_timestamps(self):
         node, pod, session = _traced_node()
         injector = FaultInjector(FaultPlan.parse("sched-delay:2.0", seed=0))
-        injector.begin_wave(
-            0, [(node, pod, session, "node-00/Search1#w0")], 100 * MSEC
-        )
+        _arm(injector, node, pod, session)
         node.run_for(150 * MSEC)
-        injector.end_wave()
+        injector.disarm_slot(node)
         assert injector.report.sched_records_delayed > 0
         assert len(session.sched_records) > 0
 

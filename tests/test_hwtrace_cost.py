@@ -3,13 +3,9 @@
 import pytest
 
 from repro.hwtrace.cost import CostModel
-from repro.util.units import MIB
 
 
 class TestCostModel:
-    def test_drain_cost_linear(self):
-        model = CostModel()
-        assert model.drain_cost(2 * MIB) == 2 * model.drain_per_mib_ns
 
     def test_pt_tax_scales_with_branch_density(self):
         model = CostModel()

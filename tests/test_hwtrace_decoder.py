@@ -54,7 +54,6 @@ class TestDecode:
         data = encode_trace([make_segment(tiny_path, t0=12345)])
         decoded = SoftwareDecoder({0x1000: tiny_binary}).decode(data)
         assert all(r.timestamp == 12345 for r in decoded.records)
-        assert decoded.time_span() == (12345, 12345)
 
     def test_unknown_cr3_counts_unresolved(self, tiny_path):
         data = encode_trace([make_segment(tiny_path, cr3=0x9999000)])
@@ -112,7 +111,6 @@ class TestDecodedTraceEdgeCases:
         assert trace.records == []
         assert trace.block_sequence() == []
         assert trace.function_histogram() == {}
-        assert trace.time_span() is None
         counts = trace.visit_counts(4)
         assert counts.shape == (4,) and not np.any(counts)
 
@@ -121,7 +119,6 @@ class TestDecodedTraceEdgeCases:
 
         trace = DecodedTrace.from_records([DecodedRecord(7, 0x1000, 2, 1)])
         assert len(trace) == 1
-        assert trace.time_span() == (7, 7)
         assert trace.block_sequence() == [2]
         assert trace.block_sequence(cr3=0x2000) == []
         assert trace.visit_counts(3).tolist() == [0, 0, 1]

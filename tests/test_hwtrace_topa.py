@@ -56,12 +56,6 @@ class TestStopOnFull:
         with pytest.raises(ValueError):
             output.write(-1)
 
-    def test_free_bytes(self):
-        output = ToPAOutput.single_region(8192)
-        output.write(1000)
-        assert output.free_bytes == 8192 - 1000
-
-
 class TestRing:
     """Conventional circular buffer (REPT-style / perf)."""
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.otc import OperationAwareTracingController
 from repro.hwtrace.msr import CtlBits
 from repro.hwtrace.topa import OutputMode, ToPAOutput
 from repro.hwtrace.tracer import CoreTracer, VolumeModel
@@ -120,7 +121,7 @@ class TestControlBitsView:
             CtlBits(0),
             CtlBits.BRANCH_EN | CtlBits.TOPA,
             CtlBits.BRANCH_EN | CtlBits.TOPA | CtlBits.CR3_FILTER,
-            CtlBits.exist_default(),
+            OperationAwareTracingController.TRACE_FLAGS,
         ],
     )
     def test_int_masks_agree_with_flag_view(self, tracer, flags):

@@ -34,13 +34,6 @@ class TestTopologyShape:
         assert len(topo) == 4
         assert all(c.sibling is None for c in topo.cores)
 
-    def test_socket_membership(self):
-        topo = CpuTopology(sockets=2, cores_per_socket=2, threads_per_core=2)
-        for socket_id in (0, 1):
-            members = topo.socket_cores(socket_id)
-            assert len(members) == 4
-            assert all(c.socket_id == socket_id for c in members)
-
     def test_invalid_shape_raises(self):
         with pytest.raises(ValueError):
             CpuTopology(sockets=0)
@@ -77,7 +70,7 @@ class TestInterference:
 
     def test_other_socket_does_not_contend(self):
         topo = CpuTopology(sockets=2, cores_per_socket=2, threads_per_core=1)
-        other_socket_core = topo.socket_cores(1)[0]
+        other_socket_core = next(c for c in topo.cores if c.socket_id == 1)
         other_socket_core.running = _dummy_thread()
         assert topo.speed_factor(topo.core(0), llc_pressure=1.0) == pytest.approx(1.0)
 

@@ -1,6 +1,7 @@
 """Unit tests for the discrete-event core."""
 
 import heapq
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ class TestScheduling:
         sim.schedule(30, lambda: fired.append(30))
         sim.schedule(10, lambda: fired.append(10))
         sim.schedule(20, lambda: fired.append(20))
-        sim.run_until_idle()
+        sim.run_until_stopped(math.inf)
         assert fired == [10, 20, 30]
 
     def test_same_time_fifo(self):
@@ -24,13 +25,13 @@ class TestScheduling:
         fired = []
         for index in range(5):
             sim.schedule(100, lambda i=index: fired.append(i))
-        sim.run_until_idle()
+        sim.run_until_stopped(math.inf)
         assert fired == [0, 1, 2, 3, 4]
 
     def test_schedule_in_past_raises(self):
         sim = Simulator()
         sim.schedule(10, lambda: None)
-        sim.run_until_idle()
+        sim.run_until_stopped(math.inf)
         with pytest.raises(ValueError):
             sim.schedule(5, lambda: None)
 
@@ -48,7 +49,7 @@ class TestScheduling:
             sim.schedule_after(5, lambda: fired.append("second"))
 
         sim.schedule(10, first)
-        sim.run_until_idle()
+        sim.run_until_stopped(math.inf)
         assert fired == ["first", "second"]
         assert sim.now == 15
 
@@ -59,13 +60,13 @@ class TestCancellation:
         fired = []
         event = sim.schedule(10, lambda: fired.append(1))
         event.cancel()
-        sim.run_until_idle()
+        sim.run_until_stopped(math.inf)
         assert fired == []
 
     def test_cancel_after_fire_is_noop(self):
         sim = Simulator()
         event = sim.schedule(1, lambda: None)
-        sim.run_until_idle()
+        sim.run_until_stopped(math.inf)
         event.cancel()  # must not raise
 
     def test_peek_skips_cancelled(self):
@@ -84,7 +85,7 @@ class TestTombstones:
         for event in events[:4]:
             event.cancel()
         assert sim.pending_count == 6
-        sim.run_until_idle()
+        sim.run_until_stopped(math.inf)
         assert sim.pending_count == 0
 
     def test_double_cancel_counts_once(self):
@@ -94,7 +95,7 @@ class TestTombstones:
         event.cancel()
         event.cancel()  # second cancel must not double-count the tombstone
         assert sim.pending_count == 1
-        sim.run_until_idle()
+        sim.run_until_stopped(math.inf)
         assert sim.events_fired == 1
 
     def test_compaction_drops_majority_tombstones(self):
@@ -106,7 +107,7 @@ class TestTombstones:
         # place, so it cannot still hold all 100 cancelled events.
         assert len(sim._heap) < 100
         assert sim.pending_count == 28
-        fired = sim.run_until_idle()
+        fired = sim.run_until_stopped(math.inf)
         assert fired == 28
 
     def test_small_heaps_are_not_compacted(self):
@@ -118,7 +119,7 @@ class TestTombstones:
         # still yields the right answer.
         assert len(sim._heap) == 10
         assert sim.pending_count == 1
-        assert sim.run_until_idle() == 1
+        assert sim.run_until_stopped(math.inf) == 1
 
     def test_order_preserved_after_compaction(self):
         sim = Simulator()
@@ -130,7 +131,7 @@ class TestTombstones:
                 keep.append(t)
             else:
                 event.cancel()
-        sim.run_until_idle()
+        sim.run_until_stopped(math.inf)
         assert fired == keep
 
 
@@ -164,21 +165,11 @@ class TestRunUntil:
             sim.schedule(t, lambda: None)
         assert sim.run_until(10) == 3
 
-    def test_livelock_guard(self):
-        sim = Simulator()
-
-        def rearm():
-            sim.schedule_after(0, rearm)
-
-        sim.schedule(0, rearm)
-        with pytest.raises(RuntimeError):
-            sim.run_until_idle(max_events=100)
-
     def test_events_fired_counter(self):
         sim = Simulator()
         sim.schedule(1, lambda: None)
         sim.schedule(2, lambda: None)
-        sim.run_until_idle()
+        sim.run_until_stopped(math.inf)
         assert sim.events_fired == 2
 
 
@@ -200,18 +191,6 @@ class TestHalt:
         sim.run_until(1000)
         assert fired == []
         assert sim.now == 100
-
-    def test_resume_releases_queued_events(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(100, sim.halt)
-        sim.schedule(200, lambda: fired.append("late"))
-        sim.run_until(1000)
-        sim.resume()
-        sim.run_until(1000)
-        assert fired == ["late"]
-        assert sim.now == 1000
-
 
 class TestStop:
     def test_stop_keeps_remaining_ready_events(self):
@@ -318,7 +297,7 @@ class TestFollow:
         assert seen == [100]
         assert sim.now == 100
         assert sim.pending_count == 1
-        sim.resume()
+        sim.halted = False
         assert sim.run_until(1000) == 1
         assert seen == [100, 110]
         assert sim.now == 1000
@@ -333,7 +312,7 @@ class TestFollow:
 
         sim.post(100, first)
         sim.post(110, lambda: order.append("queued"))
-        assert sim.run_until_idle() == 3
+        assert sim.run_until_stopped(math.inf) == 3
         assert order == ["first", "queued", "follow-up"]
 
     def test_cancelled_timer_between_is_skipped(self):
@@ -348,23 +327,21 @@ class TestFollow:
         timer = sim.schedule(105, lambda: order.append(("timer", sim.now)))
         timer.cancel()
         assert sim.pending_count == 1
-        assert sim.run_until_idle() == 2
+        assert sim.run_until_stopped(math.inf) == 2
         assert order == [("first", 100), ("follow-up", 110)]
         assert not timer.fired
         assert sim.pending_count == 0 and not sim._heap
 
-    @pytest.mark.parametrize("run", ["run_until", "run_until_stopped", "run_until_idle"])
+    @pytest.mark.parametrize("run", ["run_until", "run_until_stopped"])
     def test_counts_include_inline_fires(self, run):
         sim = Simulator()
         seen = []
         self._chain(sim, seen, [10, 20, 30, 40])
         sim.post(500, lambda: None)
-        args = () if run == "run_until_idle" else (100,)
-        fired = getattr(sim, run)(*args)
+        fired = getattr(sim, run)(100)
         assert [inline for _, inline in seen] == [False, True, True, True]
-        expected = 5 if run == "run_until_idle" else 4
-        assert fired == sim.events_fired == expected
-        assert sim.pending_count == 5 - expected
+        assert fired == sim.events_fired == 4
+        assert sim.pending_count == 1
 
     def test_follow_in_the_past_raises(self):
         sim = Simulator()
@@ -377,7 +354,7 @@ class TestFollow:
                 errors.append(exc)
 
         sim.post(100, first)
-        sim.run_until_idle()
+        sim.run_until_stopped(math.inf)
         assert len(errors) == 1
 
     def test_follow_outside_a_batch_is_posted(self):
@@ -385,7 +362,7 @@ class TestFollow:
         seen = []
         sim.follow(10, lambda: seen.append(sim.now))
         assert seen == [] and sim.pending_count == 1
-        assert sim.run_until_idle() == 1
+        assert sim.run_until_stopped(math.inf) == 1
         assert seen == [10]
 
 
@@ -481,7 +458,7 @@ def test_batched_loop_matches_reference(seed):
         _scenario(sim, seed, log, inline[-1])
         returns = []
         for deadline in (20, 45, 45, 90, 200, 10_000):
-            sim.resume()
+            sim.halted = False
             returns.append(run(sim, deadline))
             returns.append((sim.now, sim.events_fired, sim.pending_count))
         outcomes.append((log, returns))
@@ -498,7 +475,7 @@ def test_randomized_scenarios_fire_inline():
         inline = [0]
         _scenario(sim, seed, [], inline)
         for deadline in (20, 45, 45, 90, 200, 10_000):
-            sim.resume()
+            sim.halted = False
             sim.run_until(deadline)
         fired_inline.append(inline[0])
     assert sum(fired_inline) > 100

@@ -196,14 +196,6 @@ class TestAccounting:
         system.run_for(20 * MSEC)
         assert system.topology.core(0).busy_ns >= 4 * MSEC
 
-    def test_runnable_count_and_all_done(self, system):
-        spawn(system, "a", FakeEngine(1 * MSEC))
-        assert system.scheduler.runnable_count() == 1
-        assert not system.scheduler.all_done()
-        system.run_for(10 * MSEC)
-        assert system.scheduler.all_done()
-
-
 def scheduler_with_cores(n_cores: int) -> Scheduler:
     return Scheduler(
         sim=Simulator(),

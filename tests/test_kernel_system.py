@@ -13,11 +13,6 @@ from repro.util.units import MIB, MSEC, SEC
 
 
 class TestSystemConfig:
-    def test_presets(self):
-        ice = SystemConfig.icelake_node()
-        assert ice.sockets * ice.cores_per_socket * ice.threads_per_core == 128
-        sky = SystemConfig.skylake_node()
-        assert sky.sockets * sky.cores_per_socket * sky.threads_per_core == 96
 
     def test_small_node_validation(self):
         with pytest.raises(ValueError):

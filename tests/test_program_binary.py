@@ -76,26 +76,6 @@ class TestBinaryLookups:
         binary = _make_binary()
         assert binary.block(1).block_id == 1
 
-    def test_block_at_address(self):
-        binary = _make_binary()
-        block = binary.block(2)
-        assert binary.block_at(block.address) is block
-
-    def test_block_at_bad_address_raises(self):
-        binary = _make_binary()
-        with pytest.raises(KeyError):
-            binary.block_at(0xDEAD)
-
-    def test_function_of_block(self):
-        binary = _make_binary()
-        assert binary.function_of_block(1).name == "f0"
-
-    def test_function_by_name(self):
-        binary = _make_binary()
-        assert binary.function_by_name("f0").function_id == 0
-        with pytest.raises(KeyError):
-            binary.function_by_name("missing")
-
     def test_duplicate_addresses_rejected(self):
         blocks = [_make_block(0, address=0x1000), _make_block(1, address=0x1000)]
         functions = [
@@ -108,7 +88,3 @@ class TestBinaryLookups:
         binary = _make_binary()
         last = binary.block(2)
         assert binary.size_bytes == last.end_address - binary.base_address
-
-    def test_category_mix_counts_functions(self):
-        binary = _make_binary()
-        assert binary.category_mix() == {FunctionCategory.APP: 1}

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.program.binary import FunctionCategory as FC
-from repro.program.generator import BinaryShape, execution_weighted_categories, generate_binary
+from repro.program.generator import BinaryShape, generate_binary
 from repro.program.path import PathModel
 
 
@@ -36,8 +36,8 @@ class TestGeneration:
         ]
 
     def test_every_requested_category_present(self, shaped_binary):
-        mix = shaped_binary.category_mix()
-        assert set(mix) == {FC.APP, FC.MEM_COPY, FC.SYNC_MUTEX}
+        categories = {function.category for function in shaped_binary.functions}
+        assert categories == {FC.APP, FC.MEM_COPY, FC.SYNC_MUTEX}
 
     def test_block_ids_dense(self, shaped_binary):
         for index, block in enumerate(shaped_binary.blocks):
@@ -91,11 +91,13 @@ class TestExecutionWeighting:
         """The Markov walk visits categories roughly per their weights."""
         path = PathModel(shaped_binary, seed=7, length=1 << 14)
         counts = path.visit_counts(0, path.length)
-        shares = execution_weighted_categories(shaped_binary, counts)
+        totals = {}
+        for block_id, visits in enumerate(counts):
+            block = shaped_binary.block(block_id)
+            category = shaped_binary.functions[block.function_id].category
+            totals[category] = totals.get(category, 0) + visits * block.n_instructions
+        shares = {c: v / sum(totals.values()) for c, v in totals.items()}
         # generous tolerance: walk dynamics only approximate the weights
         assert shares[FC.APP] > shares[FC.SYNC_MUTEX]
         assert 0.15 < shares[FC.APP] < 0.90
         assert sum(shares.values()) == pytest.approx(1.0)
-
-    def test_empty_counts(self, shaped_binary):
-        assert execution_weighted_categories(shaped_binary, [0] * shaped_binary.n_blocks) == {}

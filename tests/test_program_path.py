@@ -105,10 +105,3 @@ class TestHistograms:
 class TestVolumeModel:
     def test_indirect_fraction_in_range(self, tiny_path):
         assert 0.0 <= tiny_path.indirect_fraction < 0.5
-
-    def test_packet_bytes_per_event_scales_with_stride(self, tiny_binary):
-        small = PathModel(tiny_binary, seed=1, length=1024, stride=100)
-        large = PathModel(tiny_binary, seed=1, length=1024, stride=200)
-        assert large.packet_bytes_per_event(0.2, 3.0) == pytest.approx(
-            2 * small.packet_bytes_per_event(0.2, 3.0)
-        )

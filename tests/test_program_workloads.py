@@ -6,21 +6,24 @@ from repro.program.execution import ProgramExecution, ServerLoopExecution
 from repro.program.workloads import (
     WORKLOADS,
     ProvisioningMode,
-    compute_workloads,
+    WorkloadKind,
     get_workload,
-    online_workloads,
     realworld_workloads,
     variant,
 )
 
 
+def _of_kind(kind):
+    return [p for p in WORKLOADS.values() if p.kind is kind]
+
+
 class TestLibraryContents:
     def test_table1_compute_set(self):
-        names = {p.name for p in compute_workloads()}
+        names = {p.name for p in _of_kind(WorkloadKind.COMPUTE)}
         assert names == {"pb", "gcc", "mcf", "om", "xa", "x264", "de", "le", "ex", "xz"}
 
     def test_table1_online_set(self):
-        assert {p.name for p in online_workloads()} == {"mc", "ng", "ms"}
+        assert {p.name for p in _of_kind(WorkloadKind.ONLINE)} == {"mc", "ng", "ms"}
 
     def test_realworld_sets(self):
         assert [p.name for p in realworld_workloads()] == [

@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -302,7 +304,7 @@ def test_simulator_fires_in_nondecreasing_time_order(times):
     fired = []
     for t in times:
         sim.schedule(t, lambda t=t: fired.append(sim.now))
-    sim.run_until_idle()
+    sim.run_until_stopped(math.inf)
     assert fired == sorted(fired)
     assert len(fired) == len(times)
     assert sim.now == max(times)

@@ -4,8 +4,8 @@ import pytest
 
 from repro.services.graph import CallEdge, ServiceGraph, ServiceSpec
 from repro.services.latency import QueueingSimulator
-from repro.services.loadgen import ClosedLoopClients, PoissonArrivals
-from repro.services.rpc import RequestTrace, Span
+from repro.services.loadgen import PoissonArrivals
+from repro.services.rpc import Span
 from repro.util.units import USEC
 
 
@@ -44,8 +44,6 @@ class TestGraph:
         )
         with pytest.raises(ValueError):
             graph.set_tracing_inflation("back", 0.9)
-        graph.clear_tracing()
-        assert graph.service("back").tracing_inflation == 1.0
 
     def test_zero_workers_rejected(self):
         with pytest.raises(ValueError, match="'root'.*workers"):
@@ -80,10 +78,6 @@ class TestLoadgen:
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
             PoissonArrivals(rate_rps=0).arrival_times(10)
-
-    def test_closed_loop_validation(self):
-        with pytest.raises(ValueError):
-            ClosedLoopClients(concurrency=0)
 
 
 class TestQueueingSimulator:
@@ -141,32 +135,19 @@ class TestQueueingSimulator:
         trace = report.sample_traces[0]
         services = {span.service for span in trace.spans}
         assert services == {"front", "back"}
-        assert trace.response_time_ns > 0
 
     def test_percentile_ordering(self):
         graph = two_tier_graph()
         sim = QueueingSimulator(graph, seed=7)
         report = sim.run_open_loop(PoissonArrivals(5000, seed=1), 3000)
-        tails = report.tail_percentiles()
-        assert tails[50] <= tails[90] <= tails[99] <= tails[99.9]
+        tails = [report.percentile(pct) for pct in (50, 90, 99, 99.9)]
+        assert tails == sorted(tails)
 
 
 class TestRpc:
-    def test_request_trace_response_time(self):
-        trace = RequestTrace(request_id=1)
-        trace.spans.append(Span("a", start_ns=100, end_ns=400))
-        trace.spans.append(Span("b", start_ns=150, end_ns=300))
-        assert trace.response_time_ns == 300
-        assert trace.critical_service() == "a"
 
     def test_equal_spans_compare_equal(self):
         # span identity comes from the producer (span_id_for), never from
         # a process-global stream: two spans built alike are equal
         assert Span("a", 0, 10, self_ns=5) == Span("a", 0, 10, self_ns=5)
         assert Span("a", 0, 10).span_id == ""
-
-    def test_span_of(self):
-        trace = RequestTrace(request_id=1)
-        trace.spans.append(Span("a", 0, 10))
-        assert len(trace.span_of("a")) == 1
-        assert trace.span_of("b") == []

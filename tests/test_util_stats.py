@@ -6,11 +6,9 @@ import pytest
 
 from repro.util.stats import (
     OnlineStats,
-    cdf_points,
     geometric_mean,
     normalized_l1_distance,
     percentile,
-    percentiles,
 )
 
 
@@ -30,27 +28,6 @@ class TestPercentile:
     def test_out_of_range_raises(self):
         with pytest.raises(ValueError):
             percentile([1.0], 101)
-
-    def test_percentiles_batch(self):
-        result = percentiles(list(range(101)), [50, 99])
-        assert result[50] == 50
-        assert result[99] == pytest.approx(99)
-
-
-class TestCdf:
-    def test_sorted_output(self):
-        points = cdf_points([3.0, 1.0, 2.0])
-        assert [v for v, _ in points] == [1.0, 2.0, 3.0]
-        assert points[-1][1] == 1.0
-
-    def test_empty(self):
-        assert cdf_points([]) == []
-
-    def test_fractions_monotone(self):
-        points = cdf_points([5, 1, 4, 2, 2])
-        fractions = [f for _, f in points]
-        assert fractions == sorted(fractions)
-
 
 class TestGeometricMean:
     def test_identity(self):

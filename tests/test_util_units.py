@@ -2,20 +2,10 @@
 
 import pytest
 
-from repro.util.units import GIB, KIB, MIB, MSEC, SEC, USEC, fmt_bytes, fmt_time, ns_to_s, s_to_ns
+from repro.util.units import GIB, KIB, MIB, MSEC, SEC, USEC, fmt_bytes, fmt_time
 
 
 class TestConversions:
-    def test_second_roundtrip(self):
-        assert ns_to_s(s_to_ns(1.5)) == pytest.approx(1.5)
-
-    def test_s_to_ns_is_integer(self):
-        assert isinstance(s_to_ns(0.1), int)
-        assert s_to_ns(0.1) == 100 * MSEC
-
-    def test_fractional_nanoseconds_round(self):
-        assert s_to_ns(1e-9 * 0.4) == 0
-        assert s_to_ns(1e-9 * 0.6) == 1
 
     def test_unit_ratios(self):
         assert SEC == 1000 * MSEC == 1_000_000 * USEC

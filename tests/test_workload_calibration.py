@@ -12,13 +12,16 @@ from repro.hwtrace.cost import CostModel
 from repro.hwtrace.tracer import VolumeModel
 from repro.program.workloads import (
     WORKLOADS,
-    compute_workloads,
-    online_workloads,
+    WorkloadKind,
     realworld_workloads,
 )
 
 VOLUME = VolumeModel()
 COSTS = CostModel()
+
+
+def _of_kind(kind):
+    return [p for p in WORKLOADS.values() if p.kind is kind]
 
 
 def bandwidth_mb_s(profile) -> float:
@@ -32,7 +35,7 @@ class TestTraceBandwidthBands:
     @pytest.mark.slow
     def test_single_thread_compute_band(self):
         """Per-core bandwidths land 0.5 s traces in Table 4's tens-of-MB."""
-        for profile in compute_workloads():
+        for profile in _of_kind(WorkloadKind.COMPUTE):
             if profile.name == "xz":
                 continue
             bandwidth = bandwidth_mb_s(profile)
@@ -42,7 +45,7 @@ class TestTraceBandwidthBands:
     def test_xz_is_the_heaviest_compute_tracer(self):
         xz = bandwidth_mb_s(WORKLOADS["xz"])
         others = [
-            bandwidth_mb_s(p) for p in compute_workloads() if p.name != "xz"
+            bandwidth_mb_s(p) for p in _of_kind(WorkloadKind.COMPUTE) if p.name != "xz"
         ]
         assert xz > max(others)
 
@@ -57,7 +60,7 @@ class TestTraceBandwidthBands:
         the calibration EXPERIMENTS.md documents."""
         from repro.util.units import MIB
 
-        for profile in compute_workloads():
+        for profile in _of_kind(WorkloadKind.COMPUTE):
             bandwidth = bandwidth_mb_s(profile) * 1e6  # bytes/s
             drain_tax = bandwidth / 1e9 * (COSTS.drain_per_mib_ns / MIB)
             pt_tax = COSTS.pt_tax(profile.branch_per_instr, profile.nominal_ips)
@@ -67,14 +70,14 @@ class TestTraceBandwidthBands:
 class TestRateBands:
     def test_compute_syscall_rates_low(self):
         """Compute jobs syscall at ~0.5-3k/s (eBPF barely sees them)."""
-        for profile in compute_workloads():
+        for profile in _of_kind(WorkloadKind.COMPUTE):
             rate = profile.nominal_ips * 1e9 / profile.syscall_interval
             assert 300 < rate < 5_000, (profile.name, rate)
 
     def test_online_request_sizes(self):
         """Online request bursts: 10-150 us of work (per-switch control
         costs land in the paper's 6-13% NHT band)."""
-        for profile in online_workloads():
+        for profile in _of_kind(WorkloadKind.ONLINE):
             work_us = profile.request_instr_mean / profile.nominal_ips / 1e3
             assert 8 < work_us < 160, (profile.name, work_us)
 
