@@ -163,7 +163,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         if not plan:
             plan = None
     master = ClusterMaster(seed=args.seed)
-    # lazy bulk registration: only traced nodes materialize, so --nodes
+    # a node builds on first use: only traced nodes build, so --nodes
     # scales to the thousands without paying per-node kernel builds
     master.add_nodes(args.nodes)
     master.deploy(args.app, replicas=args.replicas)

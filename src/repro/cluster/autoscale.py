@@ -2,12 +2,13 @@
 
 Datacenter fleets are not static: nodes drain for maintenance, crash out
 of the pool, and get replaced.  The master tolerates this because nodes
-are cheap — lazy :class:`ClusterNode` registration costs microseconds —
-so the control-plane question is whether a reconcile survives the churn
-happening underneath it.  :class:`ChurnModel` is a seeded perturbation
-source that removes and replaces nodes between reconciles, the way
-maintenance drains and spot reclaims do.  Same seed, same churn
-sequence, so churn-survival runs are reproducible.
+are cheap — a :class:`ClusterNode` builds on first use, so registering
+one costs microseconds — so the control-plane question is whether a
+reconcile survives the churn happening underneath it.
+:class:`ChurnModel` is a seeded perturbation source that removes and
+replaces nodes between reconciles, the way maintenance drains and spot
+reclaims do.  Same seed, same churn sequence, so churn-survival runs
+are reproducible.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class ChurnModel:
         sorted node names, so a given seed always reclaims the same
         nodes in the same order.  Evicted replicas reschedule onto
         survivors; with ``replace`` the fleet is then topped back up
-        with fresh lazy nodes.
+        with fresh nodes.
         """
         names = sorted(master.nodes)
         count = min(len(names) - 1, max(1, int(len(names) * self.kill_fraction)))

@@ -15,17 +15,17 @@ work stealing balances the round.  A thin coordinator keeps all
 cross-node decisions (RCO sampling, timed-fault victim choice, refill
 rounds, quarantine) and merges slot results in slot-index order, so
 ``jobs=1`` and ``jobs=N`` reconciles are byte-identical — including
-fault injection, retry backoff, and coverage metrics.  A slot that ran
-in a worker is replayed on the live node before the node is next used
-in-process, so later reconciles see the same node state at any width.
-Per-pod coordinator bookkeeping lives in numpy columns
-(:class:`~repro.cluster.fleet.FleetIndex`), which is what lets one
-master drive thousands of (lazily materialized) nodes.
+fault injection, retry backoff, and coverage metrics.  Each slot is a
+:class:`SlotEntry` appended to its node's event log before dispatch;
+at ``jobs=1`` it runs on the master's own node, and a worker runs it on
+a copy rebuilt from the node's spec and log, which the master's node
+replays on its next use.  Per-pod coordinator bookkeeping lives in
+numpy columns (:class:`~repro.cluster.fleet.FleetIndex`), which is what
+lets one master drive thousands of nodes, each built on first use.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -154,22 +154,37 @@ class SlotOutcome:
     report: DegradationReport = field(default_factory=DegradationReport)
 
 
+@dataclass(frozen=True)
+class SlotEntry:
+    """A slot in its node's event log: the triple that fully determines it."""
+
+    task: SlotTask
+    policy: RetryPolicy
+    plan: Optional[FaultPlan]
+
+    def __call__(self, node: ClusterNode) -> SlotOutcome:
+        return _run_slot(node, self.task, self.policy, self.plan)
+
+
 def _run_slot(
     node: ClusterNode,
-    pod: Pod,
     slot_task: SlotTask,
     policy: RetryPolicy,
-    injector: Optional[FaultInjector],
+    plan: Optional[FaultPlan],
 ) -> SlotOutcome:
-    """Run one slot's attempt loop against a live node.
+    """Run one slot's attempt loop against a node.
 
     This is the former global wave body, scoped to a single node: start
     the session, arm faults, drive the window, grant straggler grace,
     classify, and retry in place after a crash (the node restarts with
-    its pinned pod identities, so retries stay byte-deterministic).  All
-    accounting goes to the outcome's scratch report; the coordinator
-    merges scratch reports in slot order.
+    its pinned pod identities, so retries stay byte-deterministic).  The
+    slot's faults come from a fresh injector built from ``plan``; every
+    slot-local fault stream is keyed by logical names, so the slot is
+    the same wherever it runs.  All accounting goes to the outcome's
+    scratch report; the coordinator merges scratch reports in slot order.
     """
+    pod = next(p for p in node.pods if p.uid == slot_task.pod_uid)
+    injector = FaultInjector(plan) if plan is not None else None
     outcome = SlotOutcome(
         slot=slot_task.slot,
         node_name=node.name,
@@ -287,24 +302,6 @@ def _run_slot(
     return outcome
 
 
-def _run_slot_with_plan(
-    slot_task: SlotTask,
-    policy: RetryPolicy,
-    plan: Optional[FaultPlan],
-    node: ClusterNode,
-) -> SlotOutcome:
-    """Run one slot on ``node`` with a fresh injector built from ``plan``.
-
-    A pool worker runs it on a spec rebuild; the live node later replays
-    it with the same arguments.  The node was pristine at dispatch and
-    every slot-local fault stream is keyed by logical names, so the
-    replay leaves the live node where the worker's copy ended.
-    """
-    pod = next(p for p in node.pods if p.uid == slot_task.pod_uid)
-    injector = FaultInjector(plan) if plan is not None else None
-    return _run_slot(node, pod, slot_task, policy, injector)
-
-
 def _decode_outcome(outcome: SlotOutcome, binary) -> SlotOutcome:
     """Decode a completed slot's upload in place (:func:`upload_stats`)."""
     if outcome.completed:
@@ -320,20 +317,20 @@ def _decode_outcome(outcome: SlotOutcome, binary) -> SlotOutcome:
 
 
 def _run_shard(payload) -> SlotOutcome:
-    """Run one slot in a pool worker.
+    """Run the slot that ends ``node``'s log prefix ``stop``, and decode it.
 
-    Rebuilds the slot's node from its :class:`NodeSpec` (pinned
-    pid/tids: no identity counters are drawn, and the rebuilt node
-    produces byte-identical trace output to the coordinator's pristine
-    original), runs the slot loop, and decodes in-worker against the
-    fork-inherited binary cache (:func:`upload_stats`: the upload's own
-    CR3 only).  Ships back the decoded outcome, raw bytes included.
+    The node is the master's own at ``jobs=1``; in a pool worker it is a
+    copy unpickled from its spec, so it first replays every earlier
+    entry (pinned pid/tids: no identity counters are drawn, and the
+    trace bytes match the master's node).  The upload decodes where the
+    bytes are (:func:`upload_stats`: the upload's own CR3 only), against
+    ``binary`` or, when that is None, the fork-inherited memoized one.
     """
-    spec, slot_task, policy, plan = payload
-    outcome = _run_slot_with_plan(
-        slot_task, policy, plan, ClusterNode.from_spec(spec)
-    )
-    return _decode_outcome(outcome, get_workload(slot_task.app).binary())
+    node, stop, binary = payload
+    outcome = node.catch_up(stop)
+    if binary is None:
+        binary = get_workload(outcome.app).binary()
+    return _decode_outcome(outcome, binary)
 
 
 @dataclass
@@ -425,14 +422,13 @@ class ClusterMaster:
         system_config: Optional[SystemConfig] = None,
         exist_config: Optional[ExistConfig] = None,
     ) -> List[ClusterNode]:
-        """Bulk-register ``count`` lazy nodes (the scale path).
+        """Bulk-register ``count`` nodes (the scale path).
 
-        Lazy nodes defer their kernel/facility build until a reconcile
-        actually traces them, so registering thousands costs microseconds
-        per node.  Names continue after the highest index *ever used*
-        for the prefix (monotone across removals), which is what node
-        churn relies on: a replacement never resurrects a drained node's
-        name.
+        A node builds its kernel and facility only when first used, so
+        registering thousands costs microseconds per node.  Names
+        continue after the highest index *ever used* for the prefix
+        (monotone across removals), which is what node churn relies on:
+        a replacement never resurrects a drained node's name.
         """
         start = self._name_floor.get(prefix, 0)
         created = []
@@ -443,7 +439,6 @@ class ClusterMaster:
                 system_config=system_config,
                 exist_config=exist_config,
                 seed=base_seed + index,
-                lazy=True,
             )
             self.add_node(node)
             created.append(node)
@@ -516,46 +511,28 @@ class ClusterMaster:
     def _dispatch_round(
         self,
         slot_tasks: List[SlotTask],
-        pods_by_uid: Dict[str, Pod],
-        pool: Optional[RunPool],
+        pool: RunPool,
         policy: RetryPolicy,
         faults: Optional[FaultPlan],
-        injector: Optional[FaultInjector],
         binary,
     ) -> List[SlotOutcome]:
-        """Run one round's slots — one pool task per slot when possible.
+        """Run one round's slots, one ``pool`` task per slot.
 
-        ``pool`` is None unless workers can regenerate ``binary``.  The
-        worker path also requires every slot node to be *rebuildable*
-        (pristine: a spec rebuild is then byte-identical to the live
-        object), and records each dispatched slot on its node for
-        replay.  Anything else runs the identical slot loop in-process on
-        the live nodes, so both paths produce the same outcomes.
-        Either way each completed slot decodes its own upload where the
-        bytes are, and outcomes come back in slot order.
+        Each slot is appended to its node's log first, then
+        :func:`_run_shard` runs it on the node: the master's own object
+        in an in-process pool, a copy rebuilt from spec and log in a
+        worker.  Each completed slot decodes its own upload where the
+        bytes are; a worker regenerates ``binary`` rather than receive
+        it.  Outcomes come back in slot order.
         """
-        if pool is not None and all(
-            self.nodes[st.node_name].rebuildable for st in slot_tasks
-        ):
-            outcomes = pool.map(_run_shard, [
-                (
-                    self.nodes[st.node_name].to_spec(),
-                    st, policy, faults,
-                )
-                for st in slot_tasks
-            ])
-            for st in slot_tasks:
-                self.nodes[st.node_name].defer_replay(
-                    functools.partial(_run_slot_with_plan, st, policy, faults)
-                )
-            return outcomes
-        outcomes = []
+        payloads = []
         for slot_task in slot_tasks:
             node = self.nodes[slot_task.node_name]
-            pod = pods_by_uid[slot_task.pod_uid]
-            outcome = _run_slot(node, pod, slot_task, policy, injector)
-            outcomes.append(_decode_outcome(outcome, binary))
-        return outcomes
+            node.log.append(SlotEntry(slot_task, policy, faults))
+            payloads.append(
+                (node, len(node.log), None if pool.parallel else binary)
+            )
+        return pool.map(_run_shard, payloads)
 
     def reconcile(
         self,
@@ -568,10 +545,12 @@ class ClusterMaster:
     ) -> TraceTask:
         """Run the full reconciliation loop for one task.
 
-        ``pool`` (optional) runs each node's tracing + decode work as
-        one worker task; results are byte-identical to the sequential
-        path.  Every completed slot decodes its own upload
-        (:func:`upload_stats`), pooled or not, streaming or not.
+        Each node's tracing + decode work runs as one task of ``pool``
+        (optional), or of an in-process pool when ``pool`` is None, is
+        not parallel, or its workers could not regenerate the
+        repository's binary; results are byte-identical either way.
+        Every completed slot decodes its own upload
+        (:func:`upload_stats`), streaming or not.
         ``faults`` (optional) arms a seeded :class:`FaultPlan`
         against the run; the reconcile then *degrades* instead of
         failing — retrying in waves per ``retry_policy``, resampling
@@ -593,7 +572,8 @@ class ClusterMaster:
             task.status.message = f"app {task.spec.app!r} not deployed"
             return task
 
-        injector = FaultInjector(faults) if faults else None
+        faults = faults or None
+        injector = FaultInjector(faults) if faults is not None else None
         report = (
             injector.report if injector is not None else DegradationReport()
         )
@@ -642,15 +622,14 @@ class ClusterMaster:
         # workers regenerate the binary from the fork-inherited workload
         # cache, so they can take slots only when the repository holds
         # that memoized binary
-        worker_pool = (
-            pool
-            if pool is not None
+        if (
+            pool is not None
             and pool.parallel
             and binary is get_workload(task.spec.app).binary()
-            else None
-        )
-        if worker_pool is not None:
-            worker_pool.broadcast(_warm_worker_binary, (task.spec.app,))
+        ):
+            pool.broadcast(_warm_worker_binary, (task.spec.app,))
+        else:
+            pool = RunPool(max_workers=1)
 
         ingestor: Optional[StreamingIngestor] = None
         if streaming:
@@ -700,8 +679,7 @@ class ClusterMaster:
             fleet.mark_tracing(pending_rows)
 
             round_outcomes = self._dispatch_round(
-                round_tasks, pods_by_uid, worker_pool, policy, faults,
-                injector, binary,
+                round_tasks, pool, policy, faults, binary
             )
             if ingestor is not None:
                 # online ingestion: decoded uploads enter the streaming

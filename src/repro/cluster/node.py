@@ -6,22 +6,17 @@ all nodes through the same virtual window; nodes do not interact directly
 matches how EXIST's node facilities operate independently under a
 cluster-level orchestrator.
 
-Placement specs and lazy nodes: every pod placement is recorded as a
-:class:`PodPlacement` carrying the profile, cpuset, spawn seed and the
-*pinned* pid/tids drawn from the global identity counters at placement
-time.  A node is therefore a pure function of its :class:`NodeSpec`
-(:meth:`ClusterNode.from_spec` rebuilds it byte-identically, e.g. inside
-a pool worker running one reconcile slot), and a node constructed
-with ``lazy=True`` defers the expensive kernel/facility build until a
-reconcile actually traces it — which is what lets the fleet model scale
-to thousands of nodes.
-
-Worker replays: a slot that runs in a pool worker drives a rebuilt copy,
-so the live node stays at its pre-dispatch state.  The master records
-the slot on the node (:meth:`ClusterNode.defer_replay`), and the node
-replays it in-process the next time its state is read or changed —
-``alive``, ``system``, ``facility``, ``now`` or :meth:`place_pod` — so
-later in-process use sees exactly what a ``jobs=1`` run would.
+Event log: a node's state is a pure function of its :class:`NodeSpec` —
+name, configs, seed and an append-only log of pod placements and slot
+entries.  A :class:`PodPlacement` carries the profile, cpuset, spawn
+seed and the *pinned* pid/tids drawn from the global identity counters
+at placement time, so replaying the log draws no counters and gives
+byte-identical traces.  The node records how many entries it has
+applied; reading ``system``, ``facility``, ``alive`` or ``now``, or
+placing a pod, first applies the rest (:meth:`ClusterNode.catch_up`).
+A node is therefore cheap until first use, and a copy rebuilt from its
+spec (:meth:`ClusterNode.from_spec`, which is also how a node pickles
+into a pool worker) catches up to exactly where the original is.
 
 Fault surface: a node can *crash* (its clock halts, in-flight tracing
 sessions are aborted and their in-memory trace data is lost) and later
@@ -34,7 +29,7 @@ salvageable.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.cluster.pod import Pod, PodPhase
 from repro.core.config import ExistConfig, TracingRequest
@@ -70,15 +65,20 @@ class PodPlacement:
     pod_uid: str
 
 
+#: one event of a node's log: a pod placement, or a slot to run on the node
+LogEntry = Union[PodPlacement, Callable[["ClusterNode"], object]]
+
+
 @dataclass(frozen=True)
 class NodeSpec:
-    """Picklable recipe for rebuilding one ClusterNode in a pool worker."""
+    """Picklable recipe for one ClusterNode: identity, configs, event log."""
 
     name: str
     system_config: SystemConfig
     exist_config: Optional[ExistConfig]
     seed: int
-    placements: Tuple[PodPlacement, ...]
+    #: pod placements and slot entries (callables run on the node), in order
+    log: Tuple[LogEntry, ...]
 
 
 class ClusterNode:
@@ -90,7 +90,6 @@ class ClusterNode:
         system_config: Optional[SystemConfig] = None,
         exist_config: Optional[ExistConfig] = None,
         seed: int = 0,
-        lazy: bool = False,
     ):
         self.name = name
         self.seed = seed
@@ -99,18 +98,17 @@ class ClusterNode:
         self._system: Optional[KernelSystem] = None
         self._facility: Optional[ExistFacility] = None
         self.pods: List[Pod] = []
-        self.placements: List[PodPlacement] = []
+        #: append-only event log; the first ``applied`` entries are applied
+        #: to this object
+        self.log: List[LogEntry] = []
+        self.applied = 0
+        self._applying = False
         self._next_pin = 0
         self._alive = True
         self.crash_count = 0
         self.restart_count = 0
-        #: the slot a pool worker ran on a rebuild of this node, not yet
-        #: replayed here (see :meth:`defer_replay`)
-        self._replay: Optional[Callable[["ClusterNode"], object]] = None
-        if not lazy:
-            self.materialize()
 
-    # -- lazy construction -------------------------------------------------------
+    # -- construction and the event log ----------------------------------------
 
     @property
     def core_count(self) -> int:
@@ -123,12 +121,11 @@ class ClusterNode:
         return self._system is not None
 
     def materialize(self) -> None:
-        """Build the kernel system + facility and spawn recorded pods.
+        """Build the kernel system + facility and spawn placed pods.
 
-        Idempotent; lazy nodes call this the first time a reconcile
-        actually traces them.  Pods spawn in placement order with their
-        pinned pid/tids, so a late materialization is byte-identical to
-        an eager one.
+        Idempotent; a node builds the first time its system or facility
+        is read.  Pods spawn in placement order with their pinned
+        pid/tids, so when the build happens never changes a trace byte.
         """
         if self._system is not None:
             return
@@ -137,108 +134,108 @@ class ClusterNode:
             self._system, self._exist_config, seed=self.seed
         )
         self._facility.install()
-        for placement, pod in zip(self.placements, self.pods):
-            if pod.process is not None:
-                continue
-            process = placement.profile.spawn(
-                self._system,
-                cpuset=placement.cpuset,
-                seed=placement.spawn_seed,
-                pid=placement.pid,
-                tids=placement.tids,
-            )
-            process.pod = pod
-            pod.mark_running(process)
+        for placement, pod in zip(self._placements(), self.pods):
+            self._spawn(placement, pod, placement.spawn_seed)
+
+    def _placements(self) -> List[PodPlacement]:
+        """The applied placements, one per pod, in pod order."""
+        return [
+            entry for entry in self.log[: self.applied]
+            if isinstance(entry, PodPlacement)
+        ]
+
+    def _spawn(self, placement: PodPlacement, pod: Pod, seed: int) -> None:
+        process = placement.profile.spawn(
+            self._system,
+            cpuset=pod.cpuset,
+            seed=seed,
+            pid=placement.pid,
+            tids=placement.tids,
+        )
+        process.pod = pod
+        pod.mark_running(process)
+
+    def _place(self, placement: PodPlacement, pod: Pod) -> None:
+        self.pods.append(pod)
+        if placement.profile.provisioning is ProvisioningMode.CPU_SET:
+            self._next_pin = max(self._next_pin, max(placement.cpuset) + 1)
+        if self._system is not None:
+            self._spawn(placement, pod, placement.spawn_seed)
+
+    def catch_up(self, stop: Optional[int] = None):
+        """Apply the log entries before ``stop`` (default: all) not yet applied.
+
+        A placement adds its pod; a slot entry is called on the node, and
+        what the last one returns is returned (None if no slot ran).
+        Reads made while an entry applies start no nested catch-up, so
+        every entry sees the node exactly as the entries before it left
+        it — in whichever process, and from wherever this object stopped.
+        """
+        if self._applying:
+            return None
+        self._applying = True
+        result = None
+        try:
+            for index in range(self.applied, len(self.log) if stop is None else stop):
+                self.applied = index + 1
+                entry = self.log[index]
+                if isinstance(entry, PodPlacement):
+                    self._place(entry, Pod(
+                        app=entry.app,
+                        node_name=self.name,
+                        profile=entry.profile,
+                        cpuset=entry.cpuset,
+                        uid=entry.pod_uid,
+                    ))
+                else:
+                    result = entry(self)
+        finally:
+            self._applying = False
+        return result
 
     @property
     def system(self) -> KernelSystem:
-        self._replay_worker_slot()
+        self.catch_up()
         self.materialize()
         assert self._system is not None
         return self._system
 
     @property
     def facility(self) -> ExistFacility:
-        self._replay_worker_slot()
+        self.catch_up()
         self.materialize()
         assert self._facility is not None
         return self._facility
 
     def to_spec(self) -> NodeSpec:
-        """The picklable recipe a pool worker rebuilds this node from."""
+        """The picklable recipe this node rebuilds from."""
         return NodeSpec(
             name=self.name,
             system_config=self._base_config,
             exist_config=self._exist_config,
             seed=self.seed,
-            placements=tuple(self.placements),
+            log=tuple(self.log),
         )
 
     @classmethod
     def from_spec(cls, spec: NodeSpec) -> "ClusterNode":
-        """Rebuild a node from its spec (no identity counters drawn)."""
+        """Rebuild a node from its spec; it replays the log on first use."""
         node = cls(
             spec.name,
             system_config=spec.system_config,
             exist_config=spec.exist_config,
             seed=spec.seed,
-            lazy=True,
         )
-        next_pin = 0
-        for placement in spec.placements:
-            pod = Pod(
-                app=placement.app,
-                node_name=spec.name,
-                profile=placement.profile,
-                cpuset=placement.cpuset,
-                uid=placement.pod_uid,
-            )
-            node.pods.append(pod)
-            node.placements.append(placement)
-            if placement.profile.provisioning is ProvisioningMode.CPU_SET:
-                next_pin = max(next_pin, max(placement.cpuset) + 1)
-        node._next_pin = next_pin
-        node.materialize()
+        node.log = list(spec.log)
         return node
 
-    @property
-    def rebuildable(self) -> bool:
-        """Whether a worker-side rebuild from spec matches this node.
-
-        True only while the node is *pristine*: never crashed, restarted,
-        advanced in time, or traced by a pool worker.  The master
-        dispatches only rebuildable nodes to workers; anything else runs
-        in-process on the live object.  Reads no replayable state, so
-        asking never triggers a replay.
-        """
-        return (
-            self._replay is None
-            and self._alive
-            and self.crash_count == 0
-            and self.restart_count == 0
-            and (self._system is None or self._system.sim.now == 0)
-        )
-
-    def defer_replay(self, replay: Callable[["ClusterNode"], object]) -> None:
-        """Record the slot a pool worker ran on a rebuild of this node.
-
-        Only a rebuildable node goes to a worker, and a pending replay
-        makes it not rebuildable, so at most one is ever pending.
-        ``replay(node)`` re-runs that slot on this (still pristine)
-        node, in-process, right before the node's state is next read or
-        changed.
-        """
-        assert self._replay is None
-        self._replay = replay
-
-    def _replay_worker_slot(self) -> None:
-        replay, self._replay = self._replay, None
-        if replay is not None:
-            replay(self)
+    def __reduce__(self):
+        # a node pickles as its spec (e.g. into a pool worker)
+        return (type(self).from_spec, (self.to_spec(),))
 
     @property
     def alive(self) -> bool:
-        self._replay_worker_slot()
+        self.catch_up()
         return self._alive
 
     # -- pod placement -------------------------------------------------------
@@ -248,16 +245,16 @@ class ClusterNode:
         profile: WorkloadProfile,
         cpuset: Optional[Sequence[int]] = None,
     ) -> Pod:
-        """Place and start one replica of ``profile`` on this node.
+        """Place one replica of ``profile`` on this node.
 
         CPU-set pods get an exclusive pinned range sized to their thread
         count when no explicit ``cpuset`` is given; CPU-share pods map to
-        the node's full core set.  On a lazy node the pod's identities
-        (uid, pid, tids) are drawn immediately — in the exact order an
-        eager spawn would draw them — but the process itself spawns at
-        :meth:`materialize` time.
+        the node's full core set.  The pod's identities (uid, pid, tids)
+        are drawn now, in the order a spawn would draw them, and pinned
+        in the log; the process starts now if the node is built, else
+        when it builds.
         """
-        self._replay_worker_slot()
+        self.catch_up()
         n_cores = self.core_count
         if cpuset is None:
             if profile.provisioning is ProvisioningMode.CPU_SET:
@@ -265,7 +262,6 @@ class ClusterNode:
                 if self._next_pin + need > n_cores:
                     raise RuntimeError(f"node {self.name} out of pinnable cores")
                 cpuset = tuple(range(self._next_pin, self._next_pin + need))
-                self._next_pin += need
             else:
                 cpuset = tuple(range(n_cores))
         pod = Pod(
@@ -274,7 +270,6 @@ class ClusterNode:
             profile=profile,
             cpuset=tuple(cpuset),
         )
-        spawn_seed = self.seed + len(self.pods)
         # same counter-draw order as Process()/new_thread() would use
         pid = next(kernel_task._pid_counter)
         tids = tuple(
@@ -284,23 +279,14 @@ class ClusterNode:
             app=profile.name,
             profile=profile,
             cpuset=pod.cpuset,
-            spawn_seed=spawn_seed,
+            spawn_seed=self.seed + len(self.pods),
             pid=pid,
             tids=tids,
             pod_uid=pod.uid,
         )
-        if self._system is not None:
-            process = profile.spawn(
-                self._system,
-                cpuset=pod.cpuset,
-                seed=spawn_seed,
-                pid=pid,
-                tids=tids,
-            )
-            process.pod = pod
-            pod.mark_running(process)
-        self.pods.append(pod)
-        self.placements.append(placement)
+        self.log.append(placement)
+        self.applied += 1
+        self._place(placement, pod)
         return pod
 
     # -- tracing ----------------------------------------------------------------
@@ -357,17 +343,9 @@ class ClusterNode:
         self._facility.install()
         self._alive = True
         for index, (placement, pod) in enumerate(
-            zip(self.placements, self.pods)
+            zip(self._placements(), self.pods)
         ):
-            process = placement.profile.spawn(
-                self._system,
-                cpuset=pod.cpuset,
-                seed=seed + index,
-                pid=placement.pid,
-                tids=placement.tids,
-            )
-            process.pod = pod
-            pod.mark_running(process)
+            self._spawn(placement, pod, seed + index)
 
     def schedule_pod_kill(
         self, pod: Pod, session: Optional[TracingSession], at_ns: int
@@ -399,7 +377,7 @@ class ClusterNode:
 
     @property
     def now(self) -> int:
-        self._replay_worker_slot()
+        self.catch_up()
         if self._system is None:
             return 0
         return self._system.sim.now

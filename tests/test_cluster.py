@@ -79,6 +79,8 @@ class TestClusterNode:
         second = node.place_pod(get_workload("Agent"))  # CPU-share
         assert first.cpuset == (0, 1, 2, 3)
         assert second.cpuset == tuple(range(8))
+        assert first.process is None  # spawns when the node is first used
+        node.materialize()
         assert first.phase is PodPhase.RUNNING
         assert first.process is not None
 

@@ -2,10 +2,12 @@
 spec rebuilds, worker-slot replay, pool parity, and churn."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
+from repro.cluster import master as master_module
 from repro.cluster.autoscale import ChurnModel
 from repro.cluster.crd import TaskPhase, TraceTaskSpec
 from repro.cluster.fleet import ABANDONED, ACHIEVED, SELECTED, FleetIndex
@@ -57,7 +59,7 @@ class TestFleetIndex:
 
 class TestLazyNodes:
     def test_lazy_node_defers_materialization(self):
-        node = ClusterNode("lazy-00", lazy=True)
+        node = ClusterNode("lazy-00")
         profile = __import__(
             "repro.program.workloads", fromlist=["get_workload"]
         ).get_workload("Search1")
@@ -72,18 +74,36 @@ class TestLazyNodes:
 
     def test_spec_rebuild_is_identity_exact(self):
         reset_identity_counters()
-        original = ClusterNode("spec-00", seed=3)
-        profile = __import__(
-            "repro.program.workloads", fromlist=["get_workload"]
-        ).get_workload("Search1")
-        pod = original.place_pod(profile)
-        rebuilt = ClusterNode.from_spec(original.to_spec())
-        twin = next(p for p in rebuilt.pods if p.uid == pod.uid)
-        assert twin.process.pid == pod.process.pid
-        assert twin.process.cr3 == pod.process.cr3
-        assert [t.tid for t in twin.process.threads] == [
-            t.tid for t in pod.process.threads
+        master = ClusterMaster(seed=3)
+        master.add_node(ClusterNode("spec-00", seed=3))
+        master.deploy("Search1", replicas=1)
+        task = master.submit(TraceTaskSpec(
+            app="Search1", reason=TraceReason.ANOMALY, period_ns=40 * MSEC,
+        ))
+        # a crash mid-window: the slot restarts the node and retries
+        master.reconcile(task, faults=FaultPlan.parse("crash@0.5", seed=0))
+        master.deploy("Agent", replicas=1)  # a placement after the slot
+        original = master.nodes["spec-00"]
+        assert [type(entry).__name__ for entry in original.log] == [
+            "PodPlacement", "SlotEntry", "PodPlacement",
         ]
+        rebuilt = ClusterNode.from_spec(original.to_spec())
+        assert rebuilt.now == original.now > 0  # reading `now` catches up
+        assert rebuilt.crash_count == original.crash_count == 1
+        assert rebuilt.restart_count == original.restart_count == 1
+        assert len(rebuilt.facility.completed) == len(
+            original.facility.completed
+        )
+
+        def identities(node):
+            return [
+                (pod.uid, pod.process.pid, pod.process.cr3,
+                 [t.tid for t in pod.process.threads])
+                for pod in node.pods
+            ]
+
+        assert len(original.pods) == 2
+        assert identities(rebuilt) == identities(original)
 
     def test_add_nodes_continues_numbering(self):
         master = ClusterMaster()
@@ -154,18 +174,35 @@ class TestShardedReconcileParity:
 
 
 class TestWorkerSlotReplay:
-    """A slot that ran in a pool worker replays on the live node before
-    the node is next used in-process, so later rounds pick up where the
-    worker left off instead of re-tracing from t=0."""
+    """Every round goes through the pool: a worker rebuilds the node from
+    its spec and replays the node's log, so later rounds pick up where
+    earlier ones left off instead of re-tracing from t=0, and the
+    master's node replays the same log when next used in-process."""
 
-    def _campaign_coverage(self, pool):
-        """Four profiling rounds of one app; merged coverage after each."""
+    @pytest.fixture
+    def coordinator_slots(self, monkeypatch):
+        """Counts the slots run in this (the coordinator's) process."""
+        pid = os.getpid()
+        ran = []
+        run_slot = master_module._run_slot
+
+        def counting(*args):
+            if os.getpid() == pid:
+                ran.append(args[1].slot)
+            return run_slot(*args)
+
+        monkeypatch.setattr(master_module, "_run_slot", counting)
+        return ran
+
+    def _campaign_coverage(self, pool, ran=None):
+        """Four profiling rounds of one app; merged coverage after each,
+        and per round the coordinator's slot runs and the slot count."""
         reset_identity_counters()
         master = ClusterMaster(seed=3)
         master.add_nodes(2, base_seed=30)
         master.deploy("Search1", replicas=2)
         cycle = master.deployments["Search1"].profile.path_model().length
-        merged, coverage = [], []
+        merged, coverage, runs = [], [], []
         for _ in range(4):
             task = master.submit(TraceTaskSpec(
                 app="Search1",
@@ -173,23 +210,71 @@ class TestWorkerSlotReplay:
                 period_ns=40 * MSEC,
                 requester="profiling-campaign",
             ))
+            before = len(ran) if ran is not None else 0
             master.reconcile(task, pool=pool)
+            if ran is not None:
+                runs.append((len(ran) - before, len(task.status.selected_pods)))
             for per_thread in master.task_coverage.get(task.name, {}).values():
                 for intervals in per_thread.values():
                     merged.extend(intervals)
             merged = merge_intervals(merged)
             coverage.append(augment_traces([merged]).coverage_of_cycle(cycle))
-        return coverage
+        return coverage, runs
 
     def test_campaign_coverage_independent_of_jobs(self):
         shutdown_process_pool()
-        serial = self._campaign_coverage(None)
+        serial, _ = self._campaign_coverage(None)
         with RunPool(max_workers=2) as pool:
-            pooled = self._campaign_coverage(pool)
+            pooled, _ = self._campaign_coverage(pool)
         shutdown_process_pool()
         assert pooled == serial
+        assert [round(c, 4) for c in serial] == [0.0613, 0.1115, 0.1655, 0.2115]
         # every round profiles new windows
         assert all(a < b for a, b in zip(serial, serial[1:]))
+
+    def test_every_round_dispatches_to_the_pool(self, coordinator_slots):
+        shutdown_process_pool()
+        _, serial = self._campaign_coverage(None, coordinator_slots)
+        with RunPool(max_workers=2) as pool:
+            _, pooled = self._campaign_coverage(pool, coordinator_slots)
+        shutdown_process_pool()
+        # jobs=1: each slot runs once, on the master's own node
+        assert all(slots > 0 for _, slots in serial)
+        assert [ran for ran, _ in serial] == [slots for _, slots in serial]
+        # jobs=2: no round runs a slot in the coordinator
+        assert [ran for ran, _ in pooled] == [0, 0, 0, 0]
+
+    def _placed_after_tracing(self, pool):
+        """Trace a node, place a pod on it, trace that pod: the outputs."""
+        reset_identity_counters()
+        master = ClusterMaster(seed=3)
+        master.add_nodes(1, base_seed=30)
+        outputs = []
+        for app in ("Search1", "Agent"):
+            # the Agent pod lands on the node Search1's reconcile traced
+            master.deploy(app, replicas=1)
+            task = master.submit(TraceTaskSpec(
+                app=app, reason=TraceReason.ANOMALY, period_ns=40 * MSEC,
+            ))
+            master.reconcile(task, pool=pool)
+            outputs.append([
+                [master.object_store.get(key).hex()
+                 for key in task.status.trace_keys],
+                master.sessions_for(task),
+                master.task_coverage[task.name],
+            ])
+        node = master.nodes["node-00000"]
+        outputs.append([node.now, len(node.facility.completed)])
+        return outputs
+
+    def test_placement_on_traced_node_then_pooled_reconcile(self):
+        shutdown_process_pool()
+        serial = self._placed_after_tracing(None)
+        with RunPool(max_workers=2) as pool:
+            pooled = self._placed_after_tracing(pool)
+        shutdown_process_pool()
+        assert serial[1][1], "the placed pod was traced"
+        assert pooled == serial
 
 
 class TestChaosDecodeParity:
