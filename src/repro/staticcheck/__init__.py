@@ -4,21 +4,23 @@ The reproduction's headline guarantees — byte-identical ``jobs=1`` vs
 ``jobs=N`` replay, seeded fault injection, content-addressed decode
 caching — all rest on source-level invariants that no runtime test pins
 down directly: virtual-time code must never read the wall clock, all
-randomness must come from :mod:`repro.util.rng` named streams, mutable
-module-global state must be registered with the resettable-identity
-machinery, and anything serialized or hashed must iterate in a defined
-order.  Violations historically surfaced as replay divergence and were
-fixed by bisection (see CHANGES.md, PR 3/4); this package catches the
-same bug classes at review time by walking the repo's own AST.
+randomness must come from :mod:`repro.util.rng` named streams with
+canonical labels, and mutable module-global state must be registered
+with the resettable-identity machinery.  Violations historically
+surfaced as replay divergence and were fixed by bisection; this package
+catches the same bug classes at review time by walking the repo's own
+AST.  Hash-order leaks into serialized output and lost worker-side
+writes are left to the byte-identical goldens and the CI jobs-parity
+diffs, which catch them at run time (EX005 already flags the unregistered
+module globals such a write would land in).
 
 Layout:
 
 * :mod:`repro.staticcheck.rules`    — the EX rule registries: per-file
-  rules EX001..EX006 plus the interprocedural rules EX007 (seed
-  provenance) and EX008 (fork-shared-state races), one per observed
-  failure mode;
-* :mod:`repro.staticcheck.graph`    — project-wide symbol table and
-  call graph the interprocedural rules run over;
+  rules EX001, EX002, EX004..EX006 plus the interprocedural rule EX007
+  (seed provenance), one per observed failure mode;
+* :mod:`repro.staticcheck.graph`    — project-wide symbol table the
+  interprocedural rule resolves calls and annotations through;
 * :mod:`repro.staticcheck.engine`   — three-pass driver: a facts pass
   over :mod:`repro.util.identity` / :mod:`repro.util.rng`, a per-file
   rule pass, and one project-rule pass over the whole-program graph;

@@ -3,16 +3,17 @@
 Pass 1 (*facts*) parses the registry modules — :mod:`repro.util.identity`
 and :mod:`repro.util.rng`, without importing either — and extracts the
 string registries the rules check against: the ``module:attr`` pairs
-rewound by ``reset_identity_counters``, the deliberately
-process-lifetime entries in ``PROCESS_LIFETIME_STATE``, the fork-boundary
-entry points (EX008), and the seed sink/root/canonicalizer sets (EX007).
+EX005 accepts as registered (rewound by ``reset_identity_counters`` or
+listed in ``PROCESS_LIFETIME_STATE``) and the seed
+sink/root/canonicalizer sets of EX007.
 
 Pass 2 (*local rules*) parses each target file once and runs the
 per-file :data:`repro.staticcheck.rules.RULES` registry over it.
 
 Pass 3 (*project rules*) builds one :class:`repro.staticcheck.graph.
 ProjectGraph` over every full-profile module and runs the interprocedural
-registry (:data:`repro.staticcheck.rules.PROJECT_RULES`) rooted at each.
+registry (:data:`repro.staticcheck.rules.PROJECT_RULES`, i.e. EX007)
+rooted at each.
 
 Every run is cold and in-process, and reports are sorted by
 (path, line, col, rule) — the analyzer holds itself to the determinism
@@ -38,8 +39,8 @@ RNG_MODULE_PATH = Path("src") / "repro" / "util" / "rng.py"
 
 #: rule selection per profile: tests/benchmarks run the relaxed subset —
 #: wall-clock *reads* and global-RNG hygiene still matter there, but
-#: serialization order, identity registration, and the interprocedural
-#: rules are contracts of the library tree only
+#: identity keys, identity registration, decode-loss accounting, and the
+#: interprocedural rule are contracts of the library tree only
 RELAXED_RULES = ("EX001", "EX002")
 
 
@@ -80,16 +81,14 @@ def collect_facts(root: Path) -> Dict[str, Set[str]]:
     """Parse the registry modules into rule-checkable facts.
 
     Returns string sets under ``identity_registered`` / ``process_lifetime``
-    (``module:attr`` pairs, for EX005/EX008), ``fork_entry_points``
-    (EX008), and ``seed_sinks`` / ``seed_roots`` / ``seed_canonicalizers``
-    (EX007).  Missing registry modules (analyzing a foreign tree) yield
-    empty sets — per-file rules then flag every candidate, and the
-    interprocedural rules fall back to their ``DEFAULT_*`` registries.
+    (``module:attr`` pairs, for EX005) and ``seed_sinks`` / ``seed_roots`` /
+    ``seed_canonicalizers`` (EX007).  Missing registry modules (analyzing
+    a foreign tree) yield empty sets — EX005 then flags every candidate,
+    and EX007 falls back to its ``DEFAULT_*`` registries.
     """
     facts: Dict[str, Set[str]] = {
         "identity_registered": set(),
         "process_lifetime": set(),
-        "fork_entry_points": set(),
         "seed_sinks": set(),
         "seed_roots": set(),
         "seed_canonicalizers": set(),
@@ -130,7 +129,6 @@ def collect_facts(root: Path) -> Dict[str, Set[str]]:
                         ]
                         if len(parts) == 2:
                             facts["process_lifetime"].add(f"{parts[0]}:{parts[1]}")
-        facts["fork_entry_points"] = _registry_strings(tree, "FORK_ENTRY_POINTS")
     rng_path = root / RNG_MODULE_PATH
     if rng_path.is_file():
         tree = ast.parse(rng_path.read_text(), filename=str(rng_path))

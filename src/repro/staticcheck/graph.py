@@ -1,27 +1,26 @@
-"""Whole-program view: project symbol table plus call graph.
+"""Whole-program view: the project symbol table.
 
 The per-file rules (EX001..EX006) deliberately see one module at a time;
-the bug classes PRs 6-9 fixed by hand — an uncanonicalized float seed
-label crossing a module boundary, a pool-worker callable three calls
-deep mutating a module global — are invisible at that granularity.
-:class:`ProjectGraph` is the shared substrate the interprocedural rules
-(EX007 and EX008, registered in :mod:`repro.staticcheck.rules`) run over:
+an uncanonicalized float seed label crossing a module boundary (the
+``loadgen`` arrival-rate bug) is invisible at that granularity.
+:class:`ProjectGraph` is the substrate the interprocedural rule (EX007,
+registered in :mod:`repro.staticcheck.rules`) runs over — a **symbol
+table** mapping dotted qualnames to definitions:
 
-* a **symbol table** mapping dotted qualnames to definitions — functions
-  and methods (with their :class:`~repro.staticcheck.rules.ModuleContext`
-  for alias resolution) and per-class attribute annotations (the
-  float-field signal EX007 keys on);
-* a **call graph** whose edges are resolved through each module's import
-  aliases: plain calls, ``from``-imported calls, same-class ``self.``
-  method calls, and calls through imported modules all resolve to
-  project qualnames; anything rooted in a dynamic receiver stays
-  unresolved (heuristic analyzer, conservative by construction).
+* functions and methods, with their
+  :class:`~repro.staticcheck.rules.ModuleContext` for alias resolution;
+  :meth:`ProjectGraph.resolve_callable` maps a call expression to one of
+  them through each module's import aliases (plain calls,
+  ``from``-imported calls, same-class ``self.`` method calls, calls
+  through imported modules); anything rooted in a dynamic receiver
+  stays unresolved (heuristic analyzer, conservative by construction);
+* per-class attribute annotations (the float-field signal EX007 keys on).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.staticcheck.rules import ModuleContext, Violation
 
@@ -29,23 +28,16 @@ from repro.staticcheck.rules import ModuleContext, Violation
 class FunctionInfo:
     """Symbol-table row for one function or method."""
 
-    __slots__ = ("qualname", "ctx", "node", "class_name")
+    __slots__ = ("ctx", "node", "class_name")
 
-    def __init__(
-        self,
-        qualname: str,
-        ctx: ModuleContext,
-        node: ast.AST,
-        class_name: Optional[str],
-    ):
-        self.qualname = qualname
+    def __init__(self, ctx: ModuleContext, node: ast.AST, class_name: Optional[str]):
         self.ctx = ctx
         self.node = node
         self.class_name = class_name  # enclosing "mod.Class" for methods
 
 
 class ProjectGraph:
-    """Symbol table + import/call graph over a set of module contexts."""
+    """Symbol table over a set of module contexts."""
 
     def __init__(
         self,
@@ -58,12 +50,8 @@ class ProjectGraph:
         self.functions: Dict[str, FunctionInfo] = {}
         #: "mod.Class" -> {attr: annotation token ("float", "int", ...)}
         self.class_annotations: Dict[str, Dict[str, str]] = {}
-        #: caller qualname -> [(callee qualname, call node)]
-        self.calls: Dict[str, List[Tuple[str, ast.Call]]] = {}
         for ctx in contexts.values():
             self._index_module(ctx)
-        for info in list(self.functions.values()):
-            self.calls[info.qualname] = self._index_calls(info)
 
     # -- symbol table -------------------------------------------------------
 
@@ -80,9 +68,7 @@ class ProjectGraph:
                         break
                     if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
                         break
-                self.functions[f"{module}.{qual}"] = FunctionInfo(
-                    f"{module}.{qual}", ctx, node, class_name
-                )
+                self.functions[f"{module}.{qual}"] = FunctionInfo(ctx, node, class_name)
             elif isinstance(node, ast.ClassDef):
                 scope = ctx.scope_of(node)
                 if "." in scope:
@@ -98,7 +84,7 @@ class ProjectGraph:
                         )
                 self.class_annotations[f"{module}.{node.name}"] = annotations
 
-    # -- call graph ---------------------------------------------------------
+    # -- call resolution ----------------------------------------------------
 
     def resolve_callable(
         self, ctx: ModuleContext, node: ast.AST, enclosing: Optional[FunctionInfo] = None
@@ -132,33 +118,8 @@ class ProjectGraph:
             candidate = f"{ctx.module}.{resolved}"
             if candidate in self.functions:
                 return candidate
-        # ClassName(...) -> __init__ is not walked; treat the class's
-        # methods as unreachable through construction (conservative)
+        # ClassName(...) does not resolve to __init__ (conservative)
         return None
-
-    def _index_calls(self, info: FunctionInfo) -> List[Tuple[str, ast.Call]]:
-        out: List[Tuple[str, ast.Call]] = []
-        for node in ast.walk(info.node):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = self.resolve_callable(info.ctx, node.func, info)
-            if callee is not None:
-                out.append((callee, node))
-        return out
-
-    def reachable_from(self, roots: Iterable[str]) -> Set[str]:
-        """Function qualnames reachable from ``roots`` via resolved calls."""
-        seen: Set[str] = set()
-        stack = [root for root in roots if root in self.functions]
-        while stack:
-            qual = stack.pop()
-            if qual in seen:
-                continue
-            seen.add(qual)
-            for callee, _site in self.calls.get(qual, ()):
-                if callee not in seen:
-                    stack.append(callee)
-        return seen
 
 
 def _annotation_token(annotation: ast.AST) -> str:

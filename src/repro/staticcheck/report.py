@@ -4,7 +4,7 @@ Two faces, same content: a ruff-style text listing for humans and a
 canonical JSON document (sorted keys, stable ordering) for the CI
 artifact.  Byte-determinism is not cosmetic here — the JSON report is
 diffed across runs, so the reporter honours the same ordered-output
-contract the EX003 rule enforces on the rest of the repo.
+contract the byte-identical goldens hold the rest of the repo to.
 """
 
 from __future__ import annotations

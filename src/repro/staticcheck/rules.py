@@ -364,7 +364,7 @@ def check_global_rng(ctx: ModuleContext) -> List[Violation]:
 
 
 # ---------------------------------------------------------------------------
-# shared helper — serialization / hashing scope detection (EX003, EX004)
+# shared helper — serialization / hashing scope detection (EX004)
 # ---------------------------------------------------------------------------
 
 _SINK_CALLS = frozenset({
@@ -391,113 +391,6 @@ def _serialization_reason(ctx: ModuleContext, fn: ast.AST) -> Optional[str]:
         if isinstance(node.func, ast.Attribute) and node.func.attr in ("digest", "hexdigest"):
             return f".{node.func.attr}()"
     return None
-
-
-def _unordered_source(node: ast.AST) -> Optional[str]:
-    """Token if ``node`` evaluates to an unordered/hash-ordered iterable."""
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return "set-literal"
-    if isinstance(node, ast.Call):
-        func = node.func
-        if isinstance(func, ast.Name) and func.id in ("set", "frozenset"):
-            return f"{func.id}()"
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in ("keys", "values", "items")
-            and not node.args
-        ):
-            return f".{func.attr}()"
-    return None
-
-
-#: order-sensitive consumers whose argument order lands in the output
-_ORDERED_CONSUMERS = frozenset({"list", "tuple", "iter", "enumerate", "map"})
-
-#: consumers whose result does not depend on argument order — anything
-#: nested under one of these has its iteration order normalized away
-_ORDER_NORMALIZERS = frozenset({
-    "sorted", "set", "frozenset", "min", "max", "sum", "len", "any", "all",
-    "Counter", "dict",
-})
-
-
-def _order_normalized(ctx: ModuleContext, site: ast.AST) -> bool:
-    """Whether ``site`` sits inside an order-insensitive consumer call.
-
-    ``tuple(sorted(mix.items()))`` and ``sorted(f(x) for x in d.items())``
-    are canonical-by-construction; the enclosing ``sorted()``/``set()``
-    erases whatever order the inner iteration produced.
-    """
-    for ancestor in ctx.ancestors(site):
-        if isinstance(ancestor, ast.stmt):
-            return False  # expressions never span statements
-        if (
-            isinstance(ancestor, ast.Call)
-            and isinstance(ancestor.func, ast.Name)
-            and ancestor.func.id in _ORDER_NORMALIZERS
-        ):
-            return True
-    return False
-
-
-def _iter_sites(fn: ast.AST) -> Iterator[Tuple[ast.AST, ast.AST]]:
-    """(site, iterable) pairs where iteration order becomes data order."""
-    for node in ast.walk(fn):
-        if isinstance(node, (ast.For, ast.AsyncFor)):
-            yield node, node.iter
-        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
-            for generator in node.generators:
-                yield node, generator.iter
-        elif isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name) and func.id in _ORDERED_CONSUMERS and node.args:
-                yield node, node.args[-1]
-            elif isinstance(func, ast.Attribute) and func.attr == "join" and node.args:
-                yield node, node.args[0]
-
-
-# ---------------------------------------------------------------------------
-# EX003 — unordered iteration into serialized output
-# ---------------------------------------------------------------------------
-
-
-@rule("EX003", "unordered set/dict iteration feeds serialized output")
-def check_unordered_serialization(ctx: ModuleContext) -> List[Violation]:
-    """Byte-identity (replay comparisons, decode-cache keys, committed
-    DegradationReport JSON) requires every serialized or hashed sequence
-    to have a *defined* order.  Set iteration is hash-order; dict views
-    are insertion-order, which silently changes when an unrelated code
-    path inserts first.  Inside a function that serializes or hashes,
-    any iteration whose order lands in the output must go through
-    ``sorted()``.
-    """
-    if not _in_repro(ctx) or _self_scoped(ctx):
-        return []
-    out: List[Violation] = []
-    seen: Set[Tuple[int, int]] = set()
-    for fn in ast.walk(ctx.tree):
-        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        reason = _serialization_reason(ctx, fn)
-        if reason is None:
-            continue
-        for site, iterable in _iter_sites(fn):
-            token = _unordered_source(iterable)
-            if token is None or _order_normalized(ctx, site):
-                continue
-            mark = (getattr(site, "lineno", 0), getattr(site, "col_offset", 0))
-            if mark in seen:  # nested functions are walked twice
-                continue
-            seen.add(mark)
-            violation = make_violation(
-                ctx, "EX003", site,
-                f"iteration over unordered {token} inside serializing "
-                f"function (sink: {reason}); wrap the iterable in sorted()",
-                token,
-            )
-            if violation:
-                out.append(violation)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +661,7 @@ def check_swallowed_decode_errors(ctx: ModuleContext) -> List[Violation]:
 
 
 # ---------------------------------------------------------------------------
-# interprocedural registry (EX007, EX008) — rules over the ProjectGraph
+# interprocedural registry (EX007) — rules over the ProjectGraph
 # ---------------------------------------------------------------------------
 #
 # These rules receive a ``repro.staticcheck.graph.ProjectGraph`` plus one
@@ -776,8 +669,8 @@ def check_swallowed_decode_errors(ctx: ModuleContext) -> List[Violation]:
 # because they need the whole program: the engine runs them once per
 # full-profile root after the per-file pass.
 
-#: fallback registries used when the analyzed tree's util/rng.py and
-#: util/identity.py do not declare their own (foreign trees, fixtures)
+#: fallback registries used when the analyzed tree's util/rng.py does
+#: not declare its own (foreign trees, fixtures)
 DEFAULT_SEED_SINKS = frozenset({
     "random.seed", "random.Random", "numpy.random.seed",
     "numpy.random.default_rng", "numpy.random.SeedSequence",
@@ -789,13 +682,6 @@ DEFAULT_SEED_ROOTS = frozenset({
     "repro.util.rng.RngFactory.stream",
 })
 DEFAULT_CANONICALIZERS = frozenset({"float", "int", "str", "repr", "round", "bool"})
-DEFAULT_FORK_ENTRY_POINTS = frozenset({
-    "repro.parallel.pool.RunPool.map",
-    "repro.parallel.pool.RunPool.broadcast",
-    "repro.parallel.workers.WorkerPool.map",
-    "repro.parallel.workers.WorkerPool.broadcast",
-    "repro.parallel.workers.process_pool",
-})
 
 #: sinks that fall back to OS entropy when called with no seed at all
 _ENTROPY_WHEN_UNSEEDED = frozenset({
@@ -1008,6 +894,23 @@ def _float_typed(graph, ctx: ModuleContext, node: ast.AST,
     return False
 
 
+def _unordered_source(node: ast.AST) -> Optional[str]:
+    """Token if ``node`` evaluates to an unordered/hash-ordered iterable."""
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return "set-literal"
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in ("set", "frozenset"):
+            return f"{func.id}()"
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr in ("keys", "values", "items")
+            and not node.args
+        ):
+            return f".{func.attr}()"
+    return None
+
+
 def _unordered_label(ctx: ModuleContext, node: ast.AST, fn: Optional[ast.AST]) -> Optional[str]:
     """Token if a derive_seed label stringifies in container order."""
     if isinstance(node, (ast.Dict, ast.DictComp)):
@@ -1112,202 +1015,6 @@ def check_seed_provenance(graph, root: str) -> List[Violation]:
                     f"np.float64(40000)) select different streams — "
                     f"normalize with float(...) into a local first",
                     text,
-                )
-                if violation:
-                    out.append(violation)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# EX008 — fork-shared-state races
-# ---------------------------------------------------------------------------
-
-
-def _pool_submission_sites(graph, ctx: ModuleContext,
-                           entries: Set[str]) -> List[Tuple[ast.Call, ast.expr]]:
-    """(call, task-callable expr) for pool fan-out sites in ``ctx``."""
-    entry_methods = {entry.rsplit(".", 1)[-1] for entry in entries if "." in entry}
-    entry_ctors = {"RunPool", "WorkerPool", "process_pool"}
-    sites: List[Tuple[ast.Call, ast.expr]] = []
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call) or not node.args:
-            continue
-        func = node.func
-        if not (isinstance(func, ast.Attribute) and func.attr in entry_methods):
-            continue
-        receiver = func.value
-        pool_like = False
-        if isinstance(receiver, ast.Name):
-            name = receiver.id.lower()
-            pool_like = name == "pool" or name.endswith("pool")
-            if not pool_like:
-                fn = _enclosing_function(ctx, receiver)
-                for value in _local_assignments(fn, receiver.id):
-                    if isinstance(value, ast.Call):
-                        resolved = ctx.resolve(value.func) or ""
-                        if resolved.split(".")[-1] in entry_ctors or resolved in entries:
-                            pool_like = True
-        elif isinstance(receiver, ast.Call):
-            resolved = ctx.resolve(receiver.func) or ""
-            pool_like = resolved in entries or resolved.split(".")[-1] in entry_ctors
-        elif isinstance(receiver, ast.Attribute):
-            pool_like = receiver.attr.lower().endswith("pool")
-        if pool_like:
-            sites.append((node, node.args[0]))
-    return sites
-
-
-def _worker_unsafe_effects(graph, info) -> List[Tuple[ast.AST, str, str]]:
-    """(site, name, kind) for unshippable writes inside one function.
-
-    Kinds: ``global`` (module-global container/flag of the function's own
-    module), ``module-attr`` (``othermod.attr = ...``), ``default-arg``
-    (mutable default argument mutated in place), ``closure`` (nonlocal
-    rebind).  Registered state (reset_identity_counters targets and
-    PROCESS_LIFETIME_STATE entries) is exempt — those are the declared,
-    output-invisible caches.
-    """
-    ctx = info.ctx
-    fn = info.node
-    registered = set(graph.facts.get("identity_registered", set()))
-    registered |= set(graph.facts.get("process_lifetime", set()))
-    module_bindings = set(_module_level_bindings(ctx))
-    params = {arg.arg for arg in getattr(fn.args, "args", [])}
-    params |= {arg.arg for arg in getattr(fn.args, "kwonlyargs", [])}
-    # plain local rebinds shadow the module global (unless declared global)
-    declared_global: Set[str] = set()
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Global):
-            declared_global.update(node.names)
-    locals_assigned: Set[str] = set()
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name) and target.id not in declared_global:
-                    locals_assigned.add(target.id)
-    mutable_defaults: Set[str] = set()
-    defaults = list(getattr(fn.args, "defaults", []))
-    if defaults:
-        for arg, default in zip(fn.args.args[-len(defaults):], defaults):
-            if isinstance(default, (ast.Dict, ast.List, ast.Set)):
-                mutable_defaults.add(arg.arg)
-            elif isinstance(default, ast.Call):
-                resolved = ctx.resolve(default.func) or ""
-                if resolved in _CONTAINER_CTORS:
-                    mutable_defaults.add(arg.arg)
-
-    effects: List[Tuple[ast.AST, str, str]] = []
-
-    def global_target(name: str) -> bool:
-        return (
-            name in module_bindings
-            and name not in params
-            and (name in declared_global or name not in locals_assigned)
-        )
-
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            base = node.func.value
-            if isinstance(base, ast.Name) and node.func.attr in _MUTATOR_METHODS:
-                if base.id in mutable_defaults:
-                    effects.append((node, base.id, "default-arg"))
-                elif global_target(base.id) and f"{ctx.module}:{base.id}" not in registered:
-                    effects.append((node, base.id, "global"))
-        elif isinstance(node, (ast.Assign, ast.AugAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                if isinstance(target, ast.Subscript) and isinstance(target.value, ast.Name):
-                    name = target.value.id
-                    if name in mutable_defaults:
-                        effects.append((node, name, "default-arg"))
-                    elif global_target(name) and f"{ctx.module}:{name}" not in registered:
-                        effects.append((node, name, "global"))
-                elif isinstance(target, ast.Name) and target.id in declared_global:
-                    if f"{ctx.module}:{target.id}" not in registered:
-                        effects.append((node, target.id, "global"))
-                elif isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name):
-                    base_name = target.value.id
-                    resolved = None
-                    if base_name in ctx.import_aliases:
-                        resolved = ctx.import_aliases[base_name]
-                    elif base_name in ctx.from_imports:
-                        resolved = ctx.from_imports[base_name]
-                    if (
-                        resolved is not None
-                        and resolved in graph.contexts
-                        and f"{resolved}:{target.attr}" not in registered
-                    ):
-                        effects.append(
-                            (node, f"{base_name}.{target.attr}", "module-attr")
-                        )
-        elif isinstance(node, ast.Nonlocal):
-            # a nonlocal inside a *nested* helper binds a cell of this
-            # function's own frame — intra-task, ships back with the
-            # return value.  Only fn's own nonlocals escape the task.
-            enclosing = _enclosing_function(ctx, node)
-            if enclosing is fn:
-                for name in node.names:
-                    effects.append((node, name, "closure"))
-    return effects
-
-
-@project_rule("EX008", "worker-side mutation of state that never ships back")
-def check_fork_shared_state(graph, root: str) -> List[Violation]:
-    """Task callables run in forked pool workers whose memory is discarded
-    after the task: only the pickled return value ships back.  A
-    function reachable from a submitted callable that mutates a module
-    global, a closure cell, or a mutable default
-    argument therefore diverges silently — the parent never sees the
-    write, and the worker drags it into unrelated later tasks (the
-    parent/worker divergence class PR 6 hit).  Registered state
-    (``reset_identity_counters`` targets, ``PROCESS_LIFETIME_STATE``) is
-    exempt: those are the declared output-invisible caches.
-    """
-    ctx = graph.contexts.get(root)
-    if ctx is None or not _in_repro(ctx) or _self_scoped(ctx) or ctx.profile != "full":
-        return []
-    entries = _facts_set(graph.facts, "fork_entry_points", DEFAULT_FORK_ENTRY_POINTS)
-    out: List[Violation] = []
-    seen: Set[Tuple[str, int, str]] = set()
-    for call, task_arg in _pool_submission_sites(graph, ctx, entries):
-        enclosing = _enclosing_function_info(graph, ctx, call)
-        task_roots: List[str] = []
-        if isinstance(task_arg, ast.Lambda):
-            for inner in ast.walk(task_arg.body):
-                if isinstance(inner, ast.Call):
-                    callee = graph.resolve_callable(ctx, inner.func, enclosing)
-                    if callee is not None:
-                        task_roots.append(callee)
-        else:
-            callee = graph.resolve_callable(ctx, task_arg, enclosing)
-            if callee is not None:
-                task_roots.append(callee)
-        if not task_roots:
-            continue
-        submitted_at = f"{ctx.path}:{call.lineno}"
-        for reached in sorted(graph.reachable_from(task_roots)):
-            info = graph.functions[reached]
-            if info.ctx.module.startswith("repro.staticcheck"):
-                continue
-            for site, name, kind in _worker_unsafe_effects(graph, info):
-                mark = (info.ctx.path, getattr(site, "lineno", 0), name)
-                if mark in seen:
-                    continue
-                seen.add(mark)
-                what = {
-                    "global": f"module global '{name}'",
-                    "module-attr": f"imported-module attribute '{name}'",
-                    "default-arg": f"mutable default argument '{name}'",
-                    "closure": f"closure cell '{name}' (nonlocal)",
-                }[kind]
-                violation = make_violation(
-                    info.ctx, "EX008", site,
-                    f"{info.qualname}() mutates {what} while reachable from "
-                    f"worker task callable '{task_roots[0]}' (submitted at "
-                    f"{submitted_at}); worker-side writes never ship back to "
-                    f"the parent — return the data instead, or "
-                    f"register the state with repro.util.identity",
-                    name,
                 )
                 if violation:
                     out.append(violation)

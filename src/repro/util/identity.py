@@ -52,26 +52,6 @@ PROCESS_LIFETIME_STATE = frozenset({
     ("repro.parallel.workers", "_worker_ids"),
 })
 
-#: Fork-boundary *entry points*: callables whose function argument runs
-#: inside a forked pool worker.  Everything (transitively) reachable
-#: from a task callable passed to one of these executes in a child
-#: process whose memory is thrown away after the task — only the
-#: returned value ships back, pickled through the result pipe.  The
-#: EX008 rule of :mod:`repro.staticcheck` walks the call graph from
-#: these roots and fails the build when a reachable function mutates
-#: module-global state that is neither rewound by
-#: :func:`reset_identity_counters` nor listed in
-#: :data:`PROCESS_LIFETIME_STATE`: such writes silently diverge between
-#: the parent (never sees them) and the worker (carries them into later
-#: tasks) — the parent/worker divergence class PR 6 hit.
-FORK_ENTRY_POINTS = frozenset({
-    "repro.parallel.pool.RunPool.map",
-    "repro.parallel.pool.RunPool.broadcast",
-    "repro.parallel.workers.WorkerPool.map",
-    "repro.parallel.workers.WorkerPool.broadcast",
-    "repro.parallel.workers.process_pool",
-})
-
 
 def reset_identity_counters() -> None:
     """Rewind all module-global identity streams to their boot values."""
