@@ -48,23 +48,15 @@ class _FacilityHooks:
             self._tax_cache[thread.tid] = tax
         return tax
 
-    def _tracer_matches(self, tracer: Optional[CoreTracer], thread: Thread) -> bool:
-        return (
-            tracer is not None
-            and tracer.enabled
-            and tracer.msr.cr3_match in (0, thread.process.cr3)
-        )
-
     def slice_tax(self, thread: Thread, core: LogicalCore) -> float:
         tracer = self._facility.tracers.get(core.core_id)
-        if not self._tracer_matches(tracer, thread):
+        if (
+            tracer is None
+            or not tracer.enabled
+            or tracer.msr.cr3_match not in (0, thread.process.cr3)
+        ):
             return 0.0
         return self._pt_tax(thread)
-
-    def wants_path(self, thread: Thread, core: LogicalCore) -> bool:
-        return self._tracer_matches(
-            self._facility.tracers.get(core.core_id), thread
-        )
 
     def on_slice(
         self, core: LogicalCore, thread: Thread, start_ns: int, result: SliceResult

@@ -131,7 +131,7 @@ class OperationAwareTracingController:
             tracer.attach_output(outputs[core_id])
             tracer.msr.configure(self.TRACE_FLAGS, cr3_match=target.cr3)
             self.control_ns += 4 * self.ledger.model.wrmsr_ns
-        # tracer state flipped: cached slice_tax/wants_path answers are stale
+        # tracer state flipped: cached slice_tax answers are stale
         self.system.scheduler.invalidate_hook_cache()
 
         # (2) hook: enable-on-first-schedule-in, nothing at schedule-out

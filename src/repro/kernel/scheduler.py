@@ -13,8 +13,6 @@ Tracing facilities integrate through :class:`SchedulerHooks`:
 
 * ``slice_tax`` — continuous CPU fraction stolen from a running thread
   (per-branch tracing tax, PMI sampling, perf's buffer draining, ...);
-* ``wants_path`` — whether a hardware tracer needs the symbolic
-  control-flow chunk for the thread's next slice;
 * ``on_slice`` — delivery of each finished slice (the per-core tracer
   consumes branch counts and path chunks here).
 """
@@ -52,10 +50,6 @@ class SchedulerHooks(Protocol):
 
     def slice_tax(self, thread: Thread, core: LogicalCore) -> float:
         """Continuous CPU fraction stolen while ``thread`` runs."""
-        ...  # pragma: no cover - protocol
-
-    def wants_path(self, thread: Thread, core: LogicalCore) -> bool:
-        """Whether a tracer wants the next slice's path chunk."""
         ...  # pragma: no cover - protocol
 
     def on_slice(
@@ -142,6 +136,10 @@ class Scheduler:
         self.sim = sim
         self.topology = topology
         self.tracepoints = tracepoints
+        #: the registry's live hook lists: a switch or syscall builds its
+        #: record and fires only while hooks are attached
+        self._switch_hooks = tracepoints.live_hooks(SCHED_SWITCH)
+        self._sys_enter_hooks = tracepoints.live_hooks(SYS_ENTER)
         self.syscalls = syscalls
         self.config = config or SchedulerConfig()
         self._rng = rng.stream("scheduler")
@@ -149,10 +147,10 @@ class Scheduler:
             core.core_id: _RunQueue() for core in topology.cores
         }
         self._hooks: List[SchedulerHooks] = []
-        #: packed (tid << HOOK_KEY_CORE_BITS | core_id) -> (epoch, tax, record_path)
+        #: packed (tid << HOOK_KEY_CORE_BITS | core_id) -> (epoch, tax)
         #: decision table; entries are valid while their epoch matches
         #: :attr:`_hook_epoch` — see invalidate_hook_cache()
-        self._hook_cache: Dict[int, Tuple[int, float, bool]] = {}
+        self._hook_cache: Dict[int, Tuple[int, float]] = {}
         #: current tracing epoch; bumping it invalidates every cached
         #: decision in O(1) instead of clearing the table
         self._hook_epoch = 0
@@ -180,7 +178,7 @@ class Scheduler:
     def invalidate_hook_cache(self) -> None:
         """Invalidate cached per-thread hook decisions.
 
-        ``slice_tax``/``wants_path`` answers are cached per
+        ``slice_tax`` answers are cached per
         ``(tid, core_id)`` because for every scheme they are constant
         between *tracing epochs* — the points where a facility flips
         per-core tracer state (EXIST's OTC enabling/disabling cores,
@@ -274,8 +272,11 @@ class Scheduler:
         """Account one switch and fire the tracepoint hooks."""
         core.context_switches += 1
         self.total_context_switches += 1
-        record = SchedSwitchRecord(self.sim.now, core.core_id, prev, nxt)
-        hook_cost = self.tracepoints.fire(SCHED_SWITCH, record)
+        hook_cost = 0
+        if self._switch_hooks:
+            hook_cost = self.tracepoints.fire(
+                SCHED_SWITCH, SchedSwitchRecord(self.sim.now, core.core_id, prev, nxt)
+            )
         cost = self.config.context_switch_cost_ns + hook_cost
         core.kernel_ns += cost
         if self.switch_log is not None:
@@ -304,7 +305,6 @@ class Scheduler:
         if not self._hooks:
             # untraced systems skip the decision table entirely
             tax = 0.0
-            record_path = False
         else:
             # packed int key: tuple construction and tuple hashing are
             # measurably slower than a single int on this per-switch path
@@ -313,21 +313,18 @@ class Scheduler:
             cached = self._hook_cache.get(key)
             if cached is not None and cached[0] == epoch:
                 tax = cached[1]
-                record_path = cached[2]
             else:
                 tax = 0.0
-                record_path = False
                 for hooks in self._hooks:
                     tax += hooks.slice_tax(thread, core)
-                    record_path = record_path or hooks.wants_path(thread, core)
                 tax = min(tax, 0.95)
-                self._hook_cache[key] = (epoch, tax, record_path)
+                self._hook_cache[key] = (epoch, tax)
 
         speed = self.topology.speed_factor(core, thread.process.llc_pressure)
         work_rate = speed * (1.0 - tax)
         budget = self.config.timeslice_ns
         start = self.sim.now
-        result = thread.engine.advance(budget, work_rate, record_path)
+        result = thread.engine.advance(budget, work_rate)
         if result.ran_ns <= 0 and result.outcome not in (SLICE_DONE, SLICE_SYSCALL):
             raise RuntimeError(
                 f"engine for {thread} made no progress (outcome={result.outcome})"
@@ -385,8 +382,12 @@ class Scheduler:
         assert result.syscall is not None
         spec = self.syscalls.get(result.syscall)
         thread.syscall_count += 1
-        record = SyscallRecord(self.sim.now, core.core_id, thread, result.syscall)
-        probe_cost = self.tracepoints.fire(SYS_ENTER, record)
+        probe_cost = 0
+        if self._sys_enter_hooks:
+            probe_cost = self.tracepoints.fire(
+                SYS_ENTER,
+                SyscallRecord(self.sim.now, core.core_id, thread, result.syscall),
+            )
         kernel_cost = spec.kernel_ns + probe_cost
         core.kernel_ns += kernel_cost
         thread.kernel_ns += kernel_cost
@@ -401,7 +402,7 @@ class Scheduler:
         core.running = None
         sim = self.sim
         if spec.blocking:
-            block_ns = self._sample_block(spec, result.block_ns)
+            block_ns = self._sample_block(spec)
             thread.state = ThreadState.BLOCKED
             sim.post(sim.now + kernel_cost + block_ns, partial(self._wake, thread))
             sim.follow(sim.now + kernel_cost, partial(self._switch_out, core, thread))
@@ -420,12 +421,11 @@ class Scheduler:
             self._context_switch(core, prev=thread, nxt=nxt)
         self._start_slice(core, nxt)
 
-    def _sample_block(self, spec, engine_block_ns: int) -> int:
-        base = engine_block_ns if engine_block_ns > 0 else spec.block_ns
+    def _sample_block(self, spec) -> int:
         if spec.block_jitter <= 0.0:
-            return base
+            return spec.block_ns
         noise = math.exp(self._rng.normal(0.0, spec.block_jitter))
-        return max(1, int(base * noise))
+        return max(1, int(spec.block_ns * noise))
 
     def _wake(self, thread: Thread) -> None:
         if thread.state is not ThreadState.BLOCKED:

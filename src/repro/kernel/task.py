@@ -30,10 +30,9 @@ class ThreadState(enum.Enum):
 SLICE_TIMESLICE = "timeslice"
 SLICE_SYSCALL = "syscall"
 SLICE_DONE = "done"
-SLICE_YIELD = "yield"
 
 
-@dataclass
+@dataclass(slots=True)
 class SliceResult:
     """What happened while a thread ran on a core for one slice.
 
@@ -52,7 +51,6 @@ class SliceResult:
     branches: int
     outcome: str
     syscall: Optional[str] = None
-    block_ns: int = 0
     event_range: Optional[Tuple[int, int]] = None
 
 
@@ -62,9 +60,7 @@ class ExecutionEngine(Protocol):
     Implemented by :class:`repro.program.execution.ProgramExecution`.
     """
 
-    def advance(
-        self, budget_ns: int, work_rate: float, record_path: bool
-    ) -> SliceResult:
+    def advance(self, budget_ns: int, work_rate: float) -> SliceResult:
         """Run for at most ``budget_ns`` of CPU time at ``work_rate``."""
         ...  # pragma: no cover - protocol
 

@@ -207,7 +207,7 @@ class SchedRecordLog:
         return log
 
 
-@dataclass
+@dataclass(slots=True)
 class SyscallRecord:
     """Payload delivered to ``sys_enter`` / ``sys_exit`` hooks."""
 
@@ -229,7 +229,6 @@ class TracepointRegistry:
 
     def __init__(self) -> None:
         self._hooks: Dict[str, List[Hook]] = {}
-        self.fire_counts: Dict[str, int] = {}
 
     def attach(self, tracepoint: str, hook: Hook) -> None:
         """Attach ``hook`` to ``tracepoint`` (appended after existing hooks)."""
@@ -243,10 +242,17 @@ class TracepointRegistry:
         """Copy of the hooks attached to ``tracepoint``."""
         return list(self._hooks.get(tracepoint, ()))
 
+    def live_hooks(self, tracepoint: str) -> List[Hook]:
+        """The list ``attach``/``detach`` mutate for ``tracepoint``.
+
+        A caller may hold it and skip building a record (and calling
+        :meth:`fire`) while it is empty; do not mutate it.
+        """
+        return self._hooks.setdefault(tracepoint, [])
+
     def fire(self, tracepoint: str, record: object) -> int:
         """Invoke all hooks of ``tracepoint``; return total cost in ns."""
         hooks = self._hooks.get(tracepoint)
-        self.fire_counts[tracepoint] = self.fire_counts.get(tracepoint, 0) + 1
         if not hooks:
             return 0
         total = 0

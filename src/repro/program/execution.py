@@ -11,18 +11,25 @@ paper's workload classes:
   each request is a receive syscall, a burst of work, and a send syscall;
   completed requests are counted for throughput.
 
-Both share the scripted-execution core: a generator yields ``("work", n)``
-and ``("syscall", name)`` items, and :meth:`advance` consumes them against
-the slice budget.  Progress (and therefore the symbolic path) depends only
-on cumulative retired work — never on timing — so runs under different
-tracing schemes execute identical paths at different speeds.
+Both share the scripted-execution core.  A script is a sequence of items,
+each an int kind code (:data:`WORK`, :data:`SYSCALL`, :data:`REQUEST_END`)
+with a payload (instructions as a float, a syscall name, or ``None``).
+Each engine's ``_refill`` produces the next small block of items as two
+plain lists, and :meth:`_ScriptedExecution.advance` walks them with an
+index against the slice budget, so a slice allocates nothing per item.
+``_refill`` draws the block's random numbers ahead of use, in the same
+scalar order item by item; that is safe only because each engine's RNG
+is private to its script.  Progress (and therefore the symbolic path)
+depends only on cumulative retired work — never on timing — so runs
+under different tracing schemes execute identical paths at different
+speeds.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,11 +37,20 @@ from repro.kernel.task import SLICE_DONE, SLICE_SYSCALL, SLICE_TIMESLICE, SliceR
 from repro.program.path import PathModel
 from repro.util.rng import derive_seed
 
-ScriptItem = Tuple[str, object]
+#: script item kind codes
+WORK = 0
+SYSCALL = 1
+REQUEST_END = 2
+
+#: most work chunks (compute jobs) or requests (server loops) per block
+BLOCK_ITEMS = 16
+
+#: one block of script items: kind codes and their payloads
+ScriptBlock = Tuple[List[int], List[object]]
 
 
 class _ScriptedExecution:
-    """Shared advance loop over a (work | syscall) script."""
+    """Shared advance loop over a (work | syscall | request end) script."""
 
     def __init__(
         self,
@@ -55,22 +71,25 @@ class _ScriptedExecution:
         self.nominal_ips = nominal_ips
         self.branch_per_instr = branch_per_instr
         self._rng = np.random.default_rng(derive_seed(seed, "exec", label))
-        self._script: Iterator[ScriptItem] = self._make_script()
-        self._current: Optional[ScriptItem] = None
-        self._current_progress: float = 0.0
+        #: the current block, the index of its next item, and the
+        #: instructions already retired of that item when it is work
+        self._kinds: List[int] = []
+        self._payloads: List[object] = []
+        self._pos = 0
+        self._progress = 0.0
         #: replicas of long-running services start at different phases of
         #: the behaviour cycle; the offset shifts the symbolic path index
         self.phase_offset_instr = float(phase_offset_instr)
         self.instructions_done: float = float(phase_offset_instr)
+        #: request-end items passed (stays 0 for scripts without them)
+        self.requests_completed = 0
         self._finished = False
 
     # -- subclass contract ---------------------------------------------------
 
-    def _make_script(self) -> Iterator[ScriptItem]:
+    def _refill(self) -> ScriptBlock:
+        """The script's next block of items; empty lists once it is done."""
         raise NotImplementedError
-
-    def _on_item_complete(self, item: ScriptItem) -> None:
-        """Subclass notification when a script item fully completes."""
 
     # -- engine protocol -------------------------------------------------------
 
@@ -87,9 +106,7 @@ class _ScriptedExecution:
         """Current absolute symbolic path-event index."""
         return int(self.branches_cum // self.path_model.stride)
 
-    def advance(
-        self, budget_ns: int, work_rate: float, record_path: bool
-    ) -> SliceResult:
+    def advance(self, budget_ns: int, work_rate: float) -> SliceResult:
         if self._finished:
             raise RuntimeError("advance() after completion")
         if budget_ns <= 0:
@@ -103,57 +120,55 @@ class _ScriptedExecution:
         branches_before = self.instructions_done * bpi
         consumed_instr = 0.0
         outcome = SLICE_TIMESLICE
-        syscall: Optional[str] = None
+        syscall = None
 
+        kinds = self._kinds
+        payloads = self._payloads
+        pos = self._pos
+        progress = self._progress
         while True:
-            if self._current is None:
-                self._current = next(self._script, None)
-                self._current_progress = 0.0
-            if self._current is None:
-                self._finished = True
-                outcome = SLICE_DONE
-                break
-            kind, payload = self._current
-            if kind == "work":
-                remaining = float(payload) - self._current_progress  # type: ignore[arg-type]
+            if pos == len(kinds):
+                kinds, payloads = self._refill()
+                self._kinds = kinds
+                self._payloads = payloads
+                pos = 0
+                if not kinds:
+                    self._finished = True
+                    outcome = SLICE_DONE
+                    break
+            kind = kinds[pos]
+            if kind == WORK:
+                payload = payloads[pos]
+                remaining = payload - progress
                 available = budget_instr - consumed_instr
                 take = min(remaining, available)
                 consumed_instr += take
-                self._current_progress += take
-                if self._current_progress >= float(payload) - 1e-9:  # type: ignore[arg-type]
-                    item = self._current
-                    self._current = None
-                    self._on_item_complete(item)
+                progress += take
+                if progress >= payload - 1e-9:
+                    pos += 1
+                    progress = 0.0
                     continue
-                outcome = SLICE_TIMESLICE
                 break
-            if kind == "syscall":
-                item = self._current
-                self._current = None
-                self._on_item_complete(item)
+            pos += 1
+            if kind == SYSCALL:
                 outcome = SLICE_SYSCALL
-                syscall = str(payload)
+                syscall = payloads[pos - 1]
                 break
-            # zero-cost marker items (e.g. "request_end"): complete and move on
-            item = self._current
-            self._current = None
-            self._on_item_complete(item)
+            # REQUEST_END: a zero-cost marker
+            self.requests_completed += 1
+        self._pos = pos
+        self._progress = progress
 
         self.instructions_done += consumed_instr
         branches_after = self.instructions_done * bpi
-        ran_ns = int(math.ceil(consumed_instr / ips)) if consumed_instr else 0
-        event_range = (
-            int(branches_before // stride),
-            int(branches_after // stride),
-        )
+        ran_ns = math.ceil(consumed_instr / ips) if consumed_instr else 0
         return SliceResult(
             ran_ns,
             consumed_instr,
             int(branches_after) - int(branches_before),
             outcome,
             syscall,
-            0,
-            event_range,
+            (int(branches_before // stride), int(branches_after // stride)),
         )
 
 
@@ -195,21 +210,33 @@ class ProgramExecution(_ScriptedExecution):
         cdf = (mix / total).cumsum()
         cdf /= cdf[-1]
         self._mix_cdf = cdf.tolist()
+        #: instructions scripted so far
+        self._emitted = 0.0
         super().__init__(
             path_model, nominal_ips, branch_per_instr, seed, label,
             phase_offset_instr=phase_offset_instr,
         )
 
-    def _make_script(self) -> Iterator[ScriptItem]:
-        emitted = 0.0
-        while emitted < self.work_total:
-            gap = float(self._rng.exponential(self.syscall_interval))
-            chunk = min(gap, self.work_total - emitted)
-            yield ("work", chunk)
+    def _refill(self) -> ScriptBlock:
+        kinds: List[int] = []
+        payloads: List[object] = []
+        rng = self._rng
+        total = self.work_total
+        emitted = self._emitted
+        for _ in range(BLOCK_ITEMS):
+            if emitted >= total:
+                break
+            gap = float(rng.exponential(self.syscall_interval))
+            chunk = min(gap, total - emitted)
+            kinds.append(WORK)
+            payloads.append(chunk)
             emitted += chunk
-            if emitted < self.work_total:
-                pick = bisect.bisect_right(self._mix_cdf, self._rng.random())
-                yield ("syscall", self._mix_names[pick])
+            if emitted < total:
+                pick = bisect.bisect_right(self._mix_cdf, rng.random())
+                kinds.append(SYSCALL)
+                payloads.append(self._mix_names[pick])
+        self._emitted = emitted
+        return kinds, payloads
 
 
 class ServerLoopExecution(_ScriptedExecution):
@@ -245,34 +272,41 @@ class ServerLoopExecution(_ScriptedExecution):
         #: name -> expected occurrences per request (Poisson-thinned)
         self.extra_syscalls = extra_syscalls or {}
         self.max_requests = max_requests
-        self.requests_completed = 0
+        #: requests scripted so far
+        self._requests_scripted = 0
         super().__init__(
             path_model, nominal_ips, branch_per_instr, seed, label,
             phase_offset_instr=phase_offset_instr,
         )
 
-    def _make_script(self) -> Iterator[ScriptItem]:
-        mu = math.log(self.request_instr_mean) - 0.5 * self.request_instr_sigma**2
-        for _ in range(self.max_requests):
-            yield ("syscall", self.recv_syscall)
-            burst = float(self._rng.lognormal(mu, self.request_instr_sigma))
-            if self.extra_syscalls:
-                # split the burst around mid-request syscalls
-                extras = [
-                    name
-                    for name, rate in self.extra_syscalls.items()
-                    if self._rng.random() < rate
-                ]
-                parts = len(extras) + 1
-                for name in extras:
-                    yield ("work", burst / parts)
-                    yield ("syscall", name)
-                yield ("work", burst / parts)
-            else:
-                yield ("work", burst)
-            yield ("syscall", self.send_syscall)
-            yield ("request_end", None)
-
-    def _on_item_complete(self, item: ScriptItem) -> None:
-        if item[0] == "request_end":
-            self.requests_completed += 1
+    def _refill(self) -> ScriptBlock:
+        kinds: List[int] = []
+        payloads: List[object] = []
+        n = min(BLOCK_ITEMS, self.max_requests - self._requests_scripted)
+        self._requests_scripted += n
+        rng = self._rng
+        sigma = self.request_instr_sigma
+        mu = math.log(self.request_instr_mean) - 0.5 * sigma**2
+        recv = self.recv_syscall
+        send = self.send_syscall
+        for _ in range(n):
+            burst = float(rng.lognormal(mu, sigma))
+            if not self.extra_syscalls:
+                kinds.extend((SYSCALL, WORK, SYSCALL, REQUEST_END))
+                payloads.extend((recv, burst, send, None))
+                continue
+            # split the burst around mid-request syscalls
+            extras = [
+                name
+                for name, rate in self.extra_syscalls.items()
+                if rng.random() < rate
+            ]
+            part = burst / (len(extras) + 1)
+            kinds.append(SYSCALL)
+            payloads.append(recv)
+            for name in extras:
+                kinds.extend((WORK, SYSCALL))
+                payloads.extend((part, name))
+            kinds.extend((WORK, SYSCALL, REQUEST_END))
+            payloads.extend((part, send, None))
+        return kinds, payloads

@@ -92,10 +92,6 @@ class TracingScheme(abc.ABC):
         """Continuous CPU fraction stolen while ``thread`` runs."""
         return 0.0
 
-    def wants_path(self, thread: Thread, core: LogicalCore) -> bool:
-        """Whether the scheme needs slices' symbolic path chunks."""
-        return False
-
     def on_slice(
         self, core: LogicalCore, thread: Thread, start_ns: int, result: SliceResult
     ) -> None:

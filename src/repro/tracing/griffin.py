@@ -98,10 +98,6 @@ class GriffinScheme(TracingScheme):
             self._tax_cache[thread.tid] = tax
         return tax
 
-    def wants_path(self, thread: Thread, core: LogicalCore) -> bool:
-        """Target threads' slices carry their symbolic path chunk."""
-        return self.is_target(thread)
-
     def on_slice(
         self, core: LogicalCore, thread: Thread, start_ns: int, result: SliceResult
     ) -> None:

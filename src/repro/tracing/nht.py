@@ -135,10 +135,6 @@ class NhtScheme(TracingScheme):
             return self.cost_model.drain_interference_tax
         return self._drain_tax(thread)
 
-    def wants_path(self, thread: Thread, core: LogicalCore) -> bool:
-        """Target threads' slices carry their symbolic path chunk."""
-        return self.is_target(thread)
-
     def on_slice(
         self, core: LogicalCore, thread: Thread, start_ns: int, result: SliceResult
     ) -> None:

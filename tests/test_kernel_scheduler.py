@@ -40,7 +40,7 @@ class FakeEngine:
     def finished(self) -> bool:
         return self.done_work >= self.work_total
 
-    def advance(self, budget_ns: int, work_rate: float, record_path: bool) -> SliceResult:
+    def advance(self, budget_ns: int, work_rate: float) -> SliceResult:
         rate = max(work_rate, 1e-9)
         budget_work = budget_ns * rate
         next_syscall = next(

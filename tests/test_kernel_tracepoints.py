@@ -2,22 +2,24 @@
 
 import pytest
 
+import repro.kernel.scheduler as scheduler_module
+from repro.kernel.system import KernelSystem, SystemConfig
 from repro.kernel.task import Process
-from repro.kernel.tracepoints import SCHED_SWITCH, SYS_ENTER, SchedSwitchRecord, TracepointRegistry
+from repro.kernel.tracepoints import (
+    SCHED_SWITCH,
+    SYS_ENTER,
+    SchedSwitchRecord,
+    SyscallRecord,
+    TracepointRegistry,
+)
+from repro.program.execution import ProgramExecution
+from repro.util.units import MSEC
 
 
 class TestRegistry:
     def test_fire_without_hooks_is_free(self):
         registry = TracepointRegistry()
         assert registry.fire(SCHED_SWITCH, object()) == 0
-
-    def test_fire_counts_tracked(self):
-        registry = TracepointRegistry()
-        registry.fire(SCHED_SWITCH, object())
-        registry.fire(SCHED_SWITCH, object())
-        registry.fire(SYS_ENTER, object())
-        assert registry.fire_counts[SCHED_SWITCH] == 2
-        assert registry.fire_counts[SYS_ENTER] == 1
 
     def test_hook_costs_summed(self):
         registry = TracepointRegistry()
@@ -53,6 +55,57 @@ class TestRegistry:
         registry.attach(SCHED_SWITCH, lambda r: calls.append("second") or 0)
         registry.fire(SCHED_SWITCH, object())
         assert calls == ["first", "second"]
+
+
+class TestSysEnterHookOnLiveSystem:
+    """A ``sys_enter`` probe attached to and detached from a built node."""
+
+    PROBE_NS = 700
+
+    def test_probe_charged_only_while_attached(self, tiny_path, monkeypatch):
+        built = []
+
+        def counting_record(*args):
+            built.append(args)
+            return SyscallRecord(*args)
+
+        monkeypatch.setattr(scheduler_module, "SyscallRecord", counting_record)
+        system = KernelSystem(SystemConfig.small_node(2, seed=3))
+        process = Process(name="job")
+        engine = ProgramExecution(
+            tiny_path, work_total=1e9, nominal_ips=1.0, syscall_interval=2e4,
+            syscall_mix={"brk": 1.0}, seed=5,
+        )
+        thread = process.new_thread(engine)
+        system.register_process(process)
+        system.scheduler.add_thread(thread)
+
+        system.run_for(2 * MSEC)
+        unhooked = thread.syscall_count
+        assert unhooked > 0
+        assert built == []
+        assert thread.tracing_overhead_ns == 0
+
+        seen = []
+
+        def probe(record):
+            seen.append(record)
+            return self.PROBE_NS
+
+        system.tracepoints.attach(SYS_ENTER, probe)
+        system.run_for(2 * MSEC)
+        hooked = thread.syscall_count - unhooked
+        assert hooked > 0
+        assert len(seen) == len(built) == hooked
+        assert {record.syscall for record in seen} == {"brk"}
+        assert thread.tracing_overhead_ns == hooked * self.PROBE_NS
+
+        system.tracepoints.detach(SYS_ENTER, probe)
+        before = thread.syscall_count
+        system.run_for(2 * MSEC)
+        assert thread.syscall_count > before
+        assert len(seen) == len(built) == hooked
+        assert thread.tracing_overhead_ns == hooked * self.PROBE_NS
 
 
 class TestSchedSwitchRecord:

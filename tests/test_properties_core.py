@@ -74,13 +74,13 @@ def test_engine_progress_depends_only_on_total_budget(tiny_path_factory, slices,
         branch_per_instr=0.15, syscall_interval=1e18, seed=3,
     )
     for budget in slices:
-        sliced.advance(budget, work_rate, False)
+        sliced.advance(budget, work_rate)
 
     bulk = ProgramExecution(
         path_model=path, work_total=1e12, nominal_ips=2.0,
         branch_per_instr=0.15, syscall_interval=1e18, seed=3,
     )
-    bulk.advance(total, work_rate, False)
+    bulk.advance(total, work_rate)
 
     assert sliced.instructions_done == pytest.approx(bulk.instructions_done)
     assert sliced.event_index == bulk.event_index
@@ -100,7 +100,7 @@ def test_engine_work_scales_linearly_with_rate(tiny_path_factory, budget, rate_a
             path_model=path, work_total=1e12, nominal_ips=2.0,
             branch_per_instr=0.15, syscall_interval=1e18, seed=3,
         )
-        return engine.advance(budget, rate, False).work_done
+        return engine.advance(budget, rate).work_done
 
     assert run(rate_a) / run(rate_b) == pytest.approx(rate_a / rate_b, rel=1e-6)
 
