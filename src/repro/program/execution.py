@@ -42,7 +42,8 @@ WORK = 0
 SYSCALL = 1
 REQUEST_END = 2
 
-#: most work chunks (compute jobs) or requests (server loops) per block
+#: most work chunks (compute jobs) or requests (server loops) per block;
+#: kept small because every live engine holds its prefetched block
 BLOCK_ITEMS = 16
 
 #: one block of script items: kind codes and their payloads
