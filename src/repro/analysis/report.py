@@ -10,7 +10,7 @@ log is available.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.analysis.casestudy import (
     find_blocking_anomalies,
@@ -25,20 +25,21 @@ from repro.program.binary import ACCESS_WIDTHS
 from repro.tracing.base import SchemeArtifacts
 from repro.util.units import USEC, fmt_bytes, fmt_time
 
+#: rows of the "Hottest functions" table
+TOP_FUNCTIONS = 8
+
 
 def build_session_report(
     artifacts: SchemeArtifacts,
     target: Process,
     syscall_log: Sequence[Tuple[int, int, int, str]] = (),
-    top_functions: int = 8,
-    title: Optional[str] = None,
 ) -> str:
     """Render one session's artifacts as a markdown report."""
     binary = target.binary
     profile = getattr(target, "profile", None)
     sections = []
 
-    sections.append(f"# {title or f'Tracing report: {target.name}'}")
+    sections.append(f"# Tracing report: {target.name}")
 
     # -- capture summary -----------------------------------------------------
     segments = artifacts.segments
@@ -65,7 +66,7 @@ def build_session_report(
 
     # -- hottest functions ----------------------------------------------------
     histogram = result.function_histogram(binary)
-    hot = sorted(histogram.items(), key=lambda kv: -kv[1])[:top_functions]
+    hot = sorted(histogram.items(), key=lambda kv: -kv[1])[:TOP_FUNCTIONS]
     sections.append("\n## Hottest functions\n")
     sections.append(format_table(
         [[name, count] for name, count in hot],

@@ -454,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument(
         "--streaming", action="store_true",
         help="also report online streaming-ingest accounting (bounded "
-             "queue, backpressure, dead-letter quarantine); decode and "
+             "queue, backpressure, dead letters); decode and "
              "end state are identical to a batch reconcile",
     )
 

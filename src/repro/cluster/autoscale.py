@@ -24,12 +24,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class ChurnModel:
     """Seeded node-replacement churn between reconciles."""
 
-    def __init__(self, seed: int, kill_fraction: float = 0.02,
-                 replace: bool = True, prefix: str = "node"):
+    def __init__(self, seed: int, kill_fraction: float = 0.02):
         self._rngs = RngFactory(seed)
         self.kill_fraction = kill_fraction
-        self.replace = replace
-        self.prefix = prefix
         self.epoch = 0
         self.killed: List[str] = []
 
@@ -39,8 +36,8 @@ class ChurnModel:
         Victim choice draws from the stream ``("churn", epoch)`` over the
         sorted node names, so a given seed always reclaims the same
         nodes in the same order.  Evicted replicas reschedule onto
-        survivors; with ``replace`` the fleet is then topped back up
-        with fresh nodes.
+        survivors, and the fleet is then topped back up with fresh
+        nodes.
         """
         names = sorted(master.nodes)
         count = min(len(names) - 1, max(1, int(len(names) * self.kill_fraction)))
@@ -51,9 +48,8 @@ class ChurnModel:
             names[i] for i in rng.choice(len(names), size=count, replace=False)
         )
         for name in picks:
-            master.remove_node(name, reschedule=True)
-        if self.replace:
-            master.add_nodes(count, prefix=self.prefix)
+            master.remove_node(name)
+        master.add_nodes(count)
         self.epoch += 1
         self.killed.extend(picks)
         return picks

@@ -27,7 +27,7 @@ lets one master drive thousands of nodes, each built on first use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from repro.faults.injector import FaultInjector, TimedAssignment
 from repro.faults.plan import FaultPlan
 from repro.faults.report import DegradationReport
 from repro.hwtrace.decoder import encode_trace
-from repro.kernel.system import SystemConfig
 from repro.parallel.pool import RunPool
 from repro.program.workloads import WorkloadProfile, get_workload
 from repro.streaming import StreamingIngestor
@@ -65,36 +64,44 @@ def _warm_worker_binary(app: str) -> None:
     get_workload(app).binary()
 
 
+#: waves a reconcile runs: the initial attempt plus up to two retries
+MAX_WAVES = 3
+#: first exponential backoff step between waves
+BACKOFF_BASE_MS = 25
+#: ceiling for one exponential backoff step — keeps high attempt counts
+#: from overflowing into absurd virtual-time jumps
+MAX_BACKOFF_MS = 1000
+#: extra virtual time granted to a session still running after its
+#: window, before the master force-stops it
+STRAGGLER_TIMEOUT_MS = 200
+#: failures after which a node is quarantined for the rest of a reconcile
+QUARANTINE_THRESHOLD = 2
+#: virtual time a tracing window runs past the period before upload
+SETTLE_MS = 50
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """How hard reconciliation fights back against faults.
 
     A reconcile runs in *waves*: the initial attempt plus up to
-    ``max_waves - 1`` retries.  Between waves the master backs off in
-    virtual time (exponentially, capped at ``max_backoff_ms``), restarts
-    crashed nodes when allowed, quarantines nodes that failed
-    ``quarantine_threshold`` times, and asks RCO's spatial sampler for
-    replacement replicas.
+    ``MAX_WAVES - 1`` retries.  Between waves the master backs off in
+    virtual time (exponentially, capped at ``MAX_BACKOFF_MS``), restarts
+    crashed nodes when ``restart_crashed_nodes`` allows, quarantines
+    nodes that failed ``QUARANTINE_THRESHOLD`` times, and asks RCO's
+    spatial sampler for replacement replicas.
     """
 
-    max_waves: int = 3
-    backoff_base_ms: int = 25
-    #: ceiling for one exponential backoff step — keeps high attempt
-    #: counts from overflowing into absurd virtual-time jumps
-    max_backoff_ms: int = 1000
-    #: extra virtual time granted to a session still running after its
-    #: window, before the master force-stops it
-    straggler_timeout_ms: int = 200
-    quarantine_threshold: int = 2
     restart_crashed_nodes: bool = True
 
-    def backoff_ns(self, wave: int) -> int:
-        """Backoff granted before retry wave ``wave`` (overflow-safe)."""
-        if wave <= 0:
-            return 0
-        exponent = min(wave - 1, 62)
-        ms = min(self.backoff_base_ms * (2 ** exponent), self.max_backoff_ms)
-        return int(ms) * MSEC
+
+def backoff_ns(wave: int) -> int:
+    """Backoff granted before retry wave ``wave`` (overflow-safe)."""
+    if wave <= 0:
+        return 0
+    exponent = min(wave - 1, 62)
+    ms = min(BACKOFF_BASE_MS * (2 ** exponent), MAX_BACKOFF_MS)
+    return int(ms) * MSEC
 
 
 @dataclass(frozen=True)
@@ -199,7 +206,7 @@ def _run_slot(
     def register_failure() -> None:
         nonlocal failures, quarantined
         failures += 1
-        if failures >= policy.quarantine_threshold and not quarantined:
+        if failures >= QUARANTINE_THRESHOLD and not quarantined:
             quarantined = True
             report.note(f"quarantined {node.name} after {failures} failures")
 
@@ -209,7 +216,7 @@ def _run_slot(
     session = None
     crash_counted = False
     wave = slot_task.start_wave
-    while wave < policy.max_waves:
+    while wave < MAX_WAVES:
         outcome.attempts += 1
         label = f"{node.name}/{pod.app}#w{wave}"
         outcome.label = label
@@ -246,7 +253,7 @@ def _run_slot(
         node.run_for(slot_task.window_ns)
         # stragglers: grant extra time, then force-stop survivors
         if not session.stopped and node.alive:
-            node.run_for(policy.straggler_timeout_ms * MSEC)
+            node.run_for(STRAGGLER_TIMEOUT_MS * MSEC)
         if not session.stopped and node.alive:
             node.facility.stop_tracing(session, "reconcile-timeout")
         if injector is not None:
@@ -374,18 +381,12 @@ class ClusterMaster:
     MGMT_MEMORY_PER_NODE = 1536
     MGMT_MEMORY_PER_POD = 512
 
-    def __init__(
-        self,
-        exist_config: Optional[ExistConfig] = None,
-        seed: int = 0,
-        decode_cache=True,
-    ):
+    def __init__(self, seed: int = 0, decode_cache=True):
         # ``decode_cache`` is accepted for existing callers and ignored:
         # each slot's upload resolves in one pass (:func:`upload_stats`)
-        self.exist_config = exist_config or ExistConfig()
         self.nodes: Dict[str, ClusterNode] = {}
         self.deployments: Dict[str, Deployment] = {}
-        self.rco = RepetitionAwareCoverageOptimizer(self.exist_config, seed=seed)
+        self.rco = RepetitionAwareCoverageOptimizer(ExistConfig(), seed=seed)
         self.object_store = ObjectStore()
         self.structured_store = StructuredStore()
         self.binary_repository = BinaryRepository()
@@ -414,41 +415,29 @@ class ClusterMaster:
                 self._name_floor.get(prefix, 0), int(suffix) + 1
             )
 
-    def add_nodes(
-        self,
-        count: int,
-        prefix: str = "node",
-        base_seed: int = 0,
-        system_config: Optional[SystemConfig] = None,
-        exist_config: Optional[ExistConfig] = None,
-    ) -> List[ClusterNode]:
+    def add_nodes(self, count: int, base_seed: int = 0) -> List[ClusterNode]:
         """Bulk-register ``count`` nodes (the scale path).
 
         A node builds its kernel and facility only when first used, so
         registering thousands costs microseconds per node.  Names
-        continue after the highest index *ever used* for the prefix
-        (monotone across removals), which is what node churn relies on:
-        a replacement never resurrects a drained node's name.
+        (``node-00000``, ...) continue after the highest index *ever
+        used* (monotone across removals), which is what node churn
+        relies on: a replacement never resurrects a drained node's name.
         """
-        start = self._name_floor.get(prefix, 0)
+        start = self._name_floor.get("node", 0)
         created = []
         for offset in range(count):
             index = start + offset
-            node = ClusterNode(
-                f"{prefix}-{index:05d}",
-                system_config=system_config,
-                exist_config=exist_config,
-                seed=base_seed + index,
-            )
+            node = ClusterNode(f"node-{index:05d}", seed=base_seed + index)
             self.add_node(node)
             created.append(node)
         return created
 
-    def remove_node(self, name: str, reschedule: bool = True) -> ClusterNode:
+    def remove_node(self, name: str) -> ClusterNode:
         """Drain one node out of the cluster (churn / scale-in).
 
-        Its pods are evicted from their deployments; with ``reschedule``
-        the replica controller immediately places fresh replacements on
+        Its pods are evicted from their deployments, and the replica
+        controller immediately places fresh replacements on
         the least-loaded surviving nodes (name-ordered within a load
         tier), so a reconcile running after churn still finds its
         replica count and repeated churn doesn't pile replicas onto the
@@ -467,7 +456,7 @@ class ClusterMaster:
             deployment.pods = [
                 pod for pod in deployment.pods if pod.node_name != name
             ]
-            if reschedule and self.nodes:
+            if self.nodes:
                 for _ in evicted:
                     target = min(sorted(load), key=load.get)
                     load[target] += 1
@@ -476,15 +465,10 @@ class ClusterMaster:
                     )
         return node
 
-    def deploy(
-        self,
-        app: str,
-        replicas: int,
-        node_names: Optional[Sequence[str]] = None,
-    ) -> Deployment:
+    def deploy(self, app: str, replicas: int) -> Deployment:
         """Deploy ``replicas`` pods of ``app`` round-robin across nodes."""
         profile = get_workload(app)
-        targets = list(node_names or sorted(self.nodes))
+        targets = sorted(self.nodes)
         if not targets:
             raise RuntimeError("no nodes in the cluster")
         deployment = self.deployments.setdefault(
@@ -537,7 +521,6 @@ class ClusterMaster:
     def reconcile(
         self,
         task: TraceTask,
-        settle_ms: int = 50,
         pool: Optional[RunPool] = None,
         faults: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
@@ -560,7 +543,7 @@ class ClusterMaster:
         ``streaming`` True only adds the online ingest accounting:
         completed slots' chunk lengths are paced through the bounded
         backpressured queue as rounds finish, non-canonical uploads
-        quarantine and replay, and the result lands on
+        count as dead letters, and the result lands on
         ``task.status.stream``.  Decode is the same either way, so
         coverage, degradation, and decode-loss end state is
         byte-identical to the batch path and across ``--jobs`` widths.
@@ -616,7 +599,7 @@ class ClusterMaster:
         task.status.phase = TaskPhase.SCHEDULED
         self._active_tasks += 1
 
-        window = plan.period_ns + settle_ms * MSEC
+        window = plan.period_ns + SETTLE_MS * MSEC
         pods_by_uid = {pod.uid: pod for pod in deployment.pods}
         binary = self.binary_repository.fetch(task.spec.app)
         # workers regenerate the binary from the fork-inherited workload
@@ -642,10 +625,10 @@ class ClusterMaster:
         slot_counter = 0
         pending_rows = slot_rows
         round_index = 0
-        while len(pending_rows) and round_index < policy.max_waves:
+        while len(pending_rows) and round_index < MAX_WAVES:
             task.status.phase = TaskPhase.TRACING
             initial_backoff_ns = sum(
-                policy.backoff_ns(wave) for wave in range(1, round_index + 1)
+                backoff_ns(wave) for wave in range(1, round_index + 1)
             )
             round_tasks: List[SlotTask] = []
             previews: List[Tuple[str, str, str]] = []
@@ -705,25 +688,13 @@ class ClusterMaster:
                 failure_codes.extend(
                     [fleet.node_code(outcome.node_name)] * outcome.node_failures
                 )
-                scratch = outcome.report
-                report.nodes_crashed += scratch.nodes_crashed
-                report.nodes_restarted += scratch.nodes_restarted
-                report.pods_killed += scratch.pods_killed
-                report.buffers_exhausted += scratch.buffers_exhausted
-                report.bytes_dropped += scratch.bytes_dropped
-                report.sched_records_dropped += scratch.sched_records_dropped
-                report.sched_records_delayed += scratch.sched_records_delayed
-                report.sessions_degraded += scratch.sessions_degraded
-                report.sessions_abandoned += scratch.sessions_abandoned
-                report.events.extend(scratch.events)
-            fleet.register_node_failures(
-                failure_codes, policy.quarantine_threshold
-            )
+                report.merge(outcome.report)
+            fleet.register_node_failures(failure_codes, QUARANTINE_THRESHOLD)
             outcomes.extend(round_outcomes)
 
             round_index += 1
             need = coverage_requested - fleet.achieved()
-            if need <= 0 or round_index >= policy.max_waves:
+            if need <= 0 or round_index >= MAX_WAVES:
                 break
             # RCO resamples replacement replicas (§3.4) on fresh nodes,
             # avoiding pods already tried, quarantined nodes, and nodes
@@ -749,7 +720,7 @@ class ClusterMaster:
         # and persist structured rows
         task.status.phase = TaskPhase.DECODING
         if ingestor is not None:
-            # replay the dead-letter quarantine and close the accounting
+            # close the streaming accounting
             task.status.stream = ingestor.finish().to_dict()
         completed = [outcome for outcome in outcomes if outcome.completed]
         pod_coverage: Dict[str, Dict[str, list]] = {}

@@ -7,7 +7,7 @@ matches how EXIST's node facilities operate independently under a
 cluster-level orchestrator.
 
 Event log: a node's state is a pure function of its :class:`NodeSpec` —
-name, configs, seed and an append-only log of pod placements and slot
+name, seed and an append-only log of pod placements and slot
 entries.  A :class:`PodPlacement` carries the profile, cpuset, spawn
 seed and the *pinned* pid/tids drawn from the global identity counters
 at placement time, so replaying the log draws no counters and gives
@@ -29,10 +29,10 @@ salvageable.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 from repro.cluster.pod import Pod, PodPhase
-from repro.core.config import ExistConfig, TracingRequest
+from repro.core.config import TracingRequest
 from repro.core.facility import ExistFacility
 from repro.core.otc import TracingSession
 from repro.kernel import task as kernel_task
@@ -71,11 +71,9 @@ LogEntry = Union[PodPlacement, Callable[["ClusterNode"], object]]
 
 @dataclass(frozen=True)
 class NodeSpec:
-    """Picklable recipe for one ClusterNode: identity, configs, event log."""
+    """Picklable recipe for one ClusterNode: identity, seed, event log."""
 
     name: str
-    system_config: SystemConfig
-    exist_config: Optional[ExistConfig]
     seed: int
     #: pod placements and slot entries (callables run on the node), in order
     log: Tuple[LogEntry, ...]
@@ -84,17 +82,10 @@ class NodeSpec:
 class ClusterNode:
     """One worker node with its own simulated kernel and facility."""
 
-    def __init__(
-        self,
-        name: str,
-        system_config: Optional[SystemConfig] = None,
-        exist_config: Optional[ExistConfig] = None,
-        seed: int = 0,
-    ):
+    def __init__(self, name: str, seed: int = 0):
         self.name = name
         self.seed = seed
-        self._base_config = system_config or SystemConfig.small_node(8, seed=seed)
-        self._exist_config = exist_config
+        self._base_config = SystemConfig.small_node(8, seed=seed)
         self._system: Optional[KernelSystem] = None
         self._facility: Optional[ExistFacility] = None
         self.pods: List[Pod] = []
@@ -130,9 +121,7 @@ class ClusterNode:
         if self._system is not None:
             return
         self._system = KernelSystem(self._base_config)
-        self._facility = ExistFacility(
-            self._system, self._exist_config, seed=self.seed
-        )
+        self._facility = ExistFacility(self._system, seed=self.seed)
         self._facility.install()
         for placement, pod in zip(self._placements(), self.pods):
             self._spawn(placement, pod, placement.spawn_seed)
@@ -209,23 +198,12 @@ class ClusterNode:
 
     def to_spec(self) -> NodeSpec:
         """The picklable recipe this node rebuilds from."""
-        return NodeSpec(
-            name=self.name,
-            system_config=self._base_config,
-            exist_config=self._exist_config,
-            seed=self.seed,
-            log=tuple(self.log),
-        )
+        return NodeSpec(name=self.name, seed=self.seed, log=tuple(self.log))
 
     @classmethod
     def from_spec(cls, spec: NodeSpec) -> "ClusterNode":
         """Rebuild a node from its spec; it replays the log on first use."""
-        node = cls(
-            spec.name,
-            system_config=spec.system_config,
-            exist_config=spec.exist_config,
-            seed=spec.seed,
-        )
+        node = cls(spec.name, seed=spec.seed)
         node.log = list(spec.log)
         return node
 
@@ -240,35 +218,29 @@ class ClusterNode:
 
     # -- pod placement -------------------------------------------------------
 
-    def place_pod(
-        self,
-        profile: WorkloadProfile,
-        cpuset: Optional[Sequence[int]] = None,
-    ) -> Pod:
+    def place_pod(self, profile: WorkloadProfile) -> Pod:
         """Place one replica of ``profile`` on this node.
 
         CPU-set pods get an exclusive pinned range sized to their thread
-        count when no explicit ``cpuset`` is given; CPU-share pods map to
-        the node's full core set.  The pod's identities (uid, pid, tids)
+        count; CPU-share pods map to the node's full core set.  The pod's identities (uid, pid, tids)
         are drawn now, in the order a spawn would draw them, and pinned
         in the log; the process starts now if the node is built, else
         when it builds.
         """
         self.catch_up()
         n_cores = self.core_count
-        if cpuset is None:
-            if profile.provisioning is ProvisioningMode.CPU_SET:
-                need = max(profile.n_threads, 1)
-                if self._next_pin + need > n_cores:
-                    raise RuntimeError(f"node {self.name} out of pinnable cores")
-                cpuset = tuple(range(self._next_pin, self._next_pin + need))
-            else:
-                cpuset = tuple(range(n_cores))
+        if profile.provisioning is ProvisioningMode.CPU_SET:
+            need = max(profile.n_threads, 1)
+            if self._next_pin + need > n_cores:
+                raise RuntimeError(f"node {self.name} out of pinnable cores")
+            cpuset = tuple(range(self._next_pin, self._next_pin + need))
+        else:
+            cpuset = tuple(range(n_cores))
         pod = Pod(
             app=profile.name,
             node_name=self.name,
             profile=profile,
-            cpuset=tuple(cpuset),
+            cpuset=cpuset,
         )
         # same counter-draw order as Process()/new_thread() would use
         pid = next(kernel_task._pid_counter)
@@ -339,7 +311,7 @@ class ClusterNode:
         self.restart_count += 1
         seed = derive_seed(self.seed, "restart", self.restart_count) % (2**31)
         self._system = KernelSystem(replace(self._base_config, seed=seed))
-        self._facility = ExistFacility(self._system, self._exist_config, seed=seed)
+        self._facility = ExistFacility(self._system, seed=seed)
         self._facility.install()
         self._alive = True
         for index, (placement, pod) in enumerate(

@@ -38,10 +38,6 @@ class ObjectStore:
         """Whether an object is stored under ``key``."""
         return key in self._objects
 
-    def keys(self, prefix: str = "") -> List[str]:
-        """Sorted object keys, optionally filtered by prefix."""
-        return sorted(k for k in self._objects if k.startswith(prefix))
-
     @property
     def total_bytes(self) -> int:
         return sum(len(v) for v in self._objects.values())
@@ -52,37 +48,32 @@ class BinaryRepository:
 
     The off-node software decoder fetches traces from OSS and *binaries
     from the binary repository* keyed by the traced application; this is
-    that repository.  Versioned so rolling upgrades keep old traces
-    decodable against the binary that produced them.
+    that repository.
     """
 
     def __init__(self) -> None:
-        self._binaries: Dict[tuple, object] = {}
-        self._latest: Dict[str, str] = {}
+        self._binaries: Dict[str, object] = {}
 
-    def register(self, app: str, binary: object, version: str = "v1") -> None:
-        """Store a binary for ``app``; latest version wins by default."""
+    def register(self, app: str, binary: object) -> None:
+        """Store (or replace) the binary for ``app``."""
         if not app:
             raise ValueError("empty application name")
-        self._binaries[(app, version)] = binary
-        self._latest[app] = version
+        self._binaries[app] = binary
 
-    def fetch(self, app: str, version: Optional[str] = None) -> object:
-        """Fetch ``app``'s binary (latest version unless pinned)."""
-        if version is None:
-            version = self._latest.get(app)
+    def fetch(self, app: str) -> object:
+        """Fetch ``app``'s binary."""
         try:
-            return self._binaries[(app, version)]
+            return self._binaries[app]
         except KeyError:
-            raise KeyError(f"no binary for {app!r} version {version!r}") from None
+            raise KeyError(f"no binary for {app!r}") from None
 
     def has(self, app: str) -> bool:
-        """Whether any version is registered for ``app``."""
-        return app in self._latest
+        """Whether a binary is registered for ``app``."""
+        return app in self._binaries
 
     def apps(self) -> List[str]:
-        """Applications with at least one registered binary."""
-        return sorted(self._latest)
+        """Applications with a registered binary."""
+        return sorted(self._binaries)
 
 class StructuredStore:
     """ODPS-like append-only tables with predicate queries."""
@@ -107,20 +98,13 @@ class StructuredStore:
         self,
         table: str,
         where: Optional[Callable[[Dict], bool]] = None,
-        order_by: Optional[str] = None,
-        limit: Optional[int] = None,
     ) -> List[Dict]:
-        """Filter, order, and limit a table's rows."""
+        """A table's rows, in insertion order, filtered by ``where``."""
         try:
             rows = self._tables[table]
         except KeyError:
             raise KeyError(f"no table {table!r}") from None
-        result = [r for r in rows if where is None or where(r)]
-        if order_by is not None:
-            result.sort(key=lambda r: r.get(order_by))
-        if limit is not None:
-            result = result[:limit]
-        return result
+        return [r for r in rows if where is None or where(r)]
 
     def count(self, table: str) -> int:
         """Row count of a table (0 when absent)."""

@@ -105,17 +105,12 @@ def interval_intersection(
 class TemporalDecider:
     """Chooses tracing periods from application complexity (§3.4)."""
 
-    def __init__(
-        self,
-        config: ExistConfig,
-        weights: Tuple[float, float, float] = (0.5, 0.3, 0.2),
-    ):
+    def __init__(self, config: ExistConfig):
         self.config = config
-        self.weights = weights
 
     def period_for(self, profile: WorkloadProfile) -> int:
         """Tracing period: complex programs need longer coverage windows."""
-        score = profile.complexity_score(self.weights)
+        score = profile.complexity_score()
         span = self.config.period_max_ns - self.config.period_min_ns
         period = self.config.period_min_ns + int(score * span)
         return self.config.clamp_period(period)

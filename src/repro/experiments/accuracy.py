@@ -29,17 +29,9 @@ from repro.program.workloads import ProvisioningMode, get_workload
 from repro.tracing.base import TracingScheme
 from repro.util.units import MSEC
 
-
-def _coverage_task(payload) -> dict:
-    """Pool task: run one traced execution, reduce to per-thread coverage.
-
-    Coverage is plain intervals keyed by thread label — picklable, unlike
-    the run itself — so the reference and tested runs can execute on
-    separate workers.
-    """
-    workload, scheme_name, cpuset, seed = payload
-    run = run_traced_execution(workload, scheme_name, cpuset=cpuset, seed=seed)
-    return coverage_by_thread(run.artifacts.segments, thread_labels(run.target))
+#: node size and service warmup of the weight-matching pipeline
+WEIGHT_NODE_CORES = 8
+WEIGHT_WARMUP_MS = 40
 
 
 def direct_accuracy_vs_nht(
@@ -47,24 +39,12 @@ def direct_accuracy_vs_nht(
     scheme: Optional[TracingScheme | str] = None,
     cpuset: Optional[Sequence[int]] = (0, 1, 2, 3),
     seed: int = 31,
-    pool=None,
 ) -> float:
     """Captured-path fraction of ``scheme`` (default EXIST) vs NHT.
 
     Valid for workloads whose execution is identical run-to-run
-    (compute jobs, and server loops under identical seeds).  With a
-    ``pool`` and a scheme given by name (or defaulted), the reference
-    and tested runs execute concurrently.
+    (compute jobs, and server loops under identical seeds).
     """
-    if pool is not None and (scheme is None or isinstance(scheme, str)):
-        name = scheme if isinstance(scheme, str) else "EXIST"
-        frozen = tuple(cpuset) if cpuset is not None else None
-        reference_cov, tested_cov = pool.map(
-            _coverage_task,
-            [(workload, "NHT", frozen, seed), (workload, name, frozen, seed)],
-        )
-        return direct_path_accuracy(reference_cov, tested_cov)
-
     reference = run_traced_execution(workload, "NHT", cpuset=cpuset, seed=seed)
     tested_scheme = scheme if scheme is not None else make_scheme("EXIST")
     tested = run_traced_execution(workload, tested_scheme, cpuset=cpuset, seed=seed)
@@ -83,8 +63,6 @@ def weight_accuracy_vs_nht(
     period_ms: int = 500,
     scheme_factory: Optional[Callable[[], TracingScheme]] = None,
     seed: int = 31,
-    warmup_ms: int = 40,
-    cores: int = 8,
 ) -> float:
     """Weight-matching accuracy of a bounded tracing window vs NHT.
 
@@ -94,16 +72,14 @@ def weight_accuracy_vs_nht(
     """
     profile = get_workload(workload)
     cpuset = (
-        list(range(min(4, cores)))
-        if profile.provisioning is ProvisioningMode.CPU_SET
-        else None
+        [0, 1, 2, 3] if profile.provisioning is ProvisioningMode.CPU_SET else None
     )
     window_ms = period_ms + 60
 
     def capture(factory: Callable[[], TracingScheme]):
-        system = KernelSystem(SystemConfig.small_node(cores, seed=seed))
+        system = KernelSystem(SystemConfig.small_node(WEIGHT_NODE_CORES, seed=seed))
         target = profile.spawn(system, cpuset=cpuset, seed=seed)
-        system.run_for(warmup_ms * MSEC)
+        system.run_for(WEIGHT_WARMUP_MS * MSEC)
         scheme = factory()
         scheme.install(system, [target])
         system.run_for(window_ms * MSEC)

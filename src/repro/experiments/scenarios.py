@@ -79,7 +79,6 @@ def _spawn_with_neighbours(
 def run_traced_execution(
     workload: str | WorkloadProfile,
     scheme: str | TracingScheme,
-    node: Optional[SystemConfig] = None,
     cpuset: Optional[Sequence[int]] = None,
     neighbours: Sequence[Tuple[WorkloadProfile, Optional[Sequence[int]]]] = (),
     seed: int = 7,
@@ -94,7 +93,7 @@ def run_traced_execution(
     (``throughput_rps`` set, default window 0.3 s).
     """
     profile = workload if isinstance(workload, WorkloadProfile) else get_workload(workload)
-    system = KernelSystem(node or SystemConfig.small_node(8, seed=seed))
+    system = KernelSystem(SystemConfig.small_node(8, seed=seed))
     target = _spawn_with_neighbours(system, profile, cpuset, neighbours, seed)
     scheme_obj = scheme if isinstance(scheme, TracingScheme) else make_scheme(scheme)
     scheme_obj.install(system, [target])
@@ -130,32 +129,27 @@ def run_traced_execution(
     )
 
 
-def _grid_cells(
+def _run_grid(
     workloads: Sequence[str],
     schemes: Sequence[str],
-    node: Optional[SystemConfig],
     cpuset: Optional[Sequence[int]],
     seed: int,
-    scheme_kwargs: Optional[Dict[str, dict]],
     window_s: Optional[float] = None,
 ):
-    """The (workload × scheme) cell grid shared by the table helpers."""
-    from repro.parallel.matrix import MatrixCell  # lazy: avoid import cycle
+    """Run the (workload × scheme) cell grid shared by the table helpers."""
+    from repro.parallel.matrix import MatrixCell, run_matrix  # lazy: import cycle
 
-    kwargs = scheme_kwargs or {}
-    return [
+    return run_matrix([
         MatrixCell(
             workload=workload,
             scheme=name,
             seed=seed,
-            node=node,
             cpuset=tuple(cpuset) if cpuset is not None else None,
             window_s=window_s,
-            scheme_kwargs=tuple(sorted(kwargs.get(name, {}).items())),
         )
         for workload in workloads
         for name in schemes
-    ]
+    ])
 
 
 def _normalize(
@@ -171,23 +165,14 @@ def _normalize(
 def run_compute_slowdown(
     workload: str,
     schemes: Sequence[str] = SCHEME_ORDER,
-    node: Optional[SystemConfig] = None,
     cpuset: Optional[Sequence[int]] = None,
     seed: int = 7,
-    scheme_kwargs: Optional[Dict[str, dict]] = None,
-    pool=None,
-    jobs: Optional[int] = None,
 ) -> Dict[str, float]:
     """Normalized completion-time slowdowns of ``workload`` per scheme.
 
     Returns scheme -> slowdown (1.0 = Oracle).  The Figure 13 primitive.
-    Pass ``pool`` (a :class:`repro.parallel.RunPool`) or ``jobs`` to run
-    the schemes on separate workers; results are identical either way.
     """
-    from repro.parallel.matrix import run_matrix
-
-    cells = _grid_cells([workload], schemes, node, cpuset, seed, scheme_kwargs)
-    results = run_matrix(cells, pool=pool, jobs=jobs)
+    results = _run_grid([workload], schemes, cpuset, seed)
     for result in results:
         assert result.completion_ns is not None
     return _normalize(schemes, [r.completion_ns for r in results])
@@ -196,24 +181,15 @@ def run_compute_slowdown(
 def run_online_throughput(
     workload: str,
     schemes: Sequence[str] = SCHEME_ORDER,
-    node: Optional[SystemConfig] = None,
     cpuset: Optional[Sequence[int]] = None,
     seed: int = 7,
     window_s: float = 0.3,
-    scheme_kwargs: Optional[Dict[str, dict]] = None,
-    pool=None,
-    jobs: Optional[int] = None,
 ) -> Dict[str, float]:
     """Normalized throughput of ``workload`` per scheme (Figure 14).
 
     Returns scheme -> normalized throughput (1.0 = Oracle, lower = worse).
     """
-    from repro.parallel.matrix import run_matrix
-
-    cells = _grid_cells(
-        [workload], schemes, node, cpuset, seed, scheme_kwargs, window_s
-    )
-    results = run_matrix(cells, pool=pool, jobs=jobs)
+    results = _run_grid([workload], schemes, cpuset, seed, window_s)
     for result in results:
         assert result.throughput_rps is not None
     return _normalize(schemes, [r.throughput_rps for r in results])
@@ -222,22 +198,11 @@ def run_online_throughput(
 def slowdown_table(
     workloads: Sequence[str],
     schemes: Sequence[str] = SCHEME_ORDER,
-    node: Optional[SystemConfig] = None,
     cpuset: Optional[Sequence[int]] = None,
     seed: int = 7,
-    scheme_kwargs: Optional[Dict[str, dict]] = None,
-    pool=None,
-    jobs: Optional[int] = None,
 ) -> Dict[str, Dict[str, float]]:
-    """workload -> scheme -> slowdown, for table-style figures.
-
-    The whole (workload × scheme) grid fans out at once, so parallel
-    speedup scales with the full table size, not one row at a time.
-    """
-    from repro.parallel.matrix import run_matrix
-
-    cells = _grid_cells(workloads, schemes, node, cpuset, seed, scheme_kwargs)
-    results = run_matrix(cells, pool=pool, jobs=jobs)
+    """workload -> scheme -> slowdown, for table-style figures."""
+    results = _run_grid(workloads, schemes, cpuset, seed)
     table: Dict[str, Dict[str, float]] = {}
     n_schemes = len(schemes)
     for index, workload in enumerate(workloads):
@@ -254,9 +219,6 @@ def run_chaos_scenario(
     replicas: Optional[int] = None,
     seed: int = 11,
     jobs: int = 1,
-    pool=None,
-    retry_policy=None,
-    reset_identities: bool = True,
     streaming: bool = False,
 ) -> Dict:
     """One seeded chaos reconcile on a fresh cluster; returns plain data.
@@ -264,11 +226,12 @@ def run_chaos_scenario(
     Builds ``nodes`` worker nodes, deploys ``replicas`` pods of ``app``
     (default: one per node, so a crashed node cannot be resampled around
     and the coverage shortfall is visible), arms the ``faults`` plan, and
-    reconciles a single anomaly TraceTask.  The returned dict is fully
+    reconciles a single anomaly TraceTask without restarting crashed
+    nodes.  The returned dict is fully
     JSON-serializable: phase, coverage, the DegradationReport, and the
     structured rows — byte-comparable across runs and across ``jobs``
-    (identity counters are reset first unless ``reset_identities`` is
-    False, so repeated in-process runs replay identically).
+    (identity counters are reset first, so repeated in-process runs
+    replay identically).
 
     ``streaming`` True reconciles through the online ingestion pipeline
     instead of batch decode.  The streaming-ingest accounting stays
@@ -283,29 +246,20 @@ def run_chaos_scenario(
     from repro.parallel.pool import RunPool
     from repro.util.identity import reset_identity_counters
 
-    if reset_identities:
-        reset_identity_counters()
+    reset_identity_counters()
     plan = FaultPlan.parse(faults, seed=fault_seed)
-    policy = retry_policy or RetryPolicy(restart_crashed_nodes=False)
     master = ClusterMaster(seed=seed)
     for index in range(nodes):
         master.add_node(ClusterNode(f"node-{index:02d}", seed=seed * 100 + index))
     master.deploy(app, replicas=replicas if replicas is not None else nodes)
     task = master.submit(TraceTaskSpec(app=app, reason=TraceReason.ANOMALY))
 
-    def _reconcile(run_pool):
+    with RunPool(max_workers=jobs) as pool:
         master.reconcile(
-            task, pool=run_pool, faults=plan or None, retry_policy=policy,
+            task, pool=pool, faults=plan,
+            retry_policy=RetryPolicy(restart_crashed_nodes=False),
             streaming=streaming,
         )
-
-    if pool is not None:
-        _reconcile(pool)
-    elif jobs > 1:
-        with RunPool(max_workers=jobs) as owned:
-            _reconcile(owned)
-    else:
-        _reconcile(None)
 
     report = task.status.degradation
     return {
@@ -377,25 +331,15 @@ def chaos_sweep(
 def throughput_table(
     workloads: Sequence[str],
     schemes: Sequence[str] = SCHEME_ORDER,
-    node: Optional[SystemConfig] = None,
     cpuset: Optional[Sequence[int]] = None,
     seed: int = 7,
     window_s: float = 0.3,
-    scheme_kwargs: Optional[Dict[str, dict]] = None,
-    pool=None,
-    jobs: Optional[int] = None,
 ) -> Dict[str, Dict[str, float]]:
     """workload -> scheme -> normalized throughput."""
-    from repro.parallel.matrix import run_matrix
-
-    cells = _grid_cells(
-        workloads, schemes, node, cpuset, seed, scheme_kwargs, window_s
-    )
-    results = run_matrix(cells, pool=pool, jobs=jobs)
+    results = _run_grid(workloads, schemes, cpuset, seed, window_s)
     table: Dict[str, Dict[str, float]] = {}
     n_schemes = len(schemes)
     for index, workload in enumerate(workloads):
         row = results[index * n_schemes : (index + 1) * n_schemes]
         table[workload] = _normalize(schemes, [r.throughput_rps for r in row])
     return table
-

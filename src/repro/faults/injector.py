@@ -47,11 +47,9 @@ TimedAssignment = Tuple[str, str, float]
 class FaultInjector:
     """Runtime executor of one seeded fault plan."""
 
-    def __init__(self, plan: FaultPlan, report: Optional[DegradationReport] = None):
+    def __init__(self, plan: FaultPlan):
         self.plan = plan
-        self.report = report or DegradationReport(
-            faults=plan.render(), fault_seed=plan.seed
-        )
+        self.report = DegradationReport(faults=plan.render(), fault_seed=plan.seed)
         self._rngs = RngFactory(plan.seed)
         #: indices of one-shot (timed) specs that already fired
         self._consumed: set = set()

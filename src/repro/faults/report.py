@@ -17,7 +17,7 @@ same fault seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List
 
 
@@ -82,6 +82,15 @@ class DegradationReport:
         """Append one chronological fault-log line."""
         self.events.append(event)
 
+    def merge(self, scratch: "DegradationReport") -> None:
+        """Fold one slot's scratch report in: every int counter except
+        ``fault_seed`` is summed, and its events are appended."""
+        for spec in fields(self):
+            value = getattr(scratch, spec.name)
+            if spec.name != "fault_seed" and type(value) is int:
+                setattr(self, spec.name, getattr(self, spec.name) + value)
+        self.events.extend(scratch.events)
+
     def to_dict(self) -> Dict:
         """Plain-dict form (stable key order via sort in to_json)."""
         return {
@@ -109,9 +118,9 @@ class DegradationReport:
             "events": list(self.events),
         }
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         """Canonical JSON (sorted keys) — byte-comparable across runs."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def summary(self) -> str:
         """One-line human summary for CLI output."""

@@ -82,9 +82,9 @@ class CostLedger:
         """Charge ``n`` serializing WRMSR operations."""
         return self.charge("wrmsr", self.model.wrmsr_ns * n, n)
 
-    def charge_mode_switch(self, n: int = 1) -> int:
-        """Charge ``n`` user/kernel mode switches."""
-        return self.charge("mode_switch", self.model.mode_switch_ns * n, n)
+    def charge_mode_switch(self) -> int:
+        """Charge one user/kernel mode switch."""
+        return self.charge("mode_switch", self.model.mode_switch_ns)
 
     def charge_hook(self) -> int:
         """Charge one tracepoint-hook execution."""

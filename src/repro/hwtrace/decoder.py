@@ -152,7 +152,7 @@ def split_canonical_stream(data: bytes) -> Optional[List[Tuple[int, bytes]]]:
     :meth:`SoftwareDecoder.decode_chunks` — or ``None`` when the upload is
     empty, is not a pure canonical chunk sequence, or any event record is
     malformed.  ``None`` signals that the bytes need the full resilient
-    scan (or a dead-letter quarantine) instead of incremental decode.
+    scan instead of incremental decode.
     """
     split = _canonical_split(data)
     if split is None:

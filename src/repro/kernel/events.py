@@ -98,8 +98,8 @@ class Simulator:
     an event in the past raises ``ValueError``.
     """
 
-    def __init__(self, start_time: int = 0):
-        self.now: int = start_time
+    def __init__(self):
+        self.now: int = 0
         self._heap: List[_HeapEntry] = []
         self._seq = 0
         self._events_fired = 0

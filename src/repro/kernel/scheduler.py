@@ -204,12 +204,12 @@ class Scheduler:
 
     # -- thread admission ----------------------------------------------------
 
-    def add_thread(self, thread: Thread, preferred_core: Optional[int] = None) -> None:
+    def add_thread(self, thread: Thread) -> None:
         """Admit a READY thread; it starts running as cores become free."""
         if thread.state is not ThreadState.READY:
             raise ValueError(f"cannot admit thread in state {thread.state}")
         self._threads.append(thread)
-        core = self._place(thread, preferred_core)
+        core = self._place(thread)
         thread.vruntime = max(
             thread.vruntime, self._queues[core.core_id].min_vruntime
         )

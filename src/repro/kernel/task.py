@@ -99,7 +99,6 @@ class Process:
         engine: ExecutionEngine,
         cpuset: Optional[Sequence[int]] = None,
         weight: int = 1024,
-        name: Optional[str] = None,
         tid: Optional[int] = None,
     ) -> "Thread":
         """Create a thread of this process with the given engine.
@@ -114,7 +113,7 @@ class Process:
             engine=engine,
             cpuset=tuple(cpuset) if cpuset is not None else None,
             weight=weight,
-            name=name or f"{self.name}/{len(self.threads)}",
+            name=f"{self.name}/{len(self.threads)}",
             tid=tid,
         )
         self.threads.append(thread)

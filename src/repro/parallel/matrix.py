@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.experiments import scenarios
-from repro.kernel.system import SystemConfig
 from repro.parallel.pool import RunPool
 from repro.program.workloads import get_workload, variant
 
@@ -30,16 +29,11 @@ class MatrixCell:
     workload: str
     scheme: str
     seed: int = 7
-    n_cores: int = 8
     cpuset: Optional[Tuple[int, ...]] = None
-    deadline_s: float = 30.0
     window_s: Optional[float] = None
     warmup_s: float = 0.1
-    node: Optional[SystemConfig] = None
     #: WorkloadProfile field overrides applied via workloads.variant()
     overrides: Overrides = ()
-    #: keyword arguments for the scheme factory
-    scheme_kwargs: Overrides = ()
 
 
 @dataclass(frozen=True)
@@ -78,15 +72,11 @@ def run_cell(cell: MatrixCell) -> CellResult:
     profile = get_workload(cell.workload)
     if cell.overrides:
         profile = variant(profile, **dict(cell.overrides))
-    scheme = scenarios.make_scheme(cell.scheme, **dict(cell.scheme_kwargs))
     run = scenarios.run_traced_execution(
         profile,
-        scheme,
-        node=cell.node
-        or SystemConfig.small_node(cell.n_cores, seed=cell.seed),
+        cell.scheme,
         cpuset=list(cell.cpuset) if cell.cpuset is not None else None,
         seed=cell.seed,
-        deadline_s=cell.deadline_s,
         window_s=cell.window_s,
         warmup_s=cell.warmup_s,
     )

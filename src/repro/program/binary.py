@@ -20,6 +20,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+#: load address of every generated image (functions are laid out from it)
+BASE_ADDRESS = 0x400000
+
 
 class FunctionCategory(enum.Enum):
     """Costly-function taxonomy of the paper's Figure 21.
@@ -153,21 +156,19 @@ class Binary:
         name: str,
         functions: Sequence[Function],
         blocks: Sequence[BasicBlock],
-        base_address: int = 0x400000,
-        size_bytes: Optional[int] = None,
     ):
         self.name = name
         self.functions: List[Function] = list(functions)
         self.blocks: List[BasicBlock] = list(blocks)
-        self.base_address = base_address
+        self.base_address = BASE_ADDRESS
         if len({block.address for block in self.blocks}) != len(self.blocks):
             raise ValueError("duplicate block addresses in binary")
         for block in self.blocks:
             if block.block_id != self.blocks[block.block_id].block_id:
                 raise ValueError("block ids must be dense and ordered")
-        self.size_bytes = size_bytes or (
-            max((b.end_address for b in self.blocks), default=base_address)
-            - base_address
+        self.size_bytes = (
+            max((b.end_address for b in self.blocks), default=BASE_ADDRESS)
+            - BASE_ADDRESS
         )
         self._block_addresses: Optional[np.ndarray] = None
         self._block_function_ids: Optional[np.ndarray] = None

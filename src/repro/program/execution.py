@@ -246,7 +246,7 @@ class ServerLoopExecution(_ScriptedExecution):
     Per request: a short blocking receive (the client round-trip), a
     work burst sampled lognormally around ``request_instr_mean``, optional
     extra mid-request syscalls (e.g. mysql touching storage), and a
-    non-blocking send.  ``max_requests`` bounds the script so simulations
+    non-blocking ``sendto``.  ``max_requests`` bounds the script so simulations
     terminate; throughput experiments read :attr:`requests_completed`
     within a measurement window instead of running to completion.
     """
@@ -257,7 +257,6 @@ class ServerLoopExecution(_ScriptedExecution):
         request_instr_mean: float = 1.5e5,
         request_instr_sigma: float = 0.35,
         recv_syscall: str = "recvfrom",
-        send_syscall: str = "sendto",
         extra_syscalls: Optional[Dict[str, float]] = None,
         max_requests: int = 2_000_000,
         nominal_ips: float = 3.0,
@@ -269,7 +268,6 @@ class ServerLoopExecution(_ScriptedExecution):
         self.request_instr_mean = float(request_instr_mean)
         self.request_instr_sigma = float(request_instr_sigma)
         self.recv_syscall = recv_syscall
-        self.send_syscall = send_syscall
         #: name -> expected occurrences per request (Poisson-thinned)
         self.extra_syscalls = extra_syscalls or {}
         self.max_requests = max_requests
@@ -289,7 +287,7 @@ class ServerLoopExecution(_ScriptedExecution):
         sigma = self.request_instr_sigma
         mu = math.log(self.request_instr_mean) - 0.5 * sigma**2
         recv = self.recv_syscall
-        send = self.send_syscall
+        send = "sendto"
         for _ in range(n):
             burst = float(rng.lognormal(mu, sigma))
             if not self.extra_syscalls:

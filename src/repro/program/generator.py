@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.program.binary import (
     ACCESS_WIDTHS,
+    BASE_ADDRESS,
     BasicBlock,
     Binary,
     Function,
@@ -94,7 +95,7 @@ def _normalized(mix: Dict[int, float]) -> Dict[int, float]:
 def generate_binary(name: str, shape: BinaryShape, seed: int = 0) -> Binary:
     """Generate a deterministic synthetic binary.
 
-    Functions are laid out contiguously from ``0x400000``; block sizes and
+    Functions are laid out contiguously from ``BASE_ADDRESS``; block sizes and
     instruction counts are sampled around the shape's means; each block's
     successors prefer intra-function targets, with call edges biased by
     ``category_weights`` so hot categories are visited proportionally.
@@ -123,7 +124,7 @@ def generate_binary(name: str, shape: BinaryShape, seed: int = 0) -> Binary:
 
     functions: List[Function] = []
     blocks: List[BasicBlock] = []
-    address = 0x400000
+    address = BASE_ADDRESS
     function_entry_blocks: List[int] = []
 
     for function_id, category in enumerate(function_categories):

@@ -46,25 +46,19 @@ class PathModel:
     """Precomputed CFG walk with fast per-range aggregation."""
 
     @classmethod
-    def cached(
-        cls,
-        binary: Binary,
-        seed: int = 0,
-        length: int = DEFAULT_WALK_LENGTH,
-        stride: int = DEFAULT_STRIDE,
-    ) -> "PathModel":
+    def cached(cls, binary: Binary, seed: int = 0) -> "PathModel":
         """Memoized constructor.
 
         The construction walk is the expensive part of spawning a
         workload (a Python loop over the whole cycle); repetitions over
         the same binary/seed reuse one immutable model.
         """
-        key = (id(binary), seed, length, stride)
+        key = (id(binary), seed)
         hit = _PATH_CACHE.get(key)
         if hit is not None and hit.binary is binary:
             _PATH_CACHE.move_to_end(key)
             return hit
-        model = cls(binary, seed=seed, length=length, stride=stride)
+        model = cls(binary, seed=seed)
         _PATH_CACHE[key] = model
         if len(_PATH_CACHE) > _PATH_CACHE_MAX:
             _PATH_CACHE.popitem(last=False)

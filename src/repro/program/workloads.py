@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.program.binary import Binary, FunctionCategory as FC
 from repro.program.execution import ProgramExecution, ServerLoopExecution
@@ -200,15 +200,12 @@ class WorkloadProfile:
         system.register_process(process)
         return process
 
-    def complexity_score(
-        self, weights: Tuple[float, float, float] = (0.5, 0.3, 0.2)
-    ) -> float:
+    def complexity_score(self) -> float:
         """RCO temporal-decider input: weighted priority/size/stability."""
-        w_priority, w_size, w_stability = weights
         return (
-            w_priority * (self.priority / 10.0)
-            + w_size * min(self.binary_size_mb / 200.0, 1.0)
-            + w_stability * min(self.stability_issues / 10.0, 1.0)
+            0.5 * (self.priority / 10.0)
+            + 0.3 * min(self.binary_size_mb / 200.0, 1.0)
+            + 0.2 * min(self.stability_issues / 10.0, 1.0)
         )
 
 

@@ -54,8 +54,6 @@ TABLE_MASK = (1 << TABLE_BITS) - 1
 RID_MIX = 2654435761
 SALT_MIX = 97
 CALL_MIX = 7919
-#: span-recording modes of :func:`run_vectorized`
-RECORD_MODES = ("auto", "full", "none")
 #: relative distance to an integer within which :func:`_lognormal_ns`
 #: recomputes ``np.exp`` with ``math.exp`` (thousands of ULP)
 EXACT_BAND = 2.0 ** -40
@@ -274,18 +272,16 @@ class SpanLog:
             "self_ns": self.self_ns[valid],
         }
 
-    def traces(self, rid_lo: Optional[int] = None, rid_hi: Optional[int] = None) -> List[RequestTrace]:
+    def traces(self) -> List[RequestTrace]:
         """Materialize :class:`RequestTrace` objects (the compat view).
 
         Span ids derive from (request_id, slot) via
         :func:`~repro.services.rpc.span_id_for`, so the view is
         byte-deterministic across runs and worker placements.
         """
-        lo = self.rid_lo if rid_lo is None else max(self.rid_lo, rid_lo)
-        hi = self.rid_hi if rid_hi is None else min(self.rid_hi, rid_hi)
         k = self.max_slots
         out: List[RequestTrace] = []
-        for rid in range(lo, hi):
+        for rid in range(self.rid_lo, self.rid_hi):
             prog = self._program_of(rid)
             base = (rid - self.rid_lo) * k
             spans = []
@@ -312,7 +308,6 @@ def run_vectorized(
     programs: Optional[Sequence[CallProgram]] = None,
     classes: Optional[np.ndarray] = None,
     transform: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    record: str = "auto",
 ):
     """Run the columnar event loop; returns a ``LatencyReport``.
 
@@ -329,11 +324,10 @@ def run_vectorized(
       (first child, next sibling from the completion walk, or the
       response recorded).
 
-    ``record``: ``"auto"`` keeps span columns for the ``keep_traces``
-    requests after warmup; ``"full"`` keeps all; ``"none"`` keeps none.
-    ``programs``/``classes`` run heterogeneous request classes (retry
-    storms) through per-class compiled programs; all programs must
-    share the graph's service set.  ``transform`` may rescale the
+    Span columns are kept for the ``keep_traces`` requests after
+    warmup (the report's ``span_log``).  ``programs``/``classes`` run
+    heterogeneous request classes (retry storms) through per-class
+    compiled programs; all programs must share the graph's service set.  ``transform`` may rescale the
     service-time matrix in place (hot-key skew) before the run.
     """
     from repro.services.latency import LatencyReport
@@ -341,10 +335,6 @@ def run_vectorized(
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError(
             f"warmup_fraction must be in [0, 1), got {warmup_fraction!r}"
-        )
-    if record not in RECORD_MODES:
-        raise ValueError(
-            f"record must be one of {RECORD_MODES}, got {record!r}"
         )
     arrival_times = np.asarray(arrival_times, dtype=np.int64)
     n = len(arrival_times)
@@ -362,13 +352,8 @@ def run_vectorized(
         svc_np = transform(svc_np)
 
     k = max(p.n_slots for p in programs)
-    if record == "full":
-        rec_lo, rec_hi = 0, n
-    elif record == "none":
-        rec_lo = rec_hi = 0
-    else:
-        rec_lo = warmup_count
-        rec_hi = min(n, warmup_count + max(0, keep_traces))
+    rec_lo = warmup_count
+    rec_hi = min(n, warmup_count + max(0, keep_traces))
     n_rec = rec_hi - rec_lo
     starts_rec = np.zeros(n_rec * k, dtype=np.int64) if n_rec else None
     ends_rec = np.zeros(n_rec * k, dtype=np.int64) if n_rec else None
@@ -510,7 +495,6 @@ def run_vectorized(
             busy_ns[names[prog.sid[j]]] += int(block[:, j].sum())
 
     span_log = None
-    sample_traces: List[RequestTrace] = []
     if n_rec:
         win_classes = None
         if classes is not None:
@@ -524,10 +508,6 @@ def run_vectorized(
             end_ns=ends_rec,
             self_ns=svc_np[rec_lo:rec_hi].reshape(-1),
         )
-        if keep_traces > 0:
-            sample_traces = span_log.traces(
-                warmup_count, min(n, warmup_count + keep_traces)
-            )
 
     return LatencyReport(
         response_times_ns=responses,
@@ -535,7 +515,6 @@ def run_vectorized(
         duration_ns=duration_ns,
         service_busy_ns=busy_ns,
         service_workers=dict(zip(names, programs[0].workers)),
-        sample_traces=sample_traces,
         span_log=span_log,
         spans_simulated=spans_simulated,
     )

@@ -19,7 +19,7 @@ the paper's testbed composes node overhead and cluster queueing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -29,6 +29,9 @@ from repro.services.graph import ServiceGraph
 from repro.services.loadgen import PoissonArrivals
 from repro.services.rpc import RequestTrace
 from repro.util.units import SEC
+
+#: share of an open-loop run's requests that only warm the queues up
+WARMUP_FRACTION = 0.1
 
 
 @dataclass
@@ -40,12 +43,15 @@ class LatencyReport:
     duration_ns: int
     service_busy_ns: Dict[str, int]
     service_workers: Dict[str, int]
-    sample_traces: List[RequestTrace] = field(default_factory=list)
-    #: columnar span window; ``sample_traces`` is its materialized
-    #: compat view
+    #: columnar spans of the ``keep_traces`` requests after warmup
     span_log: Optional[object] = None
     #: total RPC calls simulated, including warmup
     spans_simulated: int = 0
+
+    @property
+    def sample_traces(self) -> List[RequestTrace]:
+        """The kept requests as :class:`RequestTrace` objects (built on read)."""
+        return self.span_log.traces() if self.span_log is not None else []
 
     def percentile(self, pct: float) -> float:
         """The ``pct``-th percentile of response times (ns)."""
@@ -84,16 +90,17 @@ class QueueingSimulator:
         self,
         arrivals: PoissonArrivals,
         n_requests: int,
-        warmup_fraction: float = 0.1,
         keep_traces: int = 0,
-        record: str = "auto",
     ) -> LatencyReport:
-        """Drive ``n_requests`` Poisson arrivals through the graph."""
+        """Drive ``n_requests`` Poisson arrivals through the graph.
+
+        The first :data:`WARMUP_FRACTION` of requests warm the queues
+        up and are left out of the report.
+        """
         return run_vectorized(
             self.graph, arrivals.arrival_times(n_requests), self.seed,
-            warmup_fraction=warmup_fraction,
+            warmup_fraction=WARMUP_FRACTION,
             keep_traces=keep_traces,
-            record=record,
         )
 
     def bottleneck_capacity_rps(self) -> float:

@@ -76,30 +76,27 @@ def ecommerce_pipeline() -> ServiceGraph:
     return g
 
 
-def fanout_fanin(width: int = 8) -> ServiceGraph:
-    """Scatter-gather: an aggregator fans ``width`` calls to a shard
-    tier (each hitting a store), then gathers — a search/feed shape.
+def fanout_fanin() -> ServiceGraph:
+    """Scatter-gather: an aggregator fans 8 calls to a shard tier (each
+    hitting a store), then gathers — a search/feed shape.
 
     Calls are issued sequentially (synchronous RPC), matching the
     simulator's discipline; the shard tier is the bottleneck.
     """
-    if width < 1:
-        raise ValueError("fan-out width must be >= 1")
     g = ServiceGraph(root="aggregator")
     g.add_service(ServiceSpec("aggregator", workers=16, service_time_ns=100 * USEC))
     g.add_service(ServiceSpec("shard", workers=24, service_time_ns=120 * USEC))
     g.add_service(ServiceSpec("store", workers=24, service_time_ns=80 * USEC,
                               service_time_sigma=0.3))
-    g.add_edge("aggregator", "shard", calls_per_request=width, network_ns=30 * USEC)
+    g.add_edge("aggregator", "shard", calls_per_request=8, network_ns=30 * USEC)
     g.add_edge("shard", "store", network_ns=20 * USEC)
     return g
 
 
-def deep_chain(depth: int = 12) -> ServiceGraph:
-    """A DeathStarBench-style chain: tier-00 → tier-01 → … (one call
+def deep_chain() -> ServiceGraph:
+    """A DeathStarBench-style chain: tier-00 → … → tier-11 (one call
     per hop), where a single slow tier drags the whole request."""
-    if depth < 2:
-        raise ValueError("chain depth must be >= 2")
+    depth = 12
     g = ServiceGraph(root="tier-00")
     for i in range(depth):
         g.add_service(ServiceSpec(
@@ -187,6 +184,10 @@ def get_service_workload(name: str) -> ServiceWorkload:
 # scenarios: diurnal load, retry storms, hot-key skew
 # ---------------------------------------------------------------------------
 
+#: period of the diurnal curve in *simulated* seconds
+DIURNAL_PERIOD_S = 2.0
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Deterministic, seed-derived load perturbations for a campaign.
@@ -197,14 +198,12 @@ class ScenarioSpec:
     """
 
     name: str = "steady"
-    #: sinusoidal arrival-rate modulation: rate(t) = r·(1 + a·sin(·))
+    #: sinusoidal arrival-rate modulation over DIURNAL_PERIOD_S:
+    #: rate(t) = r·(1 + a·sin(·))
     diurnal_amplitude: float = 0.0
-    #: period of the diurnal curve in *simulated* seconds
-    diurnal_period_s: float = 2.0
     #: fraction of in-window requests that retry the workload's
-    #: retry_edge (an extra downstream call per retry)
+    #: retry_edge (one extra downstream call per retry)
     retry_fraction: float = 0.0
-    retry_calls: int = 1
     #: storm window as fractions of the campaign's time span
     retry_window: Tuple[float, float] = (0.0, 1.0)
     #: fraction of requests hitting a hot key (slow storage row)
@@ -273,9 +272,9 @@ def diurnal_arrival_times(
     return np.concatenate(accepted)[:n_requests].astype(np.int64)
 
 
-def _retry_variant(graph: ServiceGraph, edge: Tuple[str, str], extra: int) -> ServiceGraph:
+def _retry_variant(graph: ServiceGraph, edge: Tuple[str, str]) -> ServiceGraph:
     """The graph a retrying request executes: the retried edge carries
-    ``extra`` additional calls per request (same services, same specs)."""
+    one more call per request (same services, same specs)."""
     caller, callee = edge
     variant = ServiceGraph(root=graph.root)
     for spec in graph.services.values():
@@ -284,7 +283,7 @@ def _retry_variant(graph: ServiceGraph, edge: Tuple[str, str], extra: int) -> Se
     for e in graph.edges:
         calls = e.calls_per_request
         if e.caller == caller and e.callee == callee:
-            calls += extra
+            calls += 1
             found = True
         variant.edges.append(CallEdge(e.caller, e.callee, calls, e.network_ns))
     if not found:
@@ -295,6 +294,12 @@ def _retry_variant(graph: ServiceGraph, edge: Tuple[str, str], extra: int) -> Se
 # ---------------------------------------------------------------------------
 # campaigns
 # ---------------------------------------------------------------------------
+
+#: share of each partition's requests that only warm the queues up
+CAMPAIGN_WARMUP_FRACTION = 0.05
+#: requests whose spans partition 0 keeps for the RPC-level culprit view
+CAMPAIGN_KEEP_TRACES = 64
+
 
 @dataclass(frozen=True)
 class CampaignSpec:
@@ -311,9 +316,6 @@ class CampaignSpec:
     #: requests per partition (fleet cell) — a function of the spec
     #: only, never of --jobs, which is what makes reports jobs-invariant
     partition_requests: int = 8192
-    warmup_fraction: float = 0.05
-    #: spans sampled (partition 0) for the RPC-level culprit view
-    keep_traces: int = 64
 
 
 @dataclass(frozen=True)
@@ -355,7 +357,7 @@ def _run_partition(task: _PartitionTask) -> Dict[str, object]:
     arrivals = diurnal_arrival_times(
         n, rate, pseed,
         amplitude=scenario.diurnal_amplitude,
-        period_s=scenario.diurnal_period_s,
+        period_s=DIURNAL_PERIOD_S,
         phase=phase,
     )
 
@@ -363,9 +365,9 @@ def _run_partition(task: _PartitionTask) -> Dict[str, object]:
     programs = [CallProgram.compile(base_graph)]
     classes = None
     if scenario.retry_fraction > 0.0:
-        programs.append(CallProgram.compile(_retry_variant(
-            base_graph, workload.retry_edge, scenario.retry_calls
-        )))
+        programs.append(CallProgram.compile(
+            _retry_variant(base_graph, workload.retry_edge)
+        ))
         lo, hi = scenario.retry_window
         span = int(arrivals[-1]) or 1
         in_window = (arrivals >= lo * span) & (arrivals < hi * span)
@@ -403,14 +405,14 @@ def _run_partition(task: _PartitionTask) -> Dict[str, object]:
         traced_graph.set_tracing_inflation(traced, spec.inflation)
         schemes.append(("traced", traced_graph))
 
-    keep = spec.keep_traces if task.index == 0 else 0
+    keep = CAMPAIGN_KEEP_TRACES if task.index == 0 else 0
     out: Dict[str, object] = {"index": task.index, "requests": n}
     if classes is not None:
         out["retry_requests"] = int(classes.sum())
     for scheme_name, graph in schemes:
         report = run_vectorized(
             graph, arrivals, pseed,
-            warmup_fraction=spec.warmup_fraction,
+            warmup_fraction=CAMPAIGN_WARMUP_FRACTION,
             keep_traces=keep,
             programs=programs,
             classes=classes,

@@ -6,9 +6,9 @@ the online view of those uploads.  Completed slots enter it as their
 round finishes; each canonical upload's PSB-chunk lengths are paced as
 a whole through a bounded virtual-time queue under credit-based
 backpressure (:class:`~repro.streaming.queue.VirtualDecodeQueue`), and
-non-canonical uploads (corrupt, truncated, foreign framing) are
-quarantined in a dead-letter queue and replayed at the end from the
-resilient decode their slot already ran.
+non-canonical uploads (corrupt, truncated, foreign framing) are counted
+as dead letters.  A dead letter needs no replay: its slot already ran
+the resilient decode, so every one counts as replayed.
 
 Determinism contract — the property everything here is built around:
 
@@ -27,12 +27,11 @@ Determinism contract — the property everything here is built around:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.hwtrace.decoder import SoftwareDecoder, _canonical_split
-from repro.streaming.deadletter import DeadLetterQueue
 from repro.streaming.queue import VirtualDecodeQueue
 from repro.util.stats import percentile
 
@@ -153,8 +152,7 @@ class StreamingIngestor:
 
     Lifecycle: construct per reconcile, hand over each completed slot
     outcome *in slot order* as its round finishes, then ``finish()`` —
-    which replays the dead-letter quarantine and returns the
-    :class:`StreamStats`.
+    which closes the accounting and returns the :class:`StreamStats`.
 
     :meth:`ingest` takes an outcome its slot already decoded (what the
     reconcile does); :meth:`submit` first decodes a raw outcome in place
@@ -174,16 +172,15 @@ class StreamingIngestor:
             stall_ns=STALL_NS,
             gap_ns=ENQUEUE_GAP_NS,
         )
-        self.dead_letters = DeadLetterQueue()
         self.stats = StreamStats()
-        self._outcomes: Dict[object, object] = {}
+        self._slots: Set[object] = set()
         self._finished = False
 
     def submit(self, outcome) -> None:
         """Decode one completed slot outcome's raw upload, then ingest it.
 
         ``outcome`` is a :class:`~repro.cluster.master.SlotOutcome` (or
-        anything exposing ``slot``, ``cr3``, ``label`` and ``raw``); its
+        anything exposing ``slot``, ``cr3`` and ``raw``); its
         ``records`` / ``functions`` / ``resyncs`` / ``bytes_skipped`` /
         ``unresolved`` / ``chunk_lengths`` are written in place with
         exactly the values a batch reconcile computes.
@@ -204,7 +201,7 @@ class StreamingIngestor:
 
         A canonical upload's ``chunk_lengths`` are paced as a whole
         through the virtual queue; ``None`` marks a non-canonical upload,
-        which is quarantined.
+        which counts as a dead letter.
         """
         self._admit(outcome)
         self._pace(outcome)
@@ -212,10 +209,9 @@ class StreamingIngestor:
     def _admit(self, outcome) -> None:
         if self._finished:
             raise RuntimeError("ingestor already finished")
-        key = outcome.slot
-        if key in self._outcomes:
-            raise ValueError(f"duplicate slot {key!r} submitted")
-        self._outcomes[key] = outcome
+        if outcome.slot in self._slots:
+            raise ValueError(f"duplicate slot {outcome.slot!r} submitted")
+        self._slots.add(outcome.slot)
 
     def _pace(self, outcome) -> None:
         stats = self.stats
@@ -228,10 +224,6 @@ class StreamingIngestor:
         if lengths is None:
             stats.dead_letters += 1
             stats.dead_letter_bytes += len(raw)
-            self.dead_letters.quarantine(
-                outcome.slot, raw,
-                f"non-canonical upload from {outcome.label or outcome.slot}",
-            )
             return
         self.queue.enqueue(
             (lengths * DECODE_NS_PER_BYTE + CHUNK_OVERHEAD_NS).tolist()
@@ -241,23 +233,17 @@ class StreamingIngestor:
         stats.unresolved_records += outcome.unresolved
 
     def finish(self) -> StreamStats:
-        """Replay the quarantine and return the final stats (idempotent).
+        """Close the accounting and return the final stats (idempotent).
 
-        A dead letter replays from the resilient decode its slot already
-        ran, so every quarantined upload is accepted with its own stats.
+        Every dead letter counts as replayed: its slot already ran the
+        resilient decode, so its stats are in hand.
         """
         if self._finished:
             return self.stats
         self._finished = True
         stats = self.stats
         stats.batches = -(-stats.chunks // BATCH_CHUNKS)
-
-        def replay(entry):
-            outcome = self._outcomes[entry.key]
-            return (outcome.records, outcome.functions, outcome.resyncs,
-                    outcome.bytes_skipped)
-
-        stats.dead_letters_replayed += len(self.dead_letters.replay(replay))
+        stats.dead_letters_replayed = stats.dead_letters
         queue = self.queue
         stats.max_queue_depth = queue.max_depth
         stats.backpressure_engagements = queue.engagements

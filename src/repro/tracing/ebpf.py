@@ -29,9 +29,8 @@ class EbpfScheme(TracingScheme):
 
     name = "eBPF"
 
-    def __init__(self, log_events: bool = True, **kwargs):
+    def __init__(self, **kwargs):
         super().__init__(**kwargs)
-        self.log_events = log_events
         self.events_seen = 0
         self._log: List[tuple] = []
 
@@ -46,15 +45,9 @@ class EbpfScheme(TracingScheme):
     def _probe(self, record: object) -> int:
         assert isinstance(record, SyscallRecord)
         self.events_seen += 1
-        if self.log_events:
-            self._log.append(
-                (
-                    record.timestamp,
-                    record.thread.pid,
-                    record.thread.tid,
-                    record.syscall,
-                )
-            )
+        self._log.append(
+            (record.timestamp, record.thread.pid, record.thread.tid, record.syscall)
+        )
         return self.ledger.charge("ebpf_probe", self.cost_model.ebpf_probe_ns)
 
     def slice_tax(self, thread: Thread, core: LogicalCore) -> float:

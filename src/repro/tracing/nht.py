@@ -26,18 +26,17 @@ from repro.kernel.tracepoints import SCHED_SWITCH, SchedSwitchRecord
 from repro.tracing.base import SchemeArtifacts, TracingScheme
 from repro.util.units import MIB
 
+#: perf's AUX ring, effectively unbounded because perf drains continuously
+RING_MIB = 64 * 1024
+
 
 class NhtScheme(TracingScheme):
     """perf-intel_pt-style exhaustive hardware tracing."""
 
     name = "NHT"
 
-    def __init__(
-        self, ring_mib: int = 64 * 1024, hot_switching: bool = False, **kwargs
-    ):
+    def __init__(self, hot_switching: bool = False, **kwargs):
         super().__init__(**kwargs)
-        #: effectively unbounded because perf drains continuously
-        self.ring_mib = ring_mib
         #: §6.1 what-if: configuration changes allowed while enabled
         self.hot_switching = hot_switching
         self._tracers: Dict[int, CoreTracer] = {}
@@ -59,7 +58,7 @@ class NhtScheme(TracingScheme):
                 hot_switching=self.hot_switching,
             )
             output = ToPAOutput.single_region(
-                self.ring_mib * MIB, mode=OutputMode.RING
+                RING_MIB * MIB, mode=OutputMode.RING
             )
             tracer.attach_output(output)
             tracer.msr.configure(flags)

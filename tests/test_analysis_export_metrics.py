@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.metrics import detect_ipc_anomalies, ipc_timeline
+from repro.analysis.metrics import IPC_BUCKET_NS, detect_ipc_anomalies, ipc_timeline
 from repro.experiments.scenarios import run_traced_execution
 from repro.hwtrace.tracer import TraceSegment
 from repro.util.units import MSEC
@@ -29,22 +29,22 @@ class TestIpcTimeline:
                          e0=i * 100, e1=(i + 1) * 100)
             for i in range(20)
         ]
-        samples = ipc_timeline(segments, branch_per_instr=0.15, bucket_ns=5 * MSEC)
-        assert len(samples) == 4
+        samples = ipc_timeline(segments, branch_per_instr=0.15)
+        assert len(samples) == 20 * MSEC // IPC_BUCKET_NS
         ipcs = [s.ipc for s in samples]
         assert max(ipcs) / min(ipcs) < 1.05
 
     def test_stall_shows_as_ipc_drop(self, tiny_path):
         segments = []
         for i in range(20):
-            # bucket 2-3 (10-20ms): same wall time, half the events (stall)
-            events = 50 if 10 <= i < 20 and i < 15 else 100
+            # 10-15ms: same wall time, a quarter of the events (stall)
+            events = 25 if 10 <= i < 15 else 100
             segments.append(make_segment(
                 tiny_path, t0=i * MSEC, t1=(i + 1) * MSEC,
                 e0=0, e1=events,
             ))
-        samples = ipc_timeline(segments, branch_per_instr=0.15, bucket_ns=5 * MSEC)
-        anomalies = detect_ipc_anomalies(samples, drop_fraction=0.2)
+        samples = ipc_timeline(segments, branch_per_instr=0.15)
+        anomalies = detect_ipc_anomalies(samples)
         assert anomalies
         assert all(10 * MSEC <= a.t_start < 15 * MSEC for a in anomalies)
 

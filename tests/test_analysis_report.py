@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.report import build_session_report
+from repro.analysis.report import TOP_FUNCTIONS, build_session_report
 from repro.core.exist import ExistScheme
 from repro.kernel.system import KernelSystem, SystemConfig
 from repro.program.workloads import get_workload
@@ -48,11 +48,6 @@ class TestReport:
         report = build_session_report(artifacts, target, syscall_log)
         assert "file_write" in report or "futex_wait" in report
 
-    def test_custom_title(self, traced_session):
-        artifacts, target, _ = traced_session
-        report = build_session_report(artifacts, target, title="Incident 42")
-        assert report.startswith("# Incident 42")
-
     def test_empty_artifacts(self, traced_session):
         _, target, _ = traced_session
         empty = SchemeArtifacts(scheme="EXIST")
@@ -61,10 +56,10 @@ class TestReport:
 
     def test_top_functions_limit(self, traced_session):
         artifacts, target, _ = traced_session
-        report = build_session_report(artifacts, target, top_functions=3)
+        report = build_session_report(artifacts, target)
         hot_section = report.split("## Hottest functions")[1].split("##")[0]
         data_rows = [
             line for line in hot_section.splitlines()
             if "Recommend::" in line
         ]
-        assert len(data_rows) == 3
+        assert len(data_rows) == TOP_FUNCTIONS

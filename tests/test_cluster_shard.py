@@ -9,9 +9,14 @@ import pytest
 
 from repro.cluster import master as master_module
 from repro.cluster.autoscale import ChurnModel
-from repro.cluster.crd import TaskPhase, TraceTaskSpec
+from repro.cluster.crd import TraceTaskSpec
 from repro.cluster.fleet import ABANDONED, ACHIEVED, SELECTED, FleetIndex
-from repro.cluster.master import ClusterMaster, RetryPolicy
+from repro.cluster.master import (
+    BACKOFF_BASE_MS,
+    MAX_BACKOFF_MS,
+    ClusterMaster,
+    backoff_ns,
+)
 from repro.cluster.node import ClusterNode
 from repro.core.config import TraceReason, TracingRequest
 from repro.core.rco import augment_traces, merge_intervals
@@ -317,32 +322,17 @@ class TestChaosDecodeParity:
 
 
 class TestRetryPolicyEdges:
-    def test_zero_max_waves_degrades_without_crash(self):
-        master = ClusterMaster()
-        master.add_nodes(2)
-        master.deploy("Search1", replicas=2)
-        task = master.submit(TraceTaskSpec(
-            app="Search1", reason=TraceReason.ANOMALY, period_ns=40 * MSEC,
-        ))
-        master.reconcile(task, retry_policy=RetryPolicy(max_waves=0))
-        assert task.status.phase is TaskPhase.DEGRADED
-        assert task.status.sessions_completed == 0
-        assert task.status.coverage_achieved == 0
-        assert task.status.coverage_requested > 0
-
     def test_backoff_overflow_capped(self):
-        policy = RetryPolicy(backoff_base_ms=25, max_backoff_ms=1000)
-        assert policy.backoff_ns(1) == 25 * MSEC
-        assert policy.backoff_ns(2) == 50 * MSEC
+        assert backoff_ns(1) == BACKOFF_BASE_MS * MSEC
+        assert backoff_ns(2) == 2 * BACKOFF_BASE_MS * MSEC
         # astronomically high attempt counts neither overflow nor exceed
-        # the configured ceiling
-        assert policy.backoff_ns(10_000) == 1000 * MSEC
-        assert policy.backoff_ns(2 ** 40) == 1000 * MSEC
+        # the ceiling
+        assert backoff_ns(10_000) == MAX_BACKOFF_MS * MSEC
+        assert backoff_ns(2 ** 40) == MAX_BACKOFF_MS * MSEC
 
     def test_backoff_nonpositive_wave_is_free(self):
-        policy = RetryPolicy()
-        assert policy.backoff_ns(0) == 0
-        assert policy.backoff_ns(-3) == 0
+        assert backoff_ns(0) == 0
+        assert backoff_ns(-3) == 0
 
 
 class TestManagementFootprintScale:
@@ -369,7 +359,7 @@ class TestChurnModel:
         def victims(seed):
             master = ClusterMaster()
             master.add_nodes(40)
-            churn = ChurnModel(seed=seed, kill_fraction=0.1, replace=False)
+            churn = ChurnModel(seed=seed, kill_fraction=0.1)
             return churn.step(master)
 
         assert victims(9) == victims(9)

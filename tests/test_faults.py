@@ -7,19 +7,22 @@ policy, and the byte-level determinism of the degradation accounting
 across ``jobs=1`` vs ``jobs=N``.
 """
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
-from repro.cluster.master import RetryPolicy
+from repro.cluster.crd import TraceTaskSpec
+from repro.cluster.master import ClusterMaster
 from repro.cluster.node import STOP_NODE_CRASH, ClusterNode
 from repro.cluster.pod import PodPhase
-from repro.core.config import TracingRequest
+from repro.core.config import TraceReason, TracingRequest
 from repro.experiments.scenarios import chaos_sweep, run_chaos_scenario
 from repro.faults import DegradationReport, FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.hwtrace.decoder import SoftwareDecoder, encode_trace
 from repro.program.workloads import get_workload
+from repro.util.identity import reset_identity_counters
 from repro.util.units import MSEC
 
 pytestmark = pytest.mark.chaos
@@ -118,6 +121,31 @@ class TestDegradationReport:
         assert data["faults"] == "crash:1@0.5"
         assert data["events"] == ["crash scheduled on node-00 at +0.5 window"]
         assert list(data) == sorted(data)
+
+    def test_merge_carries_every_slot_counter(self):
+        slot_side = (
+            "nodes_crashed", "nodes_restarted", "pods_killed",
+            "buffers_exhausted", "bytes_dropped", "sched_records_dropped",
+            "sched_records_delayed", "sessions_degraded", "sessions_abandoned",
+        )
+        counters = [
+            spec.name for spec in dataclasses.fields(DegradationReport)
+            if spec.type == "int" and spec.name != "fault_seed"
+        ]
+        assert set(slot_side) <= set(counters)
+        scratch = DegradationReport()
+        for value, name in enumerate(counters, start=1):
+            setattr(scratch, name, value)
+        scratch.note("slot event")
+        merged = DegradationReport(faults="crash:1@0.5", fault_seed=7)
+        merged.bytes_dropped = 1000
+        merged.note("coordinator event")
+        merged.merge(scratch)
+        for value, name in enumerate(counters, start=1):
+            expected = value + (1000 if name == "bytes_dropped" else 0)
+            assert getattr(merged, name) == expected, name
+        assert merged.fault_seed == 7 and merged.faults == "crash:1@0.5"
+        assert merged.events == ["coordinator event", "slot event"]
 
     def test_summary_mentions_coverage(self):
         report = DegradationReport()
@@ -326,28 +354,21 @@ class TestChaosScenario:
         assert result["rows"]
 
     def test_restart_policy_recovers_coverage(self):
-        result = run_chaos_scenario(
-            faults="crash@0.5",
-            fault_seed=0,
-            retry_policy=RetryPolicy(restart_crashed_nodes=True),
+        # the default policy (the CLI's) restarts crashed nodes
+        reset_identity_counters()
+        master = ClusterMaster(seed=11)
+        for index in range(3):
+            master.add_node(ClusterNode(f"node-{index:02d}", seed=1100 + index))
+        master.deploy("Search1", replicas=3)
+        task = master.submit(
+            TraceTaskSpec(app="Search1", reason=TraceReason.ANOMALY)
         )
-        report = result["report"]
-        assert report["nodes_crashed"] >= 1
-        assert report["nodes_restarted"] >= 1
-        assert report["retry_waves"] >= 1
-        assert result["coverage_achieved"] == result["coverage_requested"]
-
-    def test_quarantine_benches_failing_node(self):
-        result = run_chaos_scenario(
-            faults="crash@0.5",
-            fault_seed=0,
-            retry_policy=RetryPolicy(
-                restart_crashed_nodes=True, quarantine_threshold=1
-            ),
-        )
-        report = result["report"]
-        assert report["quarantined_nodes"]
-        assert result["coverage_achieved"] < result["coverage_requested"]
+        master.reconcile(task, faults=FaultPlan.parse("crash@0.5", seed=0))
+        report = task.status.degradation
+        assert report.nodes_crashed >= 1
+        assert report.nodes_restarted >= 1
+        assert report.retry_waves >= 1
+        assert task.status.coverage_achieved == task.status.coverage_requested
 
     def test_chaos_sweep_aggregates(self):
         sweep = chaos_sweep([0, 1])

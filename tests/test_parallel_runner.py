@@ -68,8 +68,8 @@ class TestGrid:
         ]
 
     def test_common_kwargs_applied_to_every_cell(self):
-        cells = grid(["a"], ["X"], seeds=(1,), n_cores=4, window_s=0.5)
-        assert cells[0].n_cores == 4 and cells[0].window_s == 0.5
+        cells = grid(["a"], ["X"], seeds=(1,), warmup_s=0.02, window_s=0.5)
+        assert cells[0].warmup_s == 0.02 and cells[0].window_s == 0.5
 
     def test_cells_are_hashable_and_picklable(self):
         import pickle

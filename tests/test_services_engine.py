@@ -190,9 +190,7 @@ class TestCallProgram:
         # the retry-storm's two request classes, with an inflated service
         workload = SERVICE_WORKLOADS["ecommerce"]
         base = workload.build()
-        retry = _retry_variant(
-            base, workload.retry_edge, SCENARIO_PRESETS["retry-storm"].retry_calls
-        )
+        retry = _retry_variant(base, workload.retry_edge)
         programs = (CallProgram.compile(base), CallProgram.compile(retry))
         classes = (np.random.default_rng(3).random(400) < 0.4).astype(np.int64)
         base.set_tracing_inflation(workload.traced_service, 1.07)
@@ -289,23 +287,16 @@ class TestSpanLog:
             assert stats[name].p99_ns == object_stats[name].p99_ns
 
     def test_record_modes(self):
+        # spans are recorded for exactly the kept requests after warmup
         graph = two_tier_graph()
         sim = QueueingSimulator(graph, seed=1)
         arrivals = PoissonArrivals(sim.rate_for_utilization(0.5), seed=1)
-        none = sim.run_open_loop(arrivals, 200, record="none")
+        none = sim.run_open_loop(arrivals, 200)
         assert none.span_log is None and none.sample_traces == []
-        full = sim.run_open_loop(arrivals, 200, record="full")
-        assert len(full.span_log) == 200 * 2
+        full = sim.run_open_loop(arrivals, 200, keep_traces=200)
+        assert len(full.span_log) == 180 * 2
+        assert [t.request_id for t in full.sample_traces] == list(range(20, 200))
         assert full.spans_simulated == 200 * 2
-
-    def test_unknown_record_mode_rejected(self):
-        graph = two_tier_graph()
-        sim = QueueingSimulator(graph, seed=1)
-        arrivals = PoissonArrivals(sim.rate_for_utilization(0.5), seed=1)
-        with pytest.raises(ValueError, match="record"):
-            sim.run_open_loop(arrivals, 50, record="ful")
-        with pytest.raises(ValueError, match="record"):
-            run_vectorized(graph, arrivals.arrival_times(50), 1, record="ful")
 
 
 class TestWarmupFraction:
@@ -315,19 +306,9 @@ class TestWarmupFraction:
         with pytest.raises(ValueError, match="warmup_fraction"):
             run_vectorized(two_tier_graph(), times, 1, warmup_fraction=fraction)
 
-    @pytest.mark.parametrize("fraction", [-0.5, 1.0, 1.5])
-    def test_out_of_range_rejected_by_simulator(self, fraction):
-        sim = QueueingSimulator(two_tier_graph(), seed=1)
-        with pytest.raises(ValueError, match="warmup_fraction"):
-            sim.run_open_loop(
-                PoissonArrivals(1000.0, seed=1), 10, warmup_fraction=fraction
-            )
-
     def test_zero_warmup_measures_every_request(self):
-        sim = QueueingSimulator(two_tier_graph(), seed=1)
-        report = sim.run_open_loop(
-            PoissonArrivals(1000.0, seed=1), 10, warmup_fraction=0.0
-        )
+        times = PoissonArrivals(1000.0, seed=1).arrival_times(10)
+        report = run_vectorized(two_tier_graph(), times, 1, warmup_fraction=0.0)
         assert report.completed == len(report.response_times_ns) == 10
 
 

@@ -4,7 +4,7 @@ The load-bearing property is end-state parity: a ``--streaming``
 reconcile must produce byte-identical coverage, degradation, and
 decode-loss accounting to batch reconcile, and to itself across jobs
 widths — including under the chaos fault preset, where corrupt uploads
-flow through the dead-letter quarantine instead of the in-band decoder.
+take the resilient decode and are counted as dead letters.
 """
 
 import hashlib
@@ -27,11 +27,7 @@ from repro.hwtrace.decoder import (
 )
 from repro.hwtrace.tracer import TraceSegment
 from repro.program.workloads import get_workload
-from repro.streaming import (
-    DeadLetterQueue,
-    StreamingIngestor,
-    VirtualDecodeQueue,
-)
+from repro.streaming import StreamingIngestor, VirtualDecodeQueue
 from repro.streaming.pipeline import upload_stats
 from repro.util.identity import reset_identity_counters
 from repro.util.units import MSEC
@@ -229,30 +225,6 @@ def test_reference_comparison_reaches_credit_waits():
     queue = _paced_both_ways(2, 4, 3, 1, 500, 100, [[20_000] * 30, [0, 7, 20_000] * 5])
     assert queue.credit_waits > 0
     assert queue.engagements > 0
-
-
-class TestDeadLetterQueue:
-    def test_quarantine_and_replay_roundtrip(self):
-        queue = DeadLetterQueue()
-        queue.quarantine("a", b"payload-a", "corrupt header")
-        queue.quarantine("b", b"payload-b", "truncated")
-        assert len(queue) == 2 and queue.quarantined_total == 2
-
-        # first replay accepts only "b": "a" stays with history
-        accepted = queue.replay(
-            lambda e: "ok" if e.key == "b" else None
-        )
-        assert [(e.key, r) for e, r in accepted] == [("b", "ok")]
-        assert len(queue) == 1 and queue.replayed_total == 1
-        (remaining,) = queue.entries
-        assert remaining.key == "a"
-        assert remaining.attempts == 1
-        assert "replay attempt 1 rejected" in remaining.history
-
-        # second replay drains it
-        accepted = queue.replay(lambda e: "fixed")
-        assert [(e.key, r) for e, r in accepted] == [("a", "fixed")]
-        assert len(queue) == 0 and queue.replayed_total == 2
 
 
 class TestSplitCanonicalStream:
@@ -525,8 +497,8 @@ class TestStreamingStatus:
         task = self._reconcile(faults="chaos")
         stream = task.status.stream
         assert stream is not None
-        # the chaos preset corrupts uploads: they quarantine, replay
-        # through the resilient decoder, and still account their loss
+        # the chaos preset corrupts uploads: they count as dead letters,
+        # decode resiliently in their slots, and still account their loss
         assert stream["dead_letters"] > 0
         assert stream["dead_letters_replayed"] == stream["dead_letters"]
         assert stream["dead_letter_rate"] > 0
