@@ -9,7 +9,7 @@ via :mod:`repro.util.bench`):
   fleet with
   two pods per node, the traced repetition count capped so the tracing
   work is constant while the coordinator's per-pod bookkeeping (RCO
-  sampling, FleetIndex phase/coverage columns, upload merge) scales
+  sampling, FleetIndex dedupe/coverage columns, upload merge) scales
   with the fleet.  Gated as ``*_nodes_per_s``; the scaling contract —
   per-node cost at 5k nodes no worse than 1.5x the per-node cost at
   100 nodes — is asserted directly.

@@ -31,7 +31,6 @@ from pathlib import Path
 
 from conftest import emit
 from repro.cluster import ClusterMaster, TraceTaskSpec
-from repro.cluster.master import RetryPolicy
 from repro.cluster.node import ClusterNode
 from repro.core.config import TraceReason
 from repro.experiments.scenarios import run_chaos_scenario
@@ -195,8 +194,8 @@ def test_stream_throughput():
     chaos_master.reconcile(
         chaos_task,
         faults=FaultPlan.parse("chaos", seed=0),
-        retry_policy=RetryPolicy(restart_crashed_nodes=False),
         streaming=True,
+        restart_crashed_nodes=False,
     )
     stream_status = chaos_task.status.stream
     assert stream_status is not None

@@ -4,36 +4,25 @@ The paper's pipeline ends with "human-readable application traces ...
 returned to users for anomaly analysis" (§3.1).  This module renders one
 tracing session's artifacts into a markdown report an on-call engineer
 reads: capture summary, hottest functions, costly-function categories,
-access-width mix, IPC timeline, and blocking anomalies when a syscall
-log is available.
+access-width mix, and IPC timeline.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
-
-from repro.analysis.casestudy import (
-    find_blocking_anomalies,
-    function_category_report,
-    memory_width_report,
-)
+from repro.analysis.casestudy import function_category_report, memory_width_report
 from repro.analysis.metrics import detect_ipc_anomalies, ipc_timeline
 from repro.analysis.reconstruct import reconstruct
 from repro.analysis.tables import format_table
 from repro.kernel.task import Process
 from repro.program.binary import ACCESS_WIDTHS
 from repro.tracing.base import SchemeArtifacts
-from repro.util.units import USEC, fmt_bytes, fmt_time
+from repro.util.units import fmt_bytes, fmt_time
 
 #: rows of the "Hottest functions" table
 TOP_FUNCTIONS = 8
 
 
-def build_session_report(
-    artifacts: SchemeArtifacts,
-    target: Process,
-    syscall_log: Sequence[Tuple[int, int, int, str]] = (),
-) -> str:
+def build_session_report(artifacts: SchemeArtifacts, target: Process) -> str:
     """Render one session's artifacts as a markdown report."""
     binary = target.binary
     profile = getattr(target, "profile", None)
@@ -111,25 +100,5 @@ def build_session_report(
                     f"  - {fmt_time(dip.t_start)}..{fmt_time(dip.t_end)}: "
                     f"IPC {dip.ipc:.2f}"
                 )
-
-    # -- blocking anomalies -----------------------------------------------------
-    if syscall_log and artifacts.sched_records:
-        anomalies = find_blocking_anomalies(
-            syscall_log, artifacts.sched_records, min_block_ns=250 * USEC
-        )
-        sections.append(f"\n## Blocking anomalies (>250us): {len(anomalies)}\n")
-        if anomalies:
-            by_name = {}
-            for anomaly in anomalies:
-                by_name.setdefault(anomaly.syscall, []).append(anomaly.blocked_ns)
-            rows = [
-                [name, len(blocks), fmt_time(max(blocks)), fmt_time(sum(blocks))]
-                for name, blocks in sorted(
-                    by_name.items(), key=lambda kv: -sum(kv[1])
-                )
-            ]
-            sections.append(format_table(
-                rows, headers=["syscall", "count", "worst", "total"]
-            ))
 
     return "\n".join(sections) + "\n"

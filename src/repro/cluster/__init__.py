@@ -14,7 +14,7 @@ KernelSystem` plus an EXIST facility and host pods
 from repro.cluster.autoscale import ChurnModel
 from repro.cluster.crd import TaskPhase, TraceTask, TraceTaskSpec, TraceTaskStatus
 from repro.cluster.fleet import FleetIndex
-from repro.cluster.master import ClusterMaster, Deployment, RetryPolicy
+from repro.cluster.master import ClusterMaster, Deployment
 from repro.cluster.node import ClusterNode, NodeSpec, PodPlacement
 from repro.cluster.pod import Pod, PodPhase
 from repro.cluster.storage import ObjectStore, StructuredStore
@@ -35,5 +35,4 @@ __all__ = [
     "StructuredStore",
     "ClusterMaster",
     "Deployment",
-    "RetryPolicy",
 ]

@@ -1,17 +1,16 @@
 """Vectorized per-pod bookkeeping for one reconcile (the coordinator side).
 
 At datacenter scale the coordinator's per-pod Python loops (dedupe,
-phase tracking, retry/quarantine sets, coverage counting) dominate
-reconcile cost long before any tracing happens.  :class:`FleetIndex`
-keeps that state as numpy columns keyed by *pod index* — one row per pod
-of the deployment — so every transition is an array operation:
+refill exclusion, coverage counting) dominate reconcile cost long before
+any tracing happens.  :class:`FleetIndex` keeps that state as numpy
+columns keyed by *pod index* — one row per pod of the deployment — so
+every step is an array operation:
 
-* slot **phase transitions** are writes into an ``int8`` code column;
 * **dedupe** (one traced pod per node) is a stable argsort + first-
   occurrence mask instead of a sorted Python loop;
-* **retry/quarantine** state is a pair of per-node bitmaps plus a
-  failure-count column;
-* **coverage rollups** are ``sum()`` reductions over the phase column.
+* **refill exclusion** is a per-pod ``attempted`` column plus a per-node
+  ``node_used`` bitmap;
+* **coverage** is a ``sum()`` over the per-pod ``achieved`` column.
 
 Node identity is interned once: nodes are cataloged in lexicographic
 order and every pod row carries its node's integer code, which keeps all
@@ -21,51 +20,35 @@ the historical ``sorted(selected, key=lambda r: r.node)`` exactly).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set
+from typing import Dict, Sequence, Set
 
 import numpy as np
-
-# slot phase codes (one byte per pod)
-UNSELECTED = 0
-SELECTED = 1
-TRACING = 2
-ACHIEVED = 3
-SALVAGED = 4
-ABANDONED = 5
-START_FAILED = 6
 
 
 class FleetIndex:
     """Columnar reconcile state over one deployment's pods."""
 
-    def __init__(self, uids: Sequence[str], node_names: Sequence[str],
-                 priorities: Sequence[int]):
-        if len(uids) != len(node_names) or len(uids) != len(priorities):
-            raise ValueError("uids/node_names/priorities must align")
+    def __init__(self, uids: Sequence[str], node_names: Sequence[str]):
+        if len(uids) != len(node_names):
+            raise ValueError("uids/node_names must align")
         self.uids = np.asarray(uids, dtype=object)
-        self.node_catalog: List[str] = sorted(set(node_names))
-        self.code_of: Dict[str, int] = {
-            name: code for code, name in enumerate(self.node_catalog)
-        }
+        catalog = sorted(set(node_names))
+        code_of = {name: code for code, name in enumerate(catalog)}
         self.node_codes = np.fromiter(
-            (self.code_of[name] for name in node_names),
+            (code_of[name] for name in node_names),
             dtype=np.int32,
             count=len(node_names),
         )
-        self.priorities = np.asarray(priorities, dtype=np.int32)
         self._row_of: Dict[str, int] = {
             uid: row for row, uid in enumerate(uids)
         }
-        n_pods, n_nodes = len(uids), len(self.node_catalog)
-        self.phase = np.zeros(n_pods, dtype=np.int8)
-        self.attempts = np.zeros(n_pods, dtype=np.int16)
+        n_pods = len(uids)
         self.attempted = np.zeros(n_pods, dtype=bool)
-        #: per-node retry/quarantine bitmaps + failure counters
-        self.node_failures = np.zeros(n_nodes, dtype=np.int16)
-        self.node_quarantined = np.zeros(n_nodes, dtype=bool)
+        #: pods that delivered their full tracing window
+        self.achieved_mask = np.zeros(n_pods, dtype=bool)
         #: nodes already traced (or attempted) by this task — refills
         #: must land on fresh nodes so slots stay node-disjoint
-        self.node_used = np.zeros(n_nodes, dtype=bool)
+        self.node_used = np.zeros(len(catalog), dtype=bool)
 
     def __len__(self) -> int:
         return len(self.uids)
@@ -81,10 +64,6 @@ class FleetIndex:
         return np.fromiter(
             (self._row_of[uid] for uid in uids), dtype=np.int64, count=len(uids)
         )
-
-    def node_code(self, name: str) -> int:
-        """Interned integer code of one node name."""
-        return self.code_of[name]
 
     # -- dedupe ------------------------------------------------------------------
 
@@ -107,49 +86,22 @@ class FleetIndex:
     # -- transitions -------------------------------------------------------------
 
     def mark_selected(self, rows: np.ndarray) -> None:
-        """Transition rows to SELECTED and claim their nodes."""
-        self.phase[rows] = SELECTED
+        """Mark rows attempted and claim their nodes."""
         self.attempted[rows] = True
         self.node_used[self.node_codes[rows]] = True
 
-    def mark_tracing(self, rows: np.ndarray) -> None:
-        """Transition rows to TRACING (slots dispatched)."""
-        self.phase[rows] = TRACING
-
-    def resolve(self, row: int, phase: int, attempts: int) -> None:
-        """Record one slot's terminal phase + attempt count."""
-        self.phase[row] = phase
-        self.attempts[row] = attempts
-
-    def register_node_failures(
-        self, codes: Sequence[int], threshold: int
-    ) -> List[int]:
-        """Fold node failures in; returns codes newly past the threshold."""
-        codes = np.asarray(codes, dtype=np.int64)
-        if codes.size == 0:
-            return []
-        np.add.at(self.node_failures, codes, 1)
-        over = (self.node_failures >= max(1, threshold)) & ~self.node_quarantined
-        newly = np.flatnonzero(over)
-        self.node_quarantined[newly] = True
-        return [int(code) for code in newly]
+    def mark_achieved(self, row: int) -> None:
+        """Record that one pod delivered its full tracing window."""
+        self.achieved_mask[row] = True
 
     # -- rollups -----------------------------------------------------------------
 
     def achieved(self) -> int:
         """Pods that delivered their full tracing window."""
-        return int((self.phase == ACHIEVED).sum())
-
-    def quarantined_nodes(self) -> List[str]:
-        """Names of nodes quarantined this reconcile (sorted)."""
-        return [
-            self.node_catalog[code]
-            for code in np.flatnonzero(self.node_quarantined)
-        ]
+        return int(self.achieved_mask.sum())
 
     def exclude_uids(self) -> Set[str]:
-        """Pods ineligible for refill: attempted, or on used/quarantined
-        nodes (vectorized mask, materialized once per refill round)."""
-        blocked_nodes = self.node_quarantined | self.node_used
-        mask = self.attempted | blocked_nodes[self.node_codes]
+        """Pods ineligible for refill: attempted, or on used nodes
+        (vectorized mask, materialized once per refill round)."""
+        mask = self.attempted | self.node_used[self.node_codes]
         return set(self.uids[mask])

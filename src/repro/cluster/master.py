@@ -13,7 +13,7 @@ arming, retries, salvage, decode) is packaged as node-disjoint *slots*,
 each running as one task on the shared persistent worker pool, whose
 work stealing balances the round.  A thin coordinator keeps all
 cross-node decisions (RCO sampling, timed-fault victim choice, refill
-rounds, quarantine) and merges slot results in slot-index order, so
+rounds) and merges slot results in slot-index order, so
 ``jobs=1`` and ``jobs=N`` reconciles are byte-identical — including
 fault injection, retry backoff, and coverage metrics.  Each slot is a
 :class:`SlotEntry` appended to its node's event log before dispatch;
@@ -32,7 +32,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.analysis.reconstruct import coverage_by_thread, thread_labels
-from repro.cluster import fleet as fleet_codes
 from repro.cluster.crd import TaskPhase, TraceTask, TraceTaskSpec
 from repro.cluster.fleet import FleetIndex
 from repro.cluster.node import (
@@ -71,28 +70,8 @@ BACKOFF_BASE_MS = 25
 #: ceiling for one exponential backoff step — keeps high attempt counts
 #: from overflowing into absurd virtual-time jumps
 MAX_BACKOFF_MS = 1000
-#: extra virtual time granted to a session still running after its
-#: window, before the master force-stops it
-STRAGGLER_TIMEOUT_MS = 200
-#: failures after which a node is quarantined for the rest of a reconcile
-QUARANTINE_THRESHOLD = 2
 #: virtual time a tracing window runs past the period before upload
 SETTLE_MS = 50
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How hard reconciliation fights back against faults.
-
-    A reconcile runs in *waves*: the initial attempt plus up to
-    ``MAX_WAVES - 1`` retries.  Between waves the master backs off in
-    virtual time (exponentially, capped at ``MAX_BACKOFF_MS``), restarts
-    crashed nodes when ``restart_crashed_nodes`` allows, quarantines
-    nodes that failed ``QUARANTINE_THRESHOLD`` times, and asks RCO's
-    spatial sampler for replacement replicas.
-    """
-
-    restart_crashed_nodes: bool = True
 
 
 def backoff_ns(wave: int) -> int:
@@ -151,10 +130,8 @@ class SlotOutcome:
     bytes_skipped: int = 0
     unresolved: int = 0
     #: int64 body length of every PSB chunk of a canonical upload, or
-    #: None for anything else (what streaming ingest paces or quarantines)
+    #: None for anything else (what streaming ingest paces or dead-letters)
     chunk_lengths: Optional[np.ndarray] = None
-    node_failures: int = 0
-    quarantined: bool = False
     #: thread label -> merged coverage intervals
     coverage: Dict[str, list] = field(default_factory=dict)
     #: this slot's degradation deltas + chronological notes
@@ -166,28 +143,28 @@ class SlotEntry:
     """A slot in its node's event log: the triple that fully determines it."""
 
     task: SlotTask
-    policy: RetryPolicy
+    restart_crashed_nodes: bool
     plan: Optional[FaultPlan]
 
     def __call__(self, node: ClusterNode) -> SlotOutcome:
-        return _run_slot(node, self.task, self.policy, self.plan)
+        return _run_slot(node, self.task, self.restart_crashed_nodes, self.plan)
 
 
 def _run_slot(
     node: ClusterNode,
     slot_task: SlotTask,
-    policy: RetryPolicy,
+    restart_crashed_nodes: bool,
     plan: Optional[FaultPlan],
 ) -> SlotOutcome:
     """Run one slot's attempt loop against a node.
 
     This is the former global wave body, scoped to a single node: start
-    the session, arm faults, drive the window, grant straggler grace,
-    classify, and retry in place after a crash (the node restarts with
-    its pinned pod identities, so retries stay byte-deterministic).  The
-    slot's faults come from a fresh injector built from ``plan``; every
-    slot-local fault stream is keyed by logical names, so the slot is
-    the same wherever it runs.  All accounting goes to the outcome's
+    the session, arm faults, drive the window, classify, and retry in
+    place after a crash when ``restart_crashed_nodes`` allows (the node
+    restarts with its pinned pod identities, so retries stay
+    byte-deterministic).  The slot's faults come from a fresh injector
+    built from ``plan``; every slot-local fault stream is keyed by
+    logical names, so the slot is the same wherever it runs.  All accounting goes to the outcome's
     scratch report; the coordinator merges scratch reports in slot order.
     """
     pod = next(p for p in node.pods if p.uid == slot_task.pod_uid)
@@ -200,30 +177,18 @@ def _run_slot(
         start_wave=slot_task.start_wave,
     )
     report = outcome.report
-    failures = 0
-    quarantined = False
-
-    def register_failure() -> None:
-        nonlocal failures, quarantined
-        failures += 1
-        if failures >= QUARANTINE_THRESHOLD and not quarantined:
-            quarantined = True
-            report.note(f"quarantined {node.name} after {failures} failures")
-
     if slot_task.initial_backoff_ns:
         node.run_for(slot_task.initial_backoff_ns)
 
     session = None
-    crash_counted = False
     wave = slot_task.start_wave
     while wave < MAX_WAVES:
         outcome.attempts += 1
         label = f"{node.name}/{pod.app}#w{wave}"
         outcome.label = label
-        # a dead node is only reachable on a retry attempt: the crashed
-        # node reboots (kubelet restartPolicy) unless policy or
-        # quarantine forbids
-        if not node.alive and policy.restart_crashed_nodes and not quarantined:
+        # a crashed node reboots (kubelet restartPolicy) unless the
+        # reconcile forbids it
+        if not node.alive and restart_crashed_nodes:
             node.restart()
             report.nodes_restarted += 1
             report.note(f"restarted {node.name}")
@@ -237,7 +202,6 @@ def _run_slot(
             session = node.trace_pod(pod, request)
         except RuntimeError:
             cause = "node down" if not node.alive else "pod not running"
-            register_failure()
             report.note(f"session start failed on {label}: {cause}")
             session = None
             break
@@ -251,16 +215,14 @@ def _run_slot(
                 assignments=assignments, report=report,
             )
         node.run_for(slot_task.window_ns)
-        # stragglers: grant extra time, then force-stop survivors
-        if not session.stopped and node.alive:
-            node.run_for(STRAGGLER_TIMEOUT_MS * MSEC)
-        if not session.stopped and node.alive:
-            node.facility.stop_tracing(session, "reconcile-timeout")
+        # the OTC timer stops the session at start + period, inside the
+        # window, unless the node crashed first
+        assert session.stopped or not node.alive
         if injector is not None:
             injector.disarm_slot(node)
 
-        if not node.alive and not crash_counted:
-            crash_counted = True
+        # timed faults arm on the first wave only, so a slot crashes once
+        if not node.alive:
             report.nodes_crashed += 1
             report.note(f"{node.name} crashed mid-window")
         if session.stop_reason == STOP_NODE_CRASH:
@@ -268,9 +230,8 @@ def _run_slot(
             # replica itself comes back with the node reboot
             report.sessions_abandoned += 1
             report.note(f"abandoned {label}: node crash")
-            register_failure()
             session = None
-            if policy.restart_crashed_nodes and not quarantined:
+            if restart_crashed_nodes:
                 wave += 1
                 continue
             break
@@ -286,8 +247,6 @@ def _run_slot(
         outcome.completed = True
         break
 
-    outcome.node_failures = failures
-    outcome.quarantined = quarantined
     if outcome.completed and session is not None:
         raw = encode_trace(session.segments)
         dropped = 0
@@ -496,7 +455,7 @@ class ClusterMaster:
         self,
         slot_tasks: List[SlotTask],
         pool: RunPool,
-        policy: RetryPolicy,
+        restart_crashed_nodes: bool,
         faults: Optional[FaultPlan],
         binary,
     ) -> List[SlotOutcome]:
@@ -512,7 +471,7 @@ class ClusterMaster:
         payloads = []
         for slot_task in slot_tasks:
             node = self.nodes[slot_task.node_name]
-            node.log.append(SlotEntry(slot_task, policy, faults))
+            node.log.append(SlotEntry(slot_task, restart_crashed_nodes, faults))
             payloads.append(
                 (node, len(node.log), None if pool.parallel else binary)
             )
@@ -523,8 +482,8 @@ class ClusterMaster:
         task: TraceTask,
         pool: Optional[RunPool] = None,
         faults: Optional[FaultPlan] = None,
-        retry_policy: Optional[RetryPolicy] = None,
         streaming: bool = False,
+        restart_crashed_nodes: bool = True,
     ) -> TraceTask:
         """Run the full reconciliation loop for one task.
 
@@ -536,9 +495,14 @@ class ClusterMaster:
         (:func:`upload_stats`), streaming or not.
         ``faults`` (optional) arms a seeded :class:`FaultPlan`
         against the run; the reconcile then *degrades* instead of
-        failing — retrying in waves per ``retry_policy``, resampling
-        replacement replicas, salvaging partial windows, and attaching a
+        failing — retrying in waves, resampling replacement replicas,
+        salvaging partial windows, and attaching a
         :class:`DegradationReport` with the honest loss accounting.
+        A reconcile runs the initial attempt plus up to ``MAX_WAVES - 1``
+        retries, backing off in virtual time between them
+        (:func:`backoff_ns`).  A slot whose node crashes restarts the node
+        and retries in place when ``restart_crashed_nodes`` is True;
+        slots that still fall short are refilled on fresh nodes.
 
         ``streaming`` True only adds the online ingest accounting:
         completed slots' chunk lengths are paced through the bounded
@@ -548,7 +512,6 @@ class ClusterMaster:
         coverage, degradation, and decode-loss end state is
         byte-identical to the batch path and across ``--jobs`` widths.
         """
-        policy = retry_policy or RetryPolicy()
         deployment = self.deployments.get(task.spec.app)
         if deployment is None or not deployment.pods:
             task.status.phase = TaskPhase.FAILED
@@ -582,12 +545,11 @@ class ClusterMaster:
         if task.spec.max_repetitions is not None:
             selected = selected[: task.spec.max_repetitions]
 
-        # columnar fleet state: phase transitions, retry/quarantine
-        # bitmaps and coverage rollups are array ops from here on
+        # columnar fleet state: dedupe, refill exclusion and coverage
+        # rollups are array ops from here on
         fleet = FleetIndex(
             uids=[pod.uid for pod in deployment.pods],
             node_names=[pod.node_name for pod in deployment.pods],
-            priorities=[pod.priority for pod in deployment.pods],
         )
         slot_rows = fleet.dedupe_first_per_node(
             fleet.rows_of([r.pod_uid for r in selected])
@@ -659,10 +621,9 @@ class ClusterMaster:
                     assignments=tuple(assignments.get(node_name, ())),
                 ))
                 slot_counter += 1
-            fleet.mark_tracing(pending_rows)
 
             round_outcomes = self._dispatch_round(
-                round_tasks, pool, policy, faults, binary
+                round_tasks, pool, restart_crashed_nodes, faults, binary
             )
             if ingestor is not None:
                 # online ingestion: decoded uploads enter the streaming
@@ -673,23 +634,10 @@ class ClusterMaster:
                         ingestor.ingest(outcome)
             # index-ordered merge: scratch reports fold in slot order, so
             # the merged accounting is independent of worker placement
-            failure_codes: List[int] = []
             for outcome in round_outcomes:
-                row = fleet.row_of(outcome.pod_uid)
                 if outcome.achieved:
-                    phase = fleet_codes.ACHIEVED
-                elif outcome.salvaged:
-                    phase = fleet_codes.SALVAGED
-                elif outcome.attempts and outcome.node_failures:
-                    phase = fleet_codes.ABANDONED
-                else:
-                    phase = fleet_codes.START_FAILED
-                fleet.resolve(row, phase, outcome.attempts)
-                failure_codes.extend(
-                    [fleet.node_code(outcome.node_name)] * outcome.node_failures
-                )
+                    fleet.mark_achieved(fleet.row_of(outcome.pod_uid))
                 report.merge(outcome.report)
-            fleet.register_node_failures(failure_codes, QUARANTINE_THRESHOLD)
             outcomes.extend(round_outcomes)
 
             round_index += 1
@@ -697,8 +645,8 @@ class ClusterMaster:
             if need <= 0 or round_index >= MAX_WAVES:
                 break
             # RCO resamples replacement replicas (§3.4) on fresh nodes,
-            # avoiding pods already tried, quarantined nodes, and nodes
-            # this task already traced (slots stay node-disjoint)
+            # avoiding pods already tried and nodes this task already
+            # traced (slots stay node-disjoint)
             replacements = self.rco.spatial.resample(
                 repetitions, need, exclude=fleet.exclude_uids()
             )
@@ -774,7 +722,6 @@ class ClusterMaster:
         report.sessions_completed = len(completed)
         report.coverage_requested = metric.requested
         report.coverage_achieved = metric.achieved
-        report.quarantined_nodes = fleet.quarantined_nodes()
         task.status.coverage_requested = metric.requested
         task.status.coverage_achieved = metric.achieved
         task.status.degradation = report

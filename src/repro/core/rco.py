@@ -173,8 +173,8 @@ class SpatialSampler:
     ) -> List[Repetition]:
         """Pick replacement replicas after traced replicas died (§3.4).
 
-        ``exclude`` holds pod uids already tried (dead, quarantined, or
-        traced); replacements come only from untouched repetitions.  The
+        ``exclude`` holds pod uids already tried (dead or traced, or on a
+        node already traced); replacements come only from untouched repetitions.  The
         selection is deterministic for a given sampler state, so retry
         waves replay identically across runs with the same seed.
         """

@@ -239,7 +239,7 @@ def run_chaos_scenario(
     equal, which is exactly the parity the tests assert.
     """
     from repro.cluster.crd import TraceTaskSpec
-    from repro.cluster.master import ClusterMaster, RetryPolicy
+    from repro.cluster.master import ClusterMaster
     from repro.cluster.node import ClusterNode
     from repro.core.config import TraceReason
     from repro.faults import FaultPlan
@@ -257,8 +257,7 @@ def run_chaos_scenario(
     with RunPool(max_workers=jobs) as pool:
         master.reconcile(
             task, pool=pool, faults=plan,
-            retry_policy=RetryPolicy(restart_crashed_nodes=False),
-            streaming=streaming,
+            streaming=streaming, restart_crashed_nodes=False,
         )
 
     report = task.status.degradation

@@ -53,7 +53,6 @@ class DegradationReport:
     sessions_degraded: int = 0
     sessions_abandoned: int = 0
     retry_waves: int = 0
-    quarantined_nodes: List[str] = field(default_factory=list)
 
     #: chronological fault log, logical labels only
     events: List[str] = field(default_factory=list)
@@ -114,7 +113,7 @@ class DegradationReport:
             "sessions_degraded": self.sessions_degraded,
             "sessions_abandoned": self.sessions_abandoned,
             "retry_waves": self.retry_waves,
-            "quarantined_nodes": list(self.quarantined_nodes),
+            "quarantined_nodes": [],  # always empty; kept so recorded digests hold
             "events": list(self.events),
         }
 

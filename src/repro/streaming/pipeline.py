@@ -121,7 +121,7 @@ class StreamStats:
 
     @property
     def dead_letter_rate(self) -> float:
-        """Fraction of uploads that hit quarantine."""
+        """Fraction of uploads counted as dead letters."""
         return self.dead_letters / self.uploads if self.uploads else 0.0
 
     def to_dict(self) -> Dict[str, object]:

@@ -7,7 +7,6 @@ from repro.core.exist import ExistScheme
 from repro.kernel.system import KernelSystem, SystemConfig
 from repro.program.workloads import get_workload
 from repro.tracing.base import SchemeArtifacts
-from repro.tracing.ebpf import EbpfScheme
 from repro.util.units import MSEC
 
 
@@ -16,17 +15,15 @@ def traced_session():
     system = KernelSystem(SystemConfig.small_node(8, seed=13))
     target = get_workload("Recommend").spawn(system, seed=13)
     exist = ExistScheme(period_ns=300 * MSEC, continuous=False)
-    probe = EbpfScheme()
     exist.install(system, [target])
-    probe.install(system, [target])
     system.run_for(360 * MSEC)
-    return exist.artifacts(), target, probe.artifacts().syscall_log
+    return exist.artifacts(), target
 
 
 class TestReport:
     def test_all_sections_present(self, traced_session):
-        artifacts, target, syscall_log = traced_session
-        report = build_session_report(artifacts, target, syscall_log)
+        artifacts, target = traced_session
+        report = build_session_report(artifacts, target)
         for heading in (
             "# Tracing report: Recommend",
             "## Capture",
@@ -34,28 +31,22 @@ class TestReport:
             "## Costly-function families",
             "## Memory access widths",
             "## IPC",
-            "## Blocking anomalies",
         ):
             assert heading in report, heading
 
     def test_report_names_real_functions(self, traced_session):
-        artifacts, target, _ = traced_session
+        artifacts, target = traced_session
         report = build_session_report(artifacts, target)
         assert "Recommend::" in report
 
-    def test_blocking_section_lists_culprits(self, traced_session):
-        artifacts, target, syscall_log = traced_session
-        report = build_session_report(artifacts, target, syscall_log)
-        assert "file_write" in report or "futex_wait" in report
-
     def test_empty_artifacts(self, traced_session):
-        _, target, _ = traced_session
+        _, target = traced_session
         empty = SchemeArtifacts(scheme="EXIST")
         report = build_session_report(empty, target)
         assert "no trace data captured" in report
 
     def test_top_functions_limit(self, traced_session):
-        artifacts, target, _ = traced_session
+        artifacts, target = traced_session
         report = build_session_report(artifacts, target)
         hot_section = report.split("## Hottest functions")[1].split("##")[0]
         data_rows = [

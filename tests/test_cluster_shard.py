@@ -10,7 +10,7 @@ import pytest
 from repro.cluster import master as master_module
 from repro.cluster.autoscale import ChurnModel
 from repro.cluster.crd import TraceTaskSpec
-from repro.cluster.fleet import ABANDONED, ACHIEVED, SELECTED, FleetIndex
+from repro.cluster.fleet import FleetIndex
 from repro.cluster.master import (
     BACKOFF_BASE_MS,
     MAX_BACKOFF_MS,
@@ -32,7 +32,6 @@ class TestFleetIndex:
         return FleetIndex(
             uids=["p1", "p2", "p3", "p4", "p5"],
             node_names=["n-b", "n-a", "n-b", "n-c", "n-a"],
-            priorities=[1, 2, 3, 4, 5],
         )
 
     def test_dedupe_matches_sorted_first_per_node(self):
@@ -44,22 +43,19 @@ class TestFleetIndex:
     def test_mark_selected_claims_nodes(self):
         fleet = self._fleet()
         fleet.mark_selected(np.array([0]))
-        assert fleet.phase[0] == SELECTED
+        assert fleet.attempted.tolist() == [True, False, False, False, False]
         # p3 shares n-b with p1, so both are now excluded from refills
         assert fleet.exclude_uids() == {"p1", "p3"}
 
-    def test_quarantine_threshold(self):
-        fleet = self._fleet()
-        code = fleet.node_code("n-b")
-        assert fleet.register_node_failures([code], threshold=2) == []
-        assert fleet.register_node_failures([code], threshold=2) == [code]
-        assert fleet.quarantined_nodes() == ["n-b"]
-
     def test_rollups(self):
         fleet = self._fleet()
-        fleet.resolve(0, ACHIEVED, 1)
-        fleet.resolve(1, ABANDONED, 2)
-        assert fleet.achieved() == 1
+        assert fleet.achieved() == 0
+        fleet.mark_achieved(0)
+        fleet.mark_achieved(3)
+        fleet.mark_achieved(3)  # idempotent: one pod counts once
+        assert fleet.achieved() == 2
+        # achieving a pod claims no node: refill exclusion is unchanged
+        assert fleet.exclude_uids() == set()
 
 
 class TestLazyNodes:

@@ -2,9 +2,9 @@
 
 Covers the fault taxonomy end to end: plan parsing, node crashes
 mid-period, forced ToPA stop-on-full, corrupted/truncated uploads through
-the resilient decoder, the sched-switch side-channel tap, retry/quarantine
-policy, and the byte-level determinism of the degradation accounting
-across ``jobs=1`` vs ``jobs=N``.
+the resilient decoder, the sched-switch side-channel tap, crash retries
+with and without restarts, and the byte-level determinism of the
+degradation accounting across ``jobs=1`` vs ``jobs=N``.
 """
 
 import dataclasses
@@ -330,6 +330,55 @@ class TestSchedSideChannel:
         injector.disarm_slot(node)
         assert injector.report.sched_records_delayed > 0
         assert len(session.sched_records) > 0
+
+
+# ---------------------------------------------------------------------------
+# reconcile output under crash plans, pinned
+# ---------------------------------------------------------------------------
+
+#: crash plans over every crash path of a slot: a crash before, during
+#: and after the OTC period, several crashes in one round, and a crash
+#: next to a pod kill
+PINNED_CRASH_PLANS = (
+    "crash@0.5",
+    "crash@0.25,crash@0.75",
+    "crash:3@0.5,crash:3@0.9",
+    "crash@1.0",
+    "crash@0.5,pod-kill@0.3",
+    "crash@0.0",
+)
+#: blake2b of every pinned plan's report JSON and sorted structured rows,
+#: with and without in-slot restarts (recorded before node quarantine and
+#: the straggler force-stop were deleted; neither ever fired here)
+PINNED_RECONCILE_DIGEST = "35c00205760a650dfa287833d192dac2"
+
+
+def test_crash_plan_reconciles_are_pinned():
+    digest = hashlib.blake2b(digest_size=16)
+    for faults in PINNED_CRASH_PLANS:
+        for restart in (True, False):
+            reset_identity_counters()
+            master = ClusterMaster(seed=11)
+            for index in range(3):
+                master.add_node(
+                    ClusterNode(f"node-{index:02d}", seed=1100 + index)
+                )
+            master.deploy("Search1", replicas=3)
+            task = master.submit(TraceTaskSpec(
+                app="Search1", reason=TraceReason.ANOMALY, period_ns=100 * MSEC
+            ))
+            master.reconcile(
+                task,
+                faults=FaultPlan.parse(faults, seed=0),
+                restart_crashed_nodes=restart,
+            )
+            digest.update(task.status.degradation.to_json().encode())
+            rows = sorted(
+                json.dumps(row, sort_keys=True)
+                for row in master.sessions_for(task)
+            )
+            digest.update("\n".join(rows).encode())
+    assert digest.hexdigest() == PINNED_RECONCILE_DIGEST
 
 
 # ---------------------------------------------------------------------------

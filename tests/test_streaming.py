@@ -441,7 +441,7 @@ class TestStreamingReconcileParity:
 class TestStreamingStatus:
     def _reconcile(self, faults=None, streaming=True, nodes=2):
         from repro.cluster.crd import TraceTaskSpec
-        from repro.cluster.master import ClusterMaster, RetryPolicy
+        from repro.cluster.master import ClusterMaster
         from repro.cluster.node import ClusterNode
         from repro.core.config import TraceReason
         from repro.faults import FaultPlan
@@ -459,8 +459,8 @@ class TestStreamingStatus:
         master.reconcile(
             task,
             faults=plan or None,
-            retry_policy=RetryPolicy(restart_crashed_nodes=False),
             streaming=streaming,
+            restart_crashed_nodes=False,
         )
         return task
 
